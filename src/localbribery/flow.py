@@ -194,19 +194,9 @@ def min_cost_flow_with_demands(net: FlowNetwork, required_value: int) -> FlowRes
     return FlowResult(True, base_cost + cost, edge_flow)
 
 
-def max_flow(net: FlowNetwork) -> int:
-    """Maximum s-t flow value; all lower bounds must be zero."""
-    if any(e.lb for e in net.edges):
-        raise ValueError("max_flow requires zero lower bounds")
-    res = _Residual(net.num_nodes)
-    for e in net.edges:
-        res.add(e.src, e.dst, e.cap, 0)
-    value, _ = res.min_cost_max_flow(net.source, net.sink)
-    return value
-
-
 def max_flow_with_arcs(net: FlowNetwork) -> tuple[int, list[int]]:
-    """Like max_flow but also returns per-edge flow for witness decoding."""
+    """Maximum s-t flow value and the per-edge flow, for witness decoding;
+    all lower bounds must be zero."""
     if any(e.lb for e in net.edges):
         raise ValueError("max_flow requires zero lower bounds")
     res = _Residual(net.num_nodes)

@@ -5,9 +5,18 @@ k-approval and simplified Bucklin with prices at small radius, and the
 unpriced uniform-radius max-displacement algorithms for k-approval and
 simplified Bucklin.  Every YES passes through the independent witness
 verifier before being returned.
+
+Voters that a network cannot tell apart form one class, and each class
+gets one node or one capacitated edge, so network size follows the number
+of voter types rather than the number of voters.  A class's flow is dealt
+back to its voters in index order, which keeps witnesses deterministic.
+Each guess loop runs only over the guesses that cheap counts of the
+profile leave open.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Hashable, Iterable, Iterator
 
 from .core import (
     KAPPROVAL,
@@ -23,6 +32,9 @@ from .core import (
 from .flow import FlowNetwork, max_flow_with_arcs, min_cost_flow_with_demands
 from .metrics import FOOTRULE, MAXDISP, SWAP
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
+
+# A class of interchangeable voters: its key and its voters in index order.
+VoterClass = tuple[Hashable, list[int]]
 
 
 class UnsupportedParameters(Exception):
@@ -65,6 +77,118 @@ def _move_to_back(pref: Preference, a: int) -> Preference:
     return Preference((*rest, a))
 
 
+def _voter_classes(
+    voters: Iterable[int], key: Callable[[int], Hashable]
+) -> list[VoterClass]:
+    """Group voters by `key`: classes in first-seen order, each class's
+    voters in the order given."""
+    classes: dict[Hashable, list[int]] = {}
+    for i in voters:
+        classes.setdefault(key(i), []).append(i)
+    return list(classes.items())
+
+
+def _deal(
+    classes: list[VoterClass],
+    class_edges: list[list[tuple[int, object]]],
+    flows: list[int],
+) -> Iterator[tuple[int, object]]:
+    """Hand each class's flow back to its voters as (voter, item) pairs.
+
+    `class_edges[j]` lists (edge, item) pairs of class j in dealing order.
+    The units of each edge go round-robin over the class's voters, lowest
+    index first, continuing from edge to edge.  So a class that carries
+    fewer units than it has voters bribes its lowest-indexed ones, and as
+    long as no edge carries more units than the class has voters, no voter
+    gets the same item twice.
+    """
+    for (_, members), edges in zip(classes, class_edges):
+        t = 0
+        for e, item in edges:
+            for _ in range(flows[e]):
+                yield members[t % len(members)], item
+                t += 1
+
+
+def _affordable(prices: Iterable[int], budget: int) -> int:
+    """How many of `prices` the budget pays for, cheapest first."""
+    count = 0
+    for price in sorted(prices):
+        budget -= price
+        if budget < 0:
+            break
+        count += 1
+    return count
+
+
+def _end_classes(
+    instance: BriberyInstance,
+    voters: Iterable[int],
+    end: int,
+    reachable: Callable[[Preference, int, str], set[int]],
+) -> list[VoterClass]:
+    """Voters keyed (alternative at position `end`, the sorted alternatives
+    `reachable` can bring there, price)."""
+    prefs = instance.profile.prefs
+    return _voter_classes(
+        voters,
+        lambda i: (
+            prefs[i].order[end],
+            tuple(sorted(reachable(prefs[i], instance.deltas[i], instance.metric))),
+            instance.prices[i],
+        ),
+    )
+
+
+def _one_choice_solve(
+    instance: BriberyInstance,
+    classes: list[VoterClass],
+    guesses: Iterable[int],
+    sink_bounds: Callable[[int, int], tuple[int, int]],
+    move: Callable[[Preference, int], Preference],
+) -> Profile | None:
+    """Shared body of the plurality and veto solvers.
+
+    Every voter of `classes`, keyed (current, reachable, price), routes
+    one unit to the alternative it ends up with at the scoring end of its
+    order: `current` for free, any other reachable one at `price`.  For
+    each guess, `sink_bounds(guess, a)` bounds the units alternative `a`
+    may receive.  Returns the witness of the cheapest flow within budget,
+    the earliest guess winning ties, or None.
+    """
+    profile, m = instance.profile, instance.m
+    units = sum(len(members) for _, members in classes)
+    best = None  # (cost, edge flows, per-class choice edges)
+    for guess in guesses:
+        # Nodes: 0 = source, 1 = sink, 2..m+1 = alternatives, then classes.
+        net = FlowNetwork(2 + m + len(classes), 0, 1)
+        choice_edges = []
+        for j, ((current, reach, price), members) in enumerate(classes):
+            u = 2 + m + j
+            size = len(members)
+            net.add_edge(0, u, 0, size, 0)
+            # Paid moves are dealt first, so a class's bribes fall on its
+            # lowest-indexed voters.
+            choice_edges.append([
+                (net.add_edge(u, 2 + a, 0, size, 0 if a == current else price), a)
+                for a in sorted(reach, key=lambda a: (a == current, a))
+            ])
+        for a in range(m):
+            lb, cap = sink_bounds(guess, a)
+            net.add_edge(2 + a, 1, lb, cap, 0)
+        res = min_cost_flow_with_demands(net, units)
+        if res.feasible and res.total_cost <= instance.budget:
+            if best is None or res.total_cost < best[0]:
+                best = (res.total_cost, res.edge_flow, choice_edges)
+    if best is None:
+        return None
+    _, flows, choice_edges = best
+    prefs = list(profile.prefs)
+    for i, a in _deal(classes, choice_edges, flows):
+        prefs[i] = move(prefs[i], a)
+    return Profile(profile.alternatives, tuple(prefs))
+
+
 def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     """Guess the target's final plurality score, solve a min-cost flow.
 
@@ -81,43 +205,24 @@ def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     s_c = n - len(q_voters)
     if not q_voters:
         return verified_yes(instance, profile)
-
-    best = None  # (cost, guess, per-voter chosen alternative)
-    reach = {
-        i: top_reachable(profile.prefs[i], instance.deltas[i], instance.metric)
-        for i in q_voters
-    }
-    for guess in range(max(s_c, 1), n + 1):
-        # Nodes: 0 = source, 1 = sink, 2..m+1 = alternatives, then voters.
-        net = FlowNetwork(2 + m + len(q_voters), 0, 1)
-        v_alt = lambda a: 2 + a
-        choice_edges = []
-        for idx, i in enumerate(q_voters):
-            u = 2 + m + idx
-            net.add_edge(0, u, 0, 1, 0)
-            first = profile.prefs[i].order[0]
-            for a in sorted(reach[i]):
-                cost = 0 if a == first else instance.prices[i]
-                e = net.add_edge(u, v_alt(a), 0, 1, cost)
-                choice_edges.append((e, i, a))
-        need_c = guess - s_c
-        net.add_edge(v_alt(c), 1, need_c, need_c, 0)
-        for a in range(m):
-            if a != c:
-                net.add_edge(v_alt(a), 1, 0, guess - 1, 0)
-        res = min_cost_flow_with_demands(net, len(q_voters))
-        if res.feasible and res.total_cost <= instance.budget:
-            if best is None or res.total_cost < best[0]:
-                chosen = {
-                    i: a for e, i, a in choice_edges if res.edge_flow[e] == 1
-                }
-                best = (res.total_cost, guess, chosen)
-    if best is None:
+    classes = _end_classes(instance, q_voters, 0, top_reachable)
+    # Each point the target gains is a voter that can reach it, paid for.
+    can_gain = _affordable(
+        (price for (_, reach, price), members in classes if c in reach
+         for _ in members),
+        instance.budget,
+    )
+    witness = _one_choice_solve(
+        instance,
+        classes,
+        range(max(s_c, 1), s_c + can_gain + 1),
+        lambda guess, a: (
+            (guess - s_c, guess - s_c) if a == c else (0, guess - 1)
+        ),
+        _move_to_front,
+    )
+    if witness is None:
         return BriberyOutcome.no()
-    _, _, chosen = best
-    witness = profile
-    for i, a in chosen.items():
-        witness = witness.replace(i, _move_to_front(profile.prefs[i], a))
     return verified_yes(instance, witness)
 
 
@@ -130,42 +235,24 @@ def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
     n, m = instance.n, instance.m
     if m == 1:
         return verified_yes(instance, profile)
-    reach = [
-        bottom_reachable(profile.prefs[i], instance.deltas[i], instance.metric)
-        for i in range(n)
-    ]
-    best = None
-    for guess in range(0, n + 1):
-        if (m - 1) * (guess + 1) > n:
-            continue
-        net = FlowNetwork(2 + m + n, 0, 1)
-        v_alt = lambda a: 2 + a
-        choice_edges = []
-        for i in range(n):
-            u = 2 + m + i
-            net.add_edge(0, u, 0, 1, 0)
-            last = profile.prefs[i].order[-1]
-            for a in sorted(reach[i]):
-                cost = 0 if a == last else instance.prices[i]
-                e = net.add_edge(u, v_alt(a), 0, 1, cost)
-                choice_edges.append((e, i, a))
-        net.add_edge(v_alt(c), 1, 0, guess, 0)
-        for a in range(m):
-            if a != c:
-                net.add_edge(v_alt(a), 1, guess + 1, n, 0)
-        res = min_cost_flow_with_demands(net, n)
-        if res.feasible and res.total_cost <= instance.budget:
-            if best is None or res.total_cost < best[0]:
-                chosen = {
-                    i: a for e, i, a in choice_edges if res.edge_flow[e] == 1
-                }
-                best = (res.total_cost, guess, chosen)
-    if best is None:
+    classes = _end_classes(instance, range(n), -1, bottom_reachable)
+    # A voter vetoing the target keeps doing so unless it can veto another
+    # alternative and is paid to.  Every rival needs more vetoes than the
+    # target, so (m-1)(guess+1) <= n caps the guess.
+    vetoing_c = [key for key, members in classes if key[0] == c for _ in members]
+    forced = len(vetoing_c) - _affordable(
+        (price for _, reach, price in vetoing_c if reach != (c,)),
+        instance.budget,
+    )
+    witness = _one_choice_solve(
+        instance,
+        classes,
+        range(forced, n // (m - 1)),
+        lambda guess, a: (0, guess) if a == c else (guess + 1, n),
+        _move_to_back,
+    )
+    if witness is None:
         return BriberyOutcome.no()
-    _, _, chosen = best
-    witness = profile
-    for i, a in chosen.items():
-        witness = witness.replace(i, _move_to_back(profile.prefs[i], a))
     return verified_yes(instance, witness)
 
 
@@ -197,58 +284,75 @@ def _check_small_radius(instance: BriberyInstance) -> None:
             )
 
 
+def _toggle_classes(instance: BriberyInstance, k: int) -> list[VoterClass]:
+    """Voters that may exchange positions k and k+1, keyed (boundary
+    loser, boundary gainer, price).  Voters whose exchange would demote
+    the target are left out: that is never useful."""
+    prefs, c = instance.profile.prefs, instance.target
+    togglable = (
+        i
+        for i in range(instance.n)
+        if _toggle_radius(instance.deltas[i], instance.metric)
+        and prefs[i].order[k - 1] != c
+    )
+    return _voter_classes(
+        togglable,
+        lambda i: (prefs[i].order[k - 1], prefs[i].order[k], instance.prices[i]),
+    )
+
+
+def _target_gain(instance: BriberyInstance, toggles: list[VoterClass]) -> int:
+    """How many toggles raising the target at the boundary the budget pays
+    for."""
+    return _affordable(
+        (price for (_, into, price), members in toggles
+         if into == instance.target for _ in members),
+        instance.budget,
+    )
+
+
 def _boundary_toggle_solve(
-    instance: BriberyInstance, k: int, c_floor: int, rival_cap_fn
+    instance: BriberyInstance,
+    s0: list[int],
+    toggles: list[VoterClass],
+    c_floor: int,
+    rival_cap: int,
 ) -> tuple[int, list[int]] | None:
     """Shared core of the small-radius solvers.
 
     At radius 1 the only change that moves k-approval (or level-k) scores is
     exchanging the alternatives at positions k and k+1; any other radius-1
     change can be dropped without raising cost or altering level-k scores.
-    Each togglable voter becomes a unit edge moving one point of score from
-    its boundary loser to its boundary gainer.  `c_floor` is the exact final
-    level-k score demanded for the target, `rival_cap_fn(y)` the maximum
-    allowed final score of rival y.  Returns (cost, toggled voters) for the
-    cheapest feasible selection, or None.
+    Each toggle class (see `_toggle_classes`) becomes one edge moving up to
+    one point of score per voter from its boundary loser to its boundary
+    gainer.  `s0` holds the level-k scores before bribery, `c_floor` is the
+    exact final level-k score demanded for the target and `rival_cap` the
+    maximum allowed final score of every rival.  Returns (cost, toggled
+    voters) for the cheapest feasible selection, or None.
     """
-    profile, c = instance.profile, instance.target
+    c = instance.target
     n, m = instance.n, instance.m
-    alpha = approval_vector(m, k)
-    s0 = positional_scores(profile, alpha)
-    if c_floor < s0[c]:
-        return None  # the target can only gain at the boundary
-    for y in range(m):
-        if y != c and rival_cap_fn(y) < 0:
-            return None
     # Nodes: 0 = super source, 1 = super sink, 2..m+1 = alternatives.
     net = FlowNetwork(2 + m, 0, 1)
-    v_alt = lambda a: 2 + a
-    toggle_edges = []
-    for i in range(n):
-        if _toggle_radius(instance.deltas[i], instance.metric) == 0:
-            continue
-        out = profile.prefs[i].order[k - 1]
-        into = profile.prefs[i].order[k]
-        if out == c:
-            continue  # demoting the target is never useful
-        e = net.add_edge(v_alt(out), v_alt(into), 0, 1, instance.prices[i])
-        toggle_edges.append((e, i))
+    toggle_edges = [
+        [(net.add_edge(2 + out, 2 + into, 0, len(members), price), None)]
+        for (out, into, price), members in toggles
+    ]
     need_c = c_floor - s0[c]
-    net.add_edge(v_alt(c), 1, need_c, need_c, 0)
+    net.add_edge(2 + c, 1, need_c, need_c, 0)
     for y in range(m):
         if y == c:
             continue
-        cap = rival_cap_fn(y)
-        gain_room = max(0, cap - s0[y])
-        forced_loss = max(0, s0[y] - cap)
-        net.add_edge(v_alt(y), 1, 0, gain_room, 0)
-        net.add_edge(0, v_alt(y), forced_loss, n, 0)
+        gain_room = max(0, rival_cap - s0[y])
+        forced_loss = max(0, s0[y] - rival_cap)
+        net.add_edge(2 + y, 1, 0, gain_room, 0)
+        net.add_edge(0, 2 + y, forced_loss, n, 0)
     # Close the circulation so the super nodes conserve flow too.
     net.add_edge(1, 0, 0, n * m + 1, 0)
     res = min_cost_flow_with_demands(net, 0)
     if not res.feasible or res.total_cost > instance.budget:
         return None
-    toggled = [i for e, i in toggle_edges if res.edge_flow[e] == 1]
+    toggled = [i for i, _ in _deal(toggles, toggle_edges, res.edge_flow)]
     return res.total_cost, toggled
 
 
@@ -264,11 +368,14 @@ def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     if instance.rule.tag != KAPPROVAL:
         raise UnsupportedParameters("this solver requires the k-approval rule")
     _check_small_radius(instance)
-    k = instance.rule.k
-    n = instance.n
+    k, c = instance.rule.k, instance.target
+    s0 = positional_scores(instance.profile, approval_vector(instance.m, k))
+    toggles = _toggle_classes(instance, k)
     best = None
-    for guess in range(0, n + 1):
-        got = _boundary_toggle_solve(instance, k, guess, lambda y: guess - 1)
+    # The target can only gain at the boundary, and a final score of 0
+    # leaves rivals no room at all.
+    for guess in range(max(s0[c], 1), s0[c] + _target_gain(instance, toggles) + 1):
+        got = _boundary_toggle_solve(instance, s0, toggles, guess, guess - 1)
         if got is not None and (best is None or got[0] < best[0]):
             best = got
     if best is None:
@@ -283,7 +390,7 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     if instance.rule.tag != SBUCKLIN:
         raise UnsupportedParameters("this solver requires simplified Bucklin")
     _check_small_radius(instance)
-    n, m = instance.n, instance.m
+    n, m, c = instance.n, instance.m, instance.target
     if m == 1:
         return verified_yes(instance, instance.profile)
     majority = n // 2 + 1
@@ -294,9 +401,12 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     # The target's exact final count is swept too, because a toggle that
     # raises the target also lowers the rival at the boundary.
     for level in range(1, m):
-        for count in range(majority, n + 1):
+        s0 = positional_scores(instance.profile, approval_vector(m, level))
+        toggles = _toggle_classes(instance, level)
+        top = s0[c] + _target_gain(instance, toggles)
+        for count in range(max(majority, s0[c]), top + 1):
             got = _boundary_toggle_solve(
-                instance, level, count, lambda y: majority - 1
+                instance, s0, toggles, count, majority - 1
             )
             if got is not None and (best is None or got[0] < best[0]):
                 best = (got[0], got[1], level)
@@ -324,9 +434,7 @@ def solve_kapproval_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
         )
     k = instance.rule.k
     delta = instance.deltas[0]
-    got = _windowed_maxdisp_solve(
-        instance, k, x_pin=None, rival_cap_base=None, delta=delta
-    )
+    got = _windowed_maxdisp_solve(instance, k, rival_cap_base=None, delta=delta)
     if got is None:
         return BriberyOutcome.no()
     return verified_yes(instance, got)
@@ -357,11 +465,7 @@ def solve_sbucklin_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
         return verified_yes(instance, profile)
     for level in range(1, m):
         got = _windowed_maxdisp_solve(
-            instance,
-            level,
-            x_pin=None,
-            rival_cap_base=instance.n // 2,
-            delta=delta,
+            instance, level, rival_cap_base=instance.n // 2, delta=delta
         )
         if got is not None:
             return verified_yes(instance, got)
@@ -371,7 +475,6 @@ def solve_sbucklin_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
 def _windowed_maxdisp_solve(
     instance: BriberyInstance,
     k: int,
-    x_pin: None,
     rival_cap_base: int | None,
     delta: int,
 ) -> Profile | None:
@@ -380,7 +483,10 @@ def _windowed_maxdisp_solve(
     Per preference, alternatives at positions <= k-delta cannot leave the
     top k (stuck) and those above k+delta cannot enter; the rest form the
     exchange window.  One flow unit = one window alternative granted a
-    top-k slot.
+    top-k slot.  Preferences with the same number of free slots and the
+    same window form one class node, whose source edge carries all their
+    slots and whose edge to each window alternative carries at most one
+    slot per preference.
 
     k-approval mode (`rival_cap_base is None`): the target is put into the
     top k in exactly the preferences that can reach it, and each rival may
@@ -390,7 +496,6 @@ def _windowed_maxdisp_solve(
     lower bound of a strict majority, and rivals are capped at
     `rival_cap_base`; decided by a feasible flow with demands.
     """
-    del x_pin
     profile, c = instance.profile, instance.target
     n, m = instance.n, instance.m
     if m == 1:
@@ -401,10 +506,11 @@ def _windowed_maxdisp_solve(
     stuck_limit = max(0, k - delta)  # positions <= this cannot leave the top k
     win_hi = min(k + delta, m)
     sbucklin_mode = rival_cap_base is not None
+    prefs = profile.prefs
 
     # Forced top-k appearances, the target's included.
     ell = [0] * m
-    for pref in profile.prefs:
+    for pref in prefs:
         for a in pref.order[:stuck_limit]:
             ell[a] += 1
 
@@ -412,37 +518,39 @@ def _windowed_maxdisp_solve(
         rival_base = rival_cap_base
         c_lb = max(0, n // 2 + 1 - ell[c])
     else:
-        ell_x = sum(
-            1 for pref in profile.prefs if pref.position(c) <= k + delta
-        )
+        ell_x = sum(1 for pref in prefs if pref.position(c) <= k + delta)
         rival_base = ell_x - 1
     if any(rival_base - ell[y] < 0 for y in range(m) if y != c):
         return None
 
-    # Nodes: 0 source, 1 sink, 2..m+1 alternatives, then one per preference.
-    net = FlowNetwork(2 + m + n, 0, 1)
-    v_alt = lambda a: 2 + a
-    pick_edges = []
-    source_caps = []
-    for i, pref in enumerate(profile.prefs):
-        u = 2 + m + i
-        stuck = pref.order[:stuck_limit]
-        slots = k - len(stuck)
-        if not sbucklin_mode and c not in stuck and pref.position(c) <= k + delta:
+    def slots_and_window(i: int) -> tuple[int, tuple[int, ...]]:
+        pref = prefs[i]
+        slots = k - stuck_limit
+        if (
+            not sbucklin_mode
+            and c not in pref.order[:stuck_limit]
+            and pref.position(c) <= k + delta
+        ):
             slots -= 1  # the target takes one free slot in this preference
-        net.add_edge(0, u, 0, slots, 0)
-        source_caps.append(slots)
-        for a in pref.order[stuck_limit:win_hi]:
-            if sbucklin_mode or a != c:
-                e = net.add_edge(u, v_alt(a), 0, 1, 0)
-                pick_edges.append((e, i, a))
+        window = pref.order[stuck_limit:win_hi]
+        return slots, tuple(sorted(a for a in window if sbucklin_mode or a != c))
+
+    classes = _voter_classes(range(n), slots_and_window)
+    # Nodes: 0 source, 1 sink, 2..m+1 alternatives, then one per class.
+    net = FlowNetwork(2 + m + len(classes), 0, 1)
+    pick_edges = []
+    for j, ((slots, window), members) in enumerate(classes):
+        u = 2 + m + j
+        size = len(members)
+        net.add_edge(0, u, 0, slots * size, 0)
+        pick_edges.append([(net.add_edge(u, 2 + a, 0, size, 0), a) for a in window])
     for y in range(m):
         if y == c:
             if sbucklin_mode:
-                net.add_edge(v_alt(c), 1, c_lb, n, 0)
+                net.add_edge(2 + c, 1, c_lb, n, 0)
         else:
-            net.add_edge(v_alt(y), 1, 0, rival_base - ell[y], 0)
-    need = sum(source_caps)
+            net.add_edge(2 + y, 1, 0, rival_base - ell[y], 0)
+    need = sum(slots * len(members) for (slots, _), members in classes)
     if sbucklin_mode:
         res = min_cost_flow_with_demands(net, need)
         if not res.feasible:
@@ -454,19 +562,16 @@ def _windowed_maxdisp_solve(
             return None
 
     picked: list[list[int]] = [[] for _ in range(n)]
-    for e, i, a in pick_edges:
-        if flows[e] == 1:
-            picked[i].append(a)
+    for i, a in _deal(classes, pick_edges, flows):
+        picked[i].append(a)
 
-    out_profile = profile
-    for i, pref in enumerate(profile.prefs):
+    out = list(prefs)
+    for i, pref in enumerate(prefs):
         top = list(pref.order[:stuck_limit]) + picked[i]
         if not sbucklin_mode and c not in top and pref.position(c) <= k + delta:
             top.append(c)
-        new_pref = _assemble_maxdisp_pref(pref, top)
-        if new_pref != pref:
-            out_profile = out_profile.replace(i, new_pref)
-    return out_profile
+        out[i] = _assemble_maxdisp_pref(pref, top)
+    return Profile(profile.alternatives, tuple(out))
 
 
 def _assemble_maxdisp_pref(pref: Preference, top_set: list[int]) -> Preference:

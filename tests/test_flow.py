@@ -13,7 +13,7 @@ import pytest
 
 from localbribery.flow import (
     FlowNetwork,
-    max_flow,
+    max_flow_with_arcs,
     min_cost_flow_with_demands,
 )
 
@@ -101,7 +101,7 @@ def test_max_flow_matches_networkx():
             else:
                 g.add_edge(e.src, e.dst, capacity=e.cap)
         want = nx.maximum_flow_value(g, net.source, net.sink)
-        assert max_flow(net) == want
+        assert max_flow_with_arcs(net)[0] == want
 
 
 def test_simple_lower_bound_forces_flow():

@@ -1,7 +1,9 @@
 """Polynomial solvers against the exhaustive solver on small instances.
 
 The full acceptance sweeps live in test_acceptance.py; these are quicker
-spot checks plus domain-boundary behavior.
+spot checks, a sweep over profiles whose voters share types, the shape and
+determinism of the class-compressed networks, plus domain-boundary
+behavior.
 """
 
 import random
@@ -9,9 +11,10 @@ import random
 import pytest
 
 from localbribery.core import VotingRule
+from localbribery.flow import capture_networks
 from localbribery.metrics import FOOTRULE, MAXDISP, METRICS, SWAP
 from localbribery.oracle import solve_exhaustive
-from localbribery.problem import check_witness
+from localbribery.problem import BriberyInstance, check_witness
 from localbribery.solvers import (
     UnsupportedParameters,
     solve_kapproval_maxdisp,
@@ -22,7 +25,7 @@ from localbribery.solvers import (
     solve_veto,
     top_window,
 )
-from conftest import random_instance
+from conftest import make_profile, random_instance
 
 
 def agree_with_oracle(solver, instances):
@@ -41,7 +44,7 @@ def agree_with_oracle(solver, instances):
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_plurality_spot(metric):
-    rng = random.Random(hash(metric) % 10000)
+    rng = random.Random(f"plurality-{metric}")
     insts = [
         random_instance(rng, VotingRule("plurality"), metric)
         for _ in range(60)
@@ -51,7 +54,7 @@ def test_plurality_spot(metric):
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_veto_spot(metric):
-    rng = random.Random(hash("v" + metric) % 10000)
+    rng = random.Random(f"veto-{metric}")
     insts = [
         random_instance(rng, VotingRule("veto"), metric) for _ in range(60)
     ]
@@ -117,6 +120,113 @@ def test_sbucklin_maxdisp_spot():
         for _ in range(80)
     ]
     agree_with_oracle(solve_sbucklin_maxdisp, insts)
+
+
+def shared_type_instance(
+    rng: random.Random,
+    rule: VotingRule,
+    metric: str,
+    delta_choices,
+    unpriced_uniform: bool = False,
+) -> BriberyInstance:
+    """Every voter copies one of two random (order, radius, price) types,
+    so the solvers' voter classes merge."""
+    m = rng.randint(3, 4)
+    n = rng.randint(4, 7)
+    types = []
+    for _ in range(2):
+        order = list(range(m))
+        rng.shuffle(order)
+        types.append((order, rng.choice(delta_choices), rng.choice((1, 2))))
+    voters = [rng.choice(types) for _ in range(n)]
+    if unpriced_uniform:
+        deltas = (voters[0][1],) * n
+        prices = (0,) * n
+        budget = 0
+    else:
+        deltas = tuple(d for _, d, _ in voters)
+        prices = tuple(p for _, _, p in voters)
+        budget = rng.randint(0, 4)
+    return BriberyInstance(
+        make_profile([order for order, _, _ in voters]),
+        rng.randrange(m),
+        deltas,
+        prices,
+        budget,
+        rule,
+        metric,
+    )
+
+
+SMALL_RADII = {SWAP: (0, 1), MAXDISP: (0, 1), FOOTRULE: (0, 1, 2, 3)}
+SHARED_TYPE_CELLS = [
+    (solve_plurality, VotingRule("plurality"), METRICS, None, False),
+    (solve_veto, VotingRule("veto"), METRICS, None, False),
+    (solve_kapproval_small_radius, VotingRule("kapproval", k=2), METRICS,
+     SMALL_RADII, False),
+    (solve_sbucklin_small_radius, VotingRule("sbucklin"), METRICS,
+     SMALL_RADII, False),
+    (solve_kapproval_maxdisp, VotingRule("kapproval", k=2), (MAXDISP,),
+     None, True),
+    (solve_sbucklin_maxdisp, VotingRule("sbucklin"), (MAXDISP,), None, True),
+]
+
+
+@pytest.mark.parametrize(
+    "solver,rule,metrics,radii,unpriced",
+    SHARED_TYPE_CELLS,
+    ids=[cell[0].__name__ for cell in SHARED_TYPE_CELLS],
+)
+def test_shared_voter_types_match_exhaustive(
+    solver, rule, metrics, radii, unpriced
+):
+    rng = random.Random(f"shared-types-{solver.__name__}")
+    insts = [
+        shared_type_instance(
+            rng,
+            rule,
+            metric,
+            radii[metric] if radii else ((1, 2, 3) if unpriced else (0, 1, 2)),
+            unpriced_uniform=unpriced,
+        )
+        for metric in metrics
+        for _ in range(280 // len(metrics))
+    ]
+    assert agree_with_oracle(solver, insts) > 10
+
+
+def test_plurality_networks_follow_voter_types():
+    # 200 voters of three types: a, b, c, d scored 50, 80, 70, 0.  The
+    # cheapest way for the target a to win lifts it in 21 of the b-first
+    # voters at price 1; the c-first voters could lift b at price 2.
+    types = [(1, 0, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1)]
+    price = {types[0]: 1, types[1]: 2, types[2]: 1}
+    orders = [types[0]] * 80 + [types[1]] * 70 + [types[2]] * 50
+    orders = [orders[(7 * i) % 200] for i in range(200)]  # interleave types
+    n, m = len(orders), 4
+    inst = BriberyInstance(
+        make_profile(orders), 0, (1,) * n, tuple(price[o] for o in orders),
+        30, VotingRule("plurality"), SWAP,
+    )
+    with capture_networks() as nets:
+        first = solve_plurality(inst)
+    assert first.decision and first.total_price == 21
+    assert nets and all(net.num_nodes <= 2 + m + 3 for net in nets)
+    assert solve_plurality(inst).witness == first.witness
+    # The class's bribes go to its lowest-indexed voters.
+    b_first = [i for i in range(n) if orders[i] == types[0]]
+    assert sorted(first.bribed) == b_first[:21]
+
+
+def test_plurality_bribes_lowest_index_of_a_class():
+    # Voters 0 and 1 are identical; one of them must move the target c to
+    # the top, and it is voter 0 even though c has the higher index.
+    inst = BriberyInstance(
+        make_profile([(0, 2, 1), (0, 2, 1), (2, 1, 0)]),
+        2, (1, 1, 1), (1, 1, 1), 1, VotingRule("plurality"), SWAP,
+    )
+    got = solve_plurality(inst)
+    assert got.decision and got.bribed == frozenset({0})
 
 
 def test_top_window_values():
