@@ -7,6 +7,7 @@ error, 3 = resource limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -163,13 +164,23 @@ def _parse_pref(text: str, alts: AlternativeSet) -> Preference:
         raise CliError(str(e))
 
 
+def _env_limit(name: str, convert, default):
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        raise CliError(f"{name} must be a number, got {text!r}")
+
+
 def _oracle_budget(args) -> OracleBudget:
     nodes = args.max_nodes
     if nodes is None:
-        nodes = int(os.environ.get("ORACLE_MAX_NODES", 10**6))
+        nodes = _env_limit("ORACLE_MAX_NODES", int, 10**6)
     time_s = args.time_limit
     if time_s is None:
-        time_s = float(os.environ.get("ORACLE_TIME_S", 60.0))
+        time_s = _env_limit("ORACLE_TIME_S", float, 60.0)
     ball = args.max_ball if args.max_ball is not None else 10**5
     try:
         return OracleBudget(nodes, ball, time_s)
@@ -311,6 +322,8 @@ def _cmd_distance(args) -> int:
 def _cmd_ball(args) -> int:
     alts = _adhoc_alts(args.pref)
     pref = _parse_pref(args.pref, alts)
+    if args.radius < 0:
+        raise CliError("--radius must be non-negative")
     count = 0
     for q in iter_ball(pref, args.metric, args.radius):
         count += 1
@@ -552,9 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about as much as a small solve, so main()
+# builds it once per process, on first use rather than at import.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:

@@ -1,9 +1,15 @@
-"""The three rank distances and radius-bounded neighborhood enumeration."""
+"""The three rank distances and radius-bounded neighborhood enumeration.
+
+Each distance first drops the prefix and suffix the two orders share
+elementwise.  Each metric has its own backtracking ball generator, used
+for every m: it extends an order position by position, cuts a partial
+order as soon as it provably exceeds the radius, and so yields the ball
+in lexicographic order.
+"""
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
 from typing import Iterator
 
 from .core import Preference
@@ -13,10 +19,6 @@ FOOTRULE = "footrule"
 MAXDISP = "maxdisp"
 
 METRICS = (SWAP, FOOTRULE, MAXDISP)
-
-# Above this many alternatives, ball() switches from filtering the whole
-# symmetric group to metric-specific generators.
-_FILTER_LIMIT = 8
 
 DEFAULT_BALL_CAP = 10**6
 
@@ -30,21 +32,30 @@ def _check_pair(p1: Preference, p2: Preference) -> None:
         raise ValueError("preferences are over different alternative sets")
 
 
-def swap_distance(p1: Preference, p2: Preference) -> int:
-    """Kendall tau: the number of oppositely ordered pairs."""
+def _window(
+    p1: Preference, p2: Preference
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """p1's order without the prefix and suffix it shares elementwise with
+    p2, and each of those alternatives' index in p2's matching window.
+
+    An alternative at the same rank in both orders adds nothing to any of
+    the three distances, and both windows hold the same alternatives.
+    Witness checks compare preferences that differ only in a small window.
+    """
     _check_pair(p1, p2)
-    # A shared elementwise prefix or suffix contributes no inverted pairs,
-    # so trim both before counting; witness checks compare preferences that
-    # differ only in a small window.
     lo, hi = 0, p1.m
     o1, o2 = p1.order, p2.order
     while lo < hi and o1[lo] == o2[lo]:
         lo += 1
     while hi > lo and o1[hi - 1] == o2[hi - 1]:
         hi -= 1
-    rank2 = {a: i for i, a in enumerate(o2[lo:hi])}
-    seq = [rank2[a] for a in o1[lo:hi]]
-    return _inversions(seq)
+    return o1[lo:hi], {a: i for i, a in enumerate(o2[lo:hi])}
+
+
+def swap_distance(p1: Preference, p2: Preference) -> int:
+    """Kendall tau: the number of oppositely ordered pairs."""
+    w1, rank2 = _window(p1, p2)
+    return _inversions([rank2[a] for a in w1])
 
 
 def _inversions(seq: list[int]) -> int:
@@ -72,15 +83,13 @@ def _inversions(seq: list[int]) -> int:
 
 
 def footrule_distance(p1: Preference, p2: Preference) -> int:
-    _check_pair(p1, p2)
-    rank2 = {a: i for i, a in enumerate(p2.order)}
-    return sum(abs(i - rank2[a]) for i, a in enumerate(p1.order))
+    w1, rank2 = _window(p1, p2)
+    return sum(abs(i - rank2[a]) for i, a in enumerate(w1))
 
 
 def maxdisp_distance(p1: Preference, p2: Preference) -> int:
-    _check_pair(p1, p2)
-    rank2 = {a: i for i, a in enumerate(p2.order)}
-    return max(abs(i - rank2[a]) for i, a in enumerate(p1.order))
+    w1, rank2 = _window(p1, p2)
+    return max((abs(i - rank2[a]) for i, a in enumerate(w1)), default=0)
 
 
 _DISTANCE = {
@@ -199,13 +208,6 @@ def iter_ball(pref: Preference, metric: str, radius: int) -> Iterator[Preference
     """All preferences within `radius` of pref, in lexicographic order."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    m = pref.m
-    if m <= _FILTER_LIMIT:
-        for order in permutations(range(m)):
-            q = Preference(order)
-            if distance(metric, pref, q) <= radius:
-                yield q
-        return
     if metric == SWAP:
         gen = _ball_swap(pref, radius)
     elif metric == FOOTRULE:

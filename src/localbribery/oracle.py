@@ -9,6 +9,7 @@ profile.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,8 +38,10 @@ class OracleBudget:
     time_limit_s: float = 60.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_ball <= 0 or self.time_limit_s <= 0:
-            raise ValueError("all oracle limits must be positive")
+        # Written so that NaN fails too: a NaN time limit never expires.
+        limits = (self.max_nodes, self.max_ball, self.time_limit_s)
+        if not all(0 < x < math.inf for x in limits):
+            raise ValueError("all oracle limits must be positive and finite")
 
 
 class ResourceExceeded(Exception):
@@ -92,48 +95,64 @@ class _Search:
         self.chosen: list[Preference | None] = [None] * self.n
 
         self.alpha = _positional_vector(instance) if prune else None
-        if self.alpha is not None:
-            self._prep_positional_bounds()
         self.level_rule = (
             instance.rule.tag in (SBUCKLIN, BUCKLIN) and prune
         )
-        if self.level_rule:
-            self._prep_level_bounds()
+        if self.alpha is not None or self.level_rule:
+            best_c, worst = self._rank_extremes()
+            if self.alpha is not None:
+                self._prep_positional_bounds(best_c, worst)
+            if self.level_rule:
+                self._prep_level_bounds(best_c, worst)
 
-    def _prep_positional_bounds(self):
+    def _rank_extremes(self):
+        """Per voter, over its ball: the target's least 0-based rank, and
+        each alternative's greatest.
+
+        Both bound tables follow from these alone.  Alpha is non-increasing,
+        so over a ball the target's best score is a[best_c] and a rival y's
+        least is a[worst[y]]; likewise the target is in some member's top k
+        iff best_c < k, and y is in every member's top k iff worst[y] < k.
+        """
+        best_c, worst = [], []
+        for opts in self.options:
+            b, w = self.m, [0] * self.m
+            for q, _ in opts:
+                b = min(b, q.order.index(self.c))
+                for r, y in enumerate(q.order):
+                    if r > w[y]:
+                        w[y] = r
+            best_c.append(b)
+            worst.append(w)
+        return best_c, worst
+
+    def _prep_positional_bounds(self, best_c, worst):
         a = self.alpha.alpha
-        n, m, c = self.n, self.m, self.c
+        n, m = self.n, self.m
         self.cmax_suffix = [0] * (n + 1)
         self.rmin_suffix = [[0] * m for _ in range(n + 1)]
         for i in range(n - 1, -1, -1):
-            cmax = max(a[q.position(c) - 1] for q, _ in self.options[i])
-            self.cmax_suffix[i] = self.cmax_suffix[i + 1] + cmax
-            for y in range(m):
-                rmin = min(a[q.position(y) - 1] for q, _ in self.options[i])
-                self.rmin_suffix[i][y] = self.rmin_suffix[i + 1][y] + rmin
+            self.cmax_suffix[i] = self.cmax_suffix[i + 1] + a[best_c[i]]
+            nxt = self.rmin_suffix[i + 1]
+            self.rmin_suffix[i] = [nxt[y] + a[worst[i][y]] for y in range(m)]
 
-    def _prep_level_bounds(self):
+    def _prep_level_bounds(self, best_c, worst):
         # For each level k: how high can the target's top-k count still go,
         # and how low can each rival's be forced, over the remaining voters.
-        n, m, c = self.n, self.m, self.c
+        n, m = self.n, self.m
         self.lvl_cmax = [[0] * m for _ in range(n + 1)]  # [i][k-1]
         self.lvl_rmin = [
             [[0] * m for _ in range(m)] for _ in range(n + 1)
         ]  # [i][k-1][y]
         for i in range(n - 1, -1, -1):
             for k in range(1, m + 1):
-                cmax = max(
-                    (1 if q.position(c) <= k else 0) for q, _ in self.options[i]
+                self.lvl_cmax[i][k - 1] = self.lvl_cmax[i + 1][k - 1] + (
+                    1 if best_c[i] < k else 0
                 )
-                self.lvl_cmax[i][k - 1] = self.lvl_cmax[i + 1][k - 1] + cmax
-                for y in range(m):
-                    rmin = min(
-                        (1 if q.position(y) <= k else 0)
-                        for q, _ in self.options[i]
-                    )
-                    self.lvl_rmin[i][k - 1][y] = (
-                        self.lvl_rmin[i + 1][k - 1][y] + rmin
-                    )
+                nxt = self.lvl_rmin[i + 1][k - 1]
+                self.lvl_rmin[i][k - 1] = [
+                    nxt[y] + (1 if worst[i][y] < k else 0) for y in range(m)
+                ]
 
     def _prune_positional(self, depth: int, scores: list[int]) -> bool:
         # Optimistic: target at its per-voter max, each rival at its min.

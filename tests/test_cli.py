@@ -139,6 +139,55 @@ def test_oracle_env_limits(plurality_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "env,flags",
+    [
+        ({"ORACLE_MAX_NODES": "abc"}, []),
+        ({"ORACLE_TIME_S": "abc"}, []),
+        ({"ORACLE_TIME_S": "nan"}, []),
+        ({}, ["--time-limit", "nan"]),
+        ({}, ["--time-limit", "inf"]),
+    ],
+    ids=["env-nodes-abc", "env-time-abc", "env-time-nan", "flag-time-nan",
+         "flag-time-inf"],
+)
+def test_bad_oracle_limits_exit_2(plurality_path, capsys, monkeypatch, env, flags):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(
+        capsys, "oracle", "--instance", plurality_path, *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_ball_negative_radius_exit_2(capsys):
+    code, out, err = run(
+        capsys, "ball", "--metric", "swap", "--radius", "-1", "--pref", "a>b"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "radius" in err
+
+
+def test_main_repeats_identically(plurality_path, capsys):
+    # main() reuses one parser per process; a usage error in between must
+    # leave no state behind.
+    argv = ["solve", "--instance", plurality_path]
+    first = run(capsys, *argv)
+    assert run(capsys, *argv) == first
+    usage = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--no-such-flag"])
+        usage.append((exc.value.code, capsys.readouterr()))
+    assert usage[0] == usage[1]
+    assert usage[0][0] == 2
+    assert run(capsys, *argv) == first
+    assert first[0] == 0 and first[1].startswith("decision: YES")
+
+
 def test_winner(plurality_path, capsys):
     code, out, _ = run(capsys, "winner", "--instance", plurality_path)
     assert code == 1  # three-way tie, so the target is not the unique winner

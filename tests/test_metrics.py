@@ -1,5 +1,7 @@
 """Distance axioms, known inequalities, and ball enumeration."""
 
+import functools
+import random
 from itertools import permutations
 
 import pytest
@@ -126,27 +128,79 @@ def test_swap_distance_large_is_fast_and_right():
     assert swap_distance(p, Preference(tuple(o))) == 1
 
 
-@pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("m,radius", [(3, 1), (4, 2), (5, 2), (5, 4)])
+def _untrimmed_displacements(p, q):
+    rank2 = {a: i for i, a in enumerate(q.order)}
+    return [abs(i - rank2[a]) for i, a in enumerate(p.order)]
+
+
+def test_trimmed_distances_match_untrimmed():
+    # footrule and maxdisp skip the shared prefix and suffix; compare with
+    # the plain formulas on unrelated pairs, equal pairs, and pairs that
+    # differ only inside one window, up to m = 2000.
+    rng = random.Random(2024)
+    cases = []
+    for m in list(range(1, 9)) + [1000, 2000]:
+        for _ in range(20 if m < 1000 else 4):
+            p = list(range(m))
+            rng.shuffle(p)
+            q = list(p)
+            lo = rng.randrange(m)
+            hi = rng.randrange(lo, min(m, lo + 12) + 1)
+            window = q[lo:hi]
+            rng.shuffle(window)
+            q[lo:hi] = window
+            cases.append((p, q))
+            cases.append((p, p))
+            if m < 1000:
+                cases.append((p, rng.sample(p, m)))
+    for p, q in cases:
+        p, q = Preference(tuple(p)), Preference(tuple(q))
+        disp = _untrimmed_displacements(p, q)
+        assert footrule_distance(p, q) == sum(disp)
+        assert maxdisp_distance(p, q) == max(disp)
+
+
+def _max_distance(metric, m):
+    return {SWAP: m * (m - 1) // 2, FOOTRULE: m * m // 2, MAXDISP: m - 1}[metric]
+
+
+# Every radius up to the metric's diameter, for every m <= 7.  The ids keep
+# the "m-radius-metric" form.
+BALL_CASES = [
+    (m, radius, metric)
+    for metric in METRICS
+    for m in range(1, 8)
+    for radius in range(_max_distance(metric, m) + 1)
+]
+
+
+def _ball_starts(m):
+    rng = random.Random(m)
+    shuffled = [tuple(rng.sample(range(m), m)) for _ in range(2)]
+    return [tuple(range(m)), tuple(reversed(range(m)))] + shuffled
+
+
+@functools.cache
+def _filter_distances(metric, start):
+    # The reference: every permutation in lexicographic order, with its
+    # distance from the start.
+    p = Preference(start)
+    return [(q, distance(metric, p, q)) for q in all_prefs(len(start))]
+
+
+@pytest.mark.parametrize("m,radius,metric", BALL_CASES)
 def test_ball_equals_filter(metric, m, radius):
-    for start in (
-        Preference(tuple(range(m))),
-        Preference(tuple(reversed(range(m)))),
-    ):
-        got = ball(start, metric, radius)
-        want = [
-            q
-            for q in sorted(all_prefs(m), key=lambda p: p.order)
-            if distance(metric, start, q) <= radius
-        ]
+    for start in _ball_starts(m):
+        got = ball(Preference(start), metric, radius)
+        want = [q for q, d in _filter_distances(metric, start) if d <= radius]
         assert got == want
         assert len(got) <= ball_size_bound(m, metric, radius)
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_ball_generators_match_filter_above_cutover(metric):
-    # m=9 exercises the metric-specific generators instead of the
-    # filter-the-whole-group path.
+def test_ball_m9_sorted_distinct_within_radius(metric):
+    # m=9 is beyond the all-permutations reference, so check the ball's
+    # defining properties and the closed-form radius-1 sizes instead.
     start = Preference((3, 1, 4, 0, 5, 2, 8, 6, 7))
     for radius in (0, 1, 2):
         got = list(iter_ball(start, metric, radius))

@@ -8,6 +8,7 @@ from localbribery.core import (
     AlternativeSet,
     Preference,
     Profile,
+    ScoreVector,
     VotingRule,
     is_unique_winner,
 )
@@ -15,6 +16,7 @@ from localbribery.metrics import METRICS
 from localbribery.oracle import (
     OracleBudget,
     ResourceExceeded,
+    _Search,
     solve_exhaustive,
 )
 from localbribery.problem import BriberyInstance, check_witness
@@ -186,6 +188,68 @@ def test_ball_limit_raises():
 def test_budget_validation():
     with pytest.raises(ValueError):
         OracleBudget(max_nodes=0)
+    # A NaN limit compares false against everything, so it would never fire.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            OracleBudget(time_limit_s=bad)
+        with pytest.raises(ValueError):
+            OracleBudget(max_nodes=bad)
+
+
+def _brute_force_tables(search):
+    # The bound tables straight from their definitions: per voter, the best
+    # the target and the worst each alternative can do over the whole ball.
+    n, m, c = search.n, search.m, search.c
+    balls = [[q for q, _ in opts] for opts in search.options]
+    tables = {}
+    if search.alpha is not None:
+        a = search.alpha.alpha
+        cmax = [0] * (n + 1)
+        rmin = [[0] * m for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            cmax[i] = cmax[i + 1] + max(a[q.position(c) - 1] for q in balls[i])
+            for y in range(m):
+                rmin[i][y] = rmin[i + 1][y] + min(
+                    a[q.position(y) - 1] for q in balls[i]
+                )
+        tables["cmax_suffix"], tables["rmin_suffix"] = cmax, rmin
+    if search.level_rule:
+        lvl_cmax = [[0] * m for _ in range(n + 1)]
+        lvl_rmin = [[[0] * m for _ in range(m)] for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            for k in range(1, m + 1):
+                lvl_cmax[i][k - 1] = lvl_cmax[i + 1][k - 1] + max(
+                    int(q.position(c) <= k) for q in balls[i]
+                )
+                for y in range(m):
+                    lvl_rmin[i][k - 1][y] = lvl_rmin[i + 1][k - 1][y] + min(
+                        int(q.position(y) <= k) for q in balls[i]
+                    )
+        tables["lvl_cmax"], tables["lvl_rmin"] = lvl_cmax, lvl_rmin
+    return tables
+
+
+def test_bound_tables_match_brute_force():
+    rng = random.Random(303)
+    rules = [
+        VotingRule("positional", alpha=ScoreVector((5, 3, 3, 1, 0))),
+        VotingRule("borda"),
+        VotingRule("kapproval", k=2),
+        VotingRule("bucklin"),
+        VotingRule("sbucklin"),
+    ]
+    for rule in rules:
+        for metric in METRICS:
+            for _ in range(6):
+                inst = random_instance(
+                    rng, rule, metric, m_range=(3, 6), n_range=(1, 5),
+                    delta_choices=(0, 1, 2, 3, 5),
+                )
+                search = _Search(inst, OracleBudget(), prune=True)
+                want = _brute_force_tables(search)
+                assert want  # every rule here has at least one table
+                for name, table in want.items():
+                    assert getattr(search, name) == table, name
 
 
 def test_cheapest_witness_minimal():
