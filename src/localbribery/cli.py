@@ -227,6 +227,13 @@ def _parse_assignment(text: str) -> tuple[int, ...]:
     return tuple(int(b) for b in bits)
 
 
+def _wmg_int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"line {lineno}: expected an integer, got {text!r}")
+
+
 def _parse_wmg_target(text: str) -> WmgTarget:
     core = None
     spacing = None
@@ -243,14 +250,16 @@ def _parse_wmg_target(text: str) -> WmgTarget:
         if key == "core":
             core = tuple(body.split())
         elif key == "spacing":
-            spacing = int(body)
+            spacing = _wmg_int(body, lineno)
         elif key == "fillers":
-            fillers = int(body)
+            fillers = _wmg_int(body, lineno)
         elif key == "margin":
             parts = body.split()
             if len(parts) != 3:
                 raise CliError(f"line {lineno}: margin needs '<a> <b> <value>'")
-            margin_lines.append((parts[0], parts[1], int(parts[2])))
+            margin_lines.append(
+                (parts[0], parts[1], _wmg_int(parts[2], lineno))
+            )
         else:
             raise CliError(f"line {lineno}: unknown key {key!r}")
     if core is None or spacing is None:
@@ -324,6 +333,8 @@ def _cmd_ball(args) -> int:
     pref = _parse_pref(args.pref, alts)
     if args.radius < 0:
         raise CliError("--radius must be non-negative")
+    if args.cap < 0:
+        raise CliError("--cap must be non-negative")
     count = 0
     for q in iter_ball(pref, args.metric, args.radius):
         count += 1
@@ -350,8 +361,6 @@ def _run_oracle(instance: BriberyInstance, args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
-    if args.solver == "oracle":
-        return _run_oracle(instance, args)
     solver, reason = route_poly_solver(instance)
     if solver is None:
         if args.oracle:
@@ -392,17 +401,11 @@ def _cmd_witness(args) -> int:
         witness = witness_from_assignment(gadget, assignment)
     except GadgetError as e:
         raise CliError(str(e))
-    inst = gadget.instance
-    bribed = [
-        i
-        for i in range(inst.n)
-        if witness.profile.prefs[i] != inst.profile.prefs[i]
-    ]
     if not witness.satisfies:
         print("# assignment does not satisfy the formula; "
               "no winner guarantee")
-    print("bribed: " + " ".join(str(i) for i in bribed))
-    alts = inst.profile.alternatives
+    print("bribed: " + " ".join(str(i) for i in sorted(witness.bribed)))
+    alts = gadget.instance.profile.alternatives
     for pref in witness.profile.prefs:
         print("pref: " + render_preference(pref, alts))
     return EXIT_YES
@@ -514,10 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument(
-        "--solver", choices=["auto", "oracle"], default="auto",
-        help="auto = polynomial routing table",
-    )
     p.add_argument(
         "--oracle", action="store_true",
         help="consent to the exponential search on NP-complete cells",

@@ -56,10 +56,6 @@ class Preference:
             raise ValueError(f"unknown alternative index {a}") from None
 
 
-def position(pref: Preference, a: int) -> int:
-    return pref.position(a)
-
-
 @dataclass(frozen=True)
 class Profile:
     alternatives: AlternativeSet
@@ -158,10 +154,29 @@ class VotingRule:
             raise ValueError("copeland alpha must be in [0,1]")
 
     def validate_for(self, m: int) -> None:
-        if self.tag == KAPPROVAL:
-            approval_vector(m, self.k)
-        if self.tag == POSITIONAL and len(self.alpha.alpha) != m:
+        score_vector(self, m)
+
+
+def score_vector(rule: VotingRule, m: int) -> ScoreVector | None:
+    """The positional score vector of ``rule`` over m alternatives, or None
+    for a rule that is not positional.  Raises ValueError when the rule is
+    undefined for m."""
+    tag = rule.tag
+    if tag in (PLURALITY, VETO, BORDA) and m < 2:
+        raise ValueError(f"{tag} needs at least 2 alternatives, got m={m}")
+    if tag == PLURALITY:
+        return approval_vector(m, 1)
+    if tag == VETO:
+        return approval_vector(m, m - 1)
+    if tag == KAPPROVAL:
+        return approval_vector(m, rule.k)
+    if tag == BORDA:
+        return borda_vector(m)
+    if tag == POSITIONAL:
+        if len(rule.alpha.alpha) != m:
             raise ValueError("score vector length differs from alternative count")
+        return rule.alpha
+    return None
 
 
 def positional_scores(profile: Profile, alpha: ScoreVector) -> list[int]:
@@ -225,19 +240,11 @@ def _argmax_set(values: Sequence) -> set[int]:
 
 def winners(profile: Profile, rule: VotingRule) -> set[int]:
     """Co-winner set under the given rule; ties are never broken here."""
-    rule.validate_for(profile.m)
     m = profile.m
+    alpha = score_vector(rule, m)
+    if alpha is not None:
+        return _argmax_set(positional_scores(profile, alpha))
     tag = rule.tag
-    if tag == PLURALITY:
-        return _argmax_set(positional_scores(profile, approval_vector(m, 1)))
-    if tag == VETO:
-        return _argmax_set(positional_scores(profile, approval_vector(m, m - 1)))
-    if tag == KAPPROVAL:
-        return _argmax_set(positional_scores(profile, approval_vector(m, rule.k)))
-    if tag == BORDA:
-        return _argmax_set(positional_scores(profile, borda_vector(m)))
-    if tag == POSITIONAL:
-        return _argmax_set(positional_scores(profile, rule.alpha))
     if tag == MAXIMIN:
         D = weighted_majority_graph(profile)
         if m == 1:

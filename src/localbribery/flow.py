@@ -60,10 +60,6 @@ class FlowNetwork:
         self.edges.append(FlowEdge(src, dst, lb, cap, cost))
         return len(self.edges) - 1
 
-    def add_node(self) -> int:
-        self.num_nodes += 1
-        return self.num_nodes - 1
-
     def dump(self) -> str:
         """Line-based debug format: `edge <from> <to> <lb> <cap> <cost>`."""
         return "\n".join(

@@ -8,7 +8,7 @@ where every literal occurs in exactly two clauses.
 All constructions are deterministic: identical inputs produce identical
 instances byte for byte.  Every generator asserts its intended score
 pattern on the emitted instance before returning, and every witness is
-distance-checked against the original profile.
+checked by ``problem.check_witness``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .core import (
     borda_vector,
     is_unique_winner,
     positional_scores,
-    weighted_majority_graph,
+    weighted_majority_graph,  # unused here; bench/tracing.py names it
 )
-from .metrics import FOOTRULE, MAXDISP, SWAP, distance
-from .problem import BriberyInstance
+from .metrics import FOOTRULE, MAXDISP, SWAP
+from .metrics import distance  # unused here; bench/tracing.py names it
+from .problem import NOT_UNIQUE_WINNER, BriberyInstance, check_witness
 
 
 class GadgetError(ValueError):
@@ -347,16 +348,15 @@ class _FillerPool:
         self.fresh_cursor = 0
         self.deep_cursor = 0
 
-    def fresh(self, count: int) -> list[int]:
-        if self.fresh_cursor + count > self.size:
+    def fresh(self) -> int:
+        if self.fresh_cursor >= self.size:
             raise GadgetError(
                 f"{self.what}: filler pool exhausted after "
                 f"{self.fresh_cursor} once-only placements; increase "
                 "filler_size"
             )
-        out = list(range(self.fresh_cursor, self.fresh_cursor + count))
-        self.fresh_cursor += count
-        return out
+        self.fresh_cursor += 1
+        return self.fresh_cursor - 1
 
     def deep(self, count: int, used: set[int]) -> list[int]:
         out: list[int] = []
@@ -374,6 +374,66 @@ class _FillerPool:
                 used.add(idx)
                 out.append(idx)
         return out
+
+
+class _Names:
+    """Alternative names in index order, and the construction symbol of
+    each named alternative."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.symbols: list[tuple[str, int]] = []
+
+    def add(self, sym: str, name: str) -> int:
+        idx = len(self.names)
+        self.names.append(name)
+        self.symbols.append((sym, idx))
+        return idx
+
+
+def _filler_preference(
+    pool: _FillerPool, num_named: int, head: list, fresh_until: int
+) -> Preference:
+    """A preference over the named alternatives 0..num_named-1 and the
+    pool's fillers, which follow them.
+
+    First ``head``, where ``"F"`` is a fresh filler; then ten fillers before
+    each named alternative not in the head, fresh ones within the first
+    ``fresh_until`` positions and rotated from the pool below; then every
+    filler not yet placed.
+    """
+    used: set[int] = set()
+    order: list[int] = []
+    for s in head:
+        if s == "F":
+            f = pool.fresh()
+            used.add(f)
+            s = num_named + f
+        order.append(s)
+    placed = set(order)
+    for a in range(num_named):
+        if a in placed:
+            continue
+        for _ in range(10):
+            if len(order) < fresh_until:
+                f = pool.fresh()
+                used.add(f)
+            else:
+                f = pool.deep(1, used)[0]
+            order.append(num_named + f)
+        order.append(a)
+    order.extend(num_named + f for f in range(pool.size) if f not in used)
+    return Preference(tuple(order))
+
+
+def _rearrange(
+    prefs: list[Preference], i: int, pattern: tuple[int, ...], at: int
+) -> None:
+    """Permute ``len(pattern)`` positions of ``prefs[i]`` from ``at`` on:
+    position at + r receives the alternative at position at + pattern[r]."""
+    o = prefs[i].order
+    moved = tuple(o[at + p] for p in pattern)
+    prefs[i] = Preference(o[:at] + moved + o[at + len(pattern):])
 
 
 def _shift_named_right(order: list[int], is_named, skip=None) -> list[int]:
@@ -446,6 +506,7 @@ class GadgetInstance:
 class GadgetWitness:
     profile: Profile
     satisfies: bool  # winner guarantee is void when False
+    bribed: frozenset[int]  # the voters whose preference changed
 
 
 KIND_KAPP_SWAP = "kapproval-swap"
@@ -478,32 +539,25 @@ def gen_kapproval_swap_gadget(
     if pad < 4:
         raise GadgetError("delta_pad must be at least 4")
 
-    names: list[str] = ["c", "u"]
-    name_map: list[tuple[str, int]] = [("c", 0), ("u", 1)]
-
-    def add(sym: str, name: str) -> int:
-        idx = len(names)
-        names.append(name)
-        name_map.append((sym, idx))
-        return idx
-
+    names = _Names()
+    C, U = names.add("c", "c"), names.add("u", "u")
     lit_alt: dict[tuple[int, int], int] = {}
     w_alt, z_alt, y_alt, d_alt, dp_alt = {}, {}, {}, {}, {}
     for i in range(1, n + 1):
         for lit in (i, -i):
             for bit in (0, 1):
                 tag = f"x{i}" if lit > 0 else f"nx{i}"
-                lit_alt[(lit, bit)] = add(
+                lit_alt[(lit, bit)] = names.add(
                     f"a({_lit_name(lit)},{bit})", f"a_{tag}_{bit}"
                 )
-        w_alt[i] = add(f"w{i}", f"w_{i}")
-        z_alt[i] = add(f"z{i}", f"z_{i}")
+        w_alt[i] = names.add(f"w{i}", f"w_{i}")
+        z_alt[i] = names.add(f"z{i}", f"z_{i}")
     for j in range(1, m + 1):
-        y_alt[j] = add(f"y{j}", f"y_{j}")
-        d_alt[j] = add(f"d{j}", f"d_{j}")
-        dp_alt[j] = add(f"d'{j}", f"dp_{j}")
-    alts = AlternativeSet(tuple(names))
-    total = len(names)
+        y_alt[j] = names.add(f"y{j}", f"y_{j}")
+        d_alt[j] = names.add(f"d{j}", f"d_{j}")
+        dp_alt[j] = names.add(f"d'{j}", f"dp_{j}")
+    alts = AlternativeSet(tuple(names.names))
+    total = len(names.names)
 
     def build(head: list[int], rot: int) -> Preference:
         head_set = set(head)
@@ -512,7 +566,6 @@ def gen_kapproval_swap_gadget(
         return Preference(tuple(head + rest[rot:] + rest[:rot]))
 
     prefs: list[Preference] = []
-    C, U = 0, 1
     for i in range(1, n + 1):  # variable voters, two per variable
         for lit in (i, -i):
             prefs.append(
@@ -574,7 +627,7 @@ def gen_kapproval_swap_gadget(
     assert scores[U] == max(scores) and scores[C] < scores[U]
     assert not is_unique_winner(profile, instance.rule, C)
     return GadgetInstance(
-        KIND_KAPP_SWAP, instance, sat, source, tuple(name_map), pad
+        KIND_KAPP_SWAP, instance, sat, source, tuple(names.symbols), pad
     )
 
 
@@ -583,32 +636,27 @@ def _witness_kapp_swap(gadget: GadgetInstance, assignment) -> Profile:
     n, m = sat.num_vars, sat.num_clauses
     pad = gadget.padding
     prefs = list(gadget.instance.profile.prefs)
-
-    def rearrange(i: int, pattern: tuple[int, ...]) -> None:
-        o = prefs[i].order
-        prefs[i] = Preference(
-            tuple(o[p] for p in pattern) + o[len(pattern):]
-        )
-
     to_back = (1, 2, 0, 3)  # first alternative drops to third place
     pull_fourth = (0, 3, 1, 2)  # fourth alternative climbs to second
 
     for i in range(n):
         changed_side = 1 if assignment[i] else 0  # push w out on this side
         kept_side = 1 - changed_side
-        rearrange(2 * i + kept_side, pull_fourth)  # z climbs, literals drop
-        rearrange(2 * i + changed_side, to_back)  # literal pair overtakes w
+        # z climbs, literals drop; on the other side the pair overtakes w
+        _rearrange(prefs, 2 * i + kept_side, pull_fourth, 0)
+        _rearrange(prefs, 2 * i + changed_side, to_back, 0)
     base_cl = 2 * n
     for j in range(m):
         slot = _chosen_slot(sat, assignment, j)
         if slot >= 0:
-            rearrange(base_cl + 3 * j + slot, to_back)  # y drops out of top 2
+            # y drops out of the top 2
+            _rearrange(prefs, base_cl + 3 * j + slot, to_back, 0)
     i = base_cl + 3 * m + 1  # skip the unchanged c-voter
     for _ in range(pad + 2):  # u-block: c climbs to second place
-        rearrange(i, (0, 3, 1, 2))
+        _rearrange(prefs, i, pull_fourth, 0)
         i += 1
     while i < len(prefs):  # pairing blocks: u drops to third place
-        rearrange(i, to_back)
+        _rearrange(prefs, i, to_back, 0)
         i += 1
     return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
@@ -627,119 +675,59 @@ def gen_kapproval_maxdisp_priced_gadget(
     n, m = sat.num_vars, sat.num_clauses
     fsize = 300 * m**3 * n**3 if filler_size is None else filler_size
 
-    names: list[str] = ["c"]
-    name_map: list[tuple[str, int]] = [("c", 0)]
-
-    def add(sym: str, name: str) -> int:
-        idx = len(names)
-        names.append(name)
-        name_map.append((sym, idx))
-        return idx
-
+    names = _Names()
+    names.add("c", "c")
     a_alt, b_alt, w_alt, wp_alt, y_alt = {}, {}, {}, {}, {}
     for i in range(1, n + 1):
         for lit in (i, -i):
             tag = f"x{i}" if lit > 0 else f"nx{i}"
-            a_alt[lit] = add(f"a({_lit_name(lit)})", f"a_{tag}")
-            b_alt[lit] = add(f"b({_lit_name(lit)})", f"b_{tag}")
-        w_alt[i] = add(f"w{i}", f"w_{i}")
-        wp_alt[i] = add(f"w'{i}", f"wp_{i}")
+            a_alt[lit] = names.add(f"a({_lit_name(lit)})", f"a_{tag}")
+            b_alt[lit] = names.add(f"b({_lit_name(lit)})", f"b_{tag}")
+        w_alt[i] = names.add(f"w{i}", f"w_{i}")
+        wp_alt[i] = names.add(f"w'{i}", f"wp_{i}")
     for j in range(1, m + 1):
-        y_alt[j] = add(f"y{j}", f"y_{j}")
-    num_named = len(names)
-    names.extend(f"f{i}" for i in range(fsize))
-    alts = AlternativeSet(tuple(names))
-    total = len(names)
+        y_alt[j] = names.add(f"y{j}", f"y_{j}")
+    num_named = len(names.names)
+    alts = AlternativeSet(
+        tuple(names.names) + tuple(f"f{i}" for i in range(fsize))
+    )
+    total = alts.m
     pool = _FillerPool(fsize, KIND_KAPP_MAXDISP)
-    window_limit = k + 10  # fillers this high up are used once, globally
 
     def h_alt(j: int, lit: int) -> int:
         # First occurrence maps to the a-alternative, second to b.
         return (a_alt if sat.occurrence_index(lit, j - 1) == 0 else b_alt)[lit]
 
-    def build(head_named: list[int], lead_fillers: int) -> Preference:
-        """``lead_fillers`` fresh fillers, then the named head (interleaved
-        exactly as given), then the remaining named alternatives each
-        preceded by ten fillers."""
-        used: set[int] = set()
-        order: list[int] = [num_named + f for f in pool.fresh(lead_fillers)]
-        used.update(f - num_named for f in order)
-        order.extend(head_named)
-        head_set = set(head_named)
-        rest_named = [a for a in range(num_named) if a not in head_set]
-        for a in rest_named:
-            need = 10
-            while need:
-                pos = len(order) + 1
-                if pos <= window_limit:
-                    f = pool.fresh(1)[0]
-                    used.add(f)
-                else:
-                    f = pool.deep(1, used)[0]
-                order.append(num_named + f)
-                need -= 1
-            order.append(a)
-        order.extend(
-            num_named + f for f in range(fsize) if f not in used
-        )
-        return Preference(tuple(order))
-
-    def build_mixed(slots: list[object]) -> Preference:
-        """Head given as a mix of named indices and 'F' fresh-filler slots."""
-        used: set[int] = set()
-        order: list[int] = []
-        for s in slots:
-            if s == "F":
-                f = pool.fresh(1)[0]
-                used.add(f)
-                order.append(num_named + f)
-            else:
-                order.append(s)
-        head_set = {a for a in order if a < num_named}
-        rest_named = [a for a in range(num_named) if a not in head_set]
-        for a in rest_named:
-            for _ in range(10):
-                pos = len(order) + 1
-                if pos <= window_limit:
-                    f = pool.fresh(1)[0]
-                    used.add(f)
-                else:
-                    f = pool.deep(1, used)[0]
-                order.append(num_named + f)
-            order.append(a)
-        order.extend(num_named + f for f in range(fsize) if f not in used)
-        return Preference(tuple(order))
+    def build(head: list) -> Preference:
+        # k-2 leading fresh fillers; fillers in the first k+10 positions are
+        # used once, globally.
+        head = ["F"] * (k - 2) + head
+        return _filler_preference(pool, num_named, head, k + 10)
 
     prefs: list[Preference] = []
     prices: list[int] = []
     for i in range(1, n + 1):  # P1 variable voters
         for lit in (i, -i):
-            prefs.append(
-                build([w_alt[i], wp_alt[i], a_alt[lit], b_alt[lit]], k - 2)
-            )
+            prefs.append(build([w_alt[i], wp_alt[i], a_alt[lit], b_alt[lit]]))
             prices.append(1)
     for j in range(1, m + 1):  # P1 clause voters
         for lit in sat.clauses[j - 1]:
-            prefs.append(
-                build_mixed(
-                    ["F"] * (k - 2) + ["F", y_alt[j], h_alt(j, lit), "F"]
-                )
-            )
+            prefs.append(build(["F", y_alt[j], h_alt(j, lit), "F"]))
             prices.append(1)
     p2_price = 10 * m * n
     for _ in range(10):  # P2: target score block
-        prefs.append(build_mixed(["F"] * (k - 2) + [0, "F"]))
+        prefs.append(build([0, "F"]))
         prices.append(p2_price)
     for i in range(1, n + 1):  # P2: eight copies per variable alternative
         for x in (
             a_alt[i], a_alt[-i], b_alt[i], b_alt[-i], w_alt[i], wp_alt[i]
         ):
             for _ in range(8):
-                prefs.append(build_mixed(["F"] * (k - 2) + [x, "F"]))
+                prefs.append(build([x, "F"]))
                 prices.append(p2_price)
     for j in range(1, m + 1):  # P2: seven copies per clause alternative
         for _ in range(7):
-            prefs.append(build_mixed(["F"] * (k - 2) + [y_alt[j], "F"]))
+            prefs.append(build([y_alt[j], "F"]))
             prices.append(p2_price)
 
     profile = Profile(alts, tuple(prefs))
@@ -764,7 +752,7 @@ def gen_kapproval_maxdisp_priced_gadget(
     assert max(scores[num_named:]) <= 1
     assert not is_unique_winner(profile, instance.rule, 0)
     return GadgetInstance(
-        KIND_KAPP_MAXDISP, instance, sat, source, tuple(name_map), fsize
+        KIND_KAPP_MAXDISP, instance, sat, source, tuple(names.symbols), fsize
     )
 
 
@@ -774,25 +762,17 @@ def _witness_kapp_maxdisp(gadget: GadgetInstance, assignment) -> Profile:
     k = gadget.instance.rule.k
     prefs = list(gadget.instance.profile.prefs)
     for i in range(n):
-        # Promote the literal pair on the side set FALSE by the assignment;
-        # the w-pair stays approved only on the TRUE side's preference.
+        # Promote the literal pair on the side set FALSE by the assignment
+        # (w w' a b becomes a b w w'); the w-pair stays approved only on the
+        # TRUE side's preference.
         changed_side = 1 if assignment[i] else 0
-        idx = 2 * i + changed_side
-        o = prefs[idx].order
-        base = k - 2
-        head = o[base:base + 4]  # w, w', a, b
-        new = o[:base] + (head[2], head[3], head[0], head[1]) + o[base + 4:]
-        prefs[idx] = Preference(new)
+        _rearrange(prefs, 2 * i + changed_side, (2, 3, 0, 1), k - 2)
     base_cl = 2 * n
     for j in range(m):
         slot = _chosen_slot(sat, assignment, j)
         if slot >= 0:
-            idx = base_cl + 3 * j + slot
-            o = prefs[idx].order
             # Swap y (position k) with the satisfied literal's alternative.
-            new = list(o)
-            new[k - 1], new[k] = new[k], new[k - 1]
-            prefs[idx] = Preference(tuple(new))
+            _rearrange(prefs, base_cl + 3 * j + slot, (1, 0), k - 1)
     return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
 
@@ -815,23 +795,16 @@ def gen_borda_gadget(
     shifted = metric in (SWAP, FOOTRULE)  # equalizers pre-demote rivals
     delta = 2 if metric == FOOTRULE else 1
 
-    names: list[str] = ["c"]
-    name_map: list[tuple[str, int]] = [("c", 0)]
-
-    def add(sym: str, name: str) -> int:
-        idx = len(names)
-        names.append(name)
-        name_map.append((sym, idx))
-        return idx
-
+    names = _Names()
+    names.add("c", "c")
     z_alt, a_alt, y_alt = {}, {}, {}
     for i in range(1, n + 1):
-        z_alt[i] = add(f"z{i}", f"z_{i}")
-        a_alt[i] = add(f"a({_lit_name(i)})", f"a_x{i}")
-        a_alt[-i] = add(f"a({_lit_name(-i)})", f"a_nx{i}")
+        z_alt[i] = names.add(f"z{i}", f"z_{i}")
+        a_alt[i] = names.add(f"a({_lit_name(i)})", f"a_x{i}")
+        a_alt[-i] = names.add(f"a({_lit_name(-i)})", f"a_nx{i}")
     for j in range(1, m + 1):
-        y_alt[j] = add(f"y{j}", f"y_{j}")
-    num_named = len(names)  # M = 3n + m + 1
+        y_alt[j] = names.add(f"y{j}", f"y_{j}")
+    num_named = len(names.names)  # M = 3n + m + 1
     # Ten fillers precede every named alternative outside a preference's
     # head, and a few must remain below the last one.
     min_fillers = 10 * (num_named - 2) + 13
@@ -839,33 +812,15 @@ def gen_borda_gadget(
         raise GadgetError(
             f"filler_size must be at least {min_fillers} for this formula"
         )
-    names.extend(f"f{i}" for i in range(fsize))
-    alts = AlternativeSet(tuple(names))
-    total = len(names)
+    alts = AlternativeSet(
+        tuple(names.names) + tuple(f"f{i}" for i in range(fsize))
+    )
+    total = alts.m
     pool = _FillerPool(fsize, KIND_BORDA)
 
-    def finish(order: list[int], used: set[int]) -> Preference:
-        order.extend(num_named + f for f in range(fsize) if f not in used)
-        return Preference(tuple(order))
-
-    def build_p1(head: list[object]) -> Preference:
-        used: set[int] = set()
-        order: list[int] = []
-        for s in head:
-            if s == "F":
-                f = pool.fresh(1)[0]  # high filler slots are once-only in P1
-                used.add(f)
-                order.append(num_named + f)
-            else:
-                order.append(s)
-        head_set = {a for a in order if a < num_named}
-        for a in range(num_named):
-            if a in head_set:
-                continue
-            for f in pool.deep(10, used):
-                order.append(num_named + f)
-            order.append(a)
-        return finish(order, used)
+    def build_p1(head: list) -> Preference:
+        # The head's fillers are once-only in P1; the rest rotate.
+        return _filler_preference(pool, num_named, head, 0)
 
     prefs: list[Preference] = []
     for i in range(1, n + 1):  # P1 variable voters
@@ -943,7 +898,7 @@ def gen_borda_gadget(
     assert min(z_scores | a_scores) > scores[0] > max(scores[num_named:])
     assert not is_unique_winner(profile, instance.rule, 0)
     return GadgetInstance(
-        KIND_BORDA, instance, sat, source, tuple(name_map), fsize
+        KIND_BORDA, instance, sat, source, tuple(names.symbols), fsize
     )
 
 
@@ -998,10 +953,10 @@ def witness_from_assignment(
 ) -> GadgetWitness:
     """The bribed profile encoding a variable assignment.
 
-    Every changed preference is checked to be within the gadget's distance
-    bound.  When the assignment satisfies the formula, the target is
-    additionally checked to be the unique winner; otherwise the witness is
-    returned with ``satisfies=False`` and no winner guarantee.
+    The witness goes through ``check_witness``.  When the assignment
+    satisfies the formula it must pass; otherwise it may fail only on the
+    winner condition, and is returned with ``satisfies=False`` and no
+    winner guarantee.
     """
     full = gadget.extend_assignment(assignment)
     sat_ok = gadget.sat.satisfies(full)
@@ -1011,17 +966,7 @@ def witness_from_assignment(
         KIND_BORDA: _witness_borda,
     }[gadget.kind]
     witness = builder(gadget, full)
-    inst = gadget.instance
-    for i in range(inst.n):
-        if witness.prefs[i] != inst.profile.prefs[i]:
-            d = distance(inst.metric, inst.profile.prefs[i], witness.prefs[i])
-            if d > inst.deltas[i]:
-                raise GadgetError(
-                    f"witness moved voter {i} by {d} > {inst.deltas[i]}"
-                )
-    if sat_ok and not is_unique_winner(witness, inst.rule, inst.target):
-        raise GadgetError(
-            "internal error: satisfying assignment did not make the target "
-            "the unique winner"
-        )
-    return GadgetWitness(witness, sat_ok)
+    ok, reason, bribed, _ = check_witness(gadget.instance, witness)
+    if not ok and (sat_ok or reason != NOT_UNIQUE_WINNER):
+        raise GadgetError(f"internal error: witness fails: {reason}")
+    return GadgetWitness(witness, sat_ok, bribed)

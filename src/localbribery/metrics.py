@@ -9,7 +9,6 @@ in lexicographic order.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from .core import Preference
@@ -105,23 +104,6 @@ def distance(metric: str, p1: Preference, p2: Preference) -> int:
     except KeyError:
         raise ValueError(f"unknown metric {metric!r}") from None
     return fn(p1, p2)
-
-
-def ball_size_bound(m: int, metric: str, radius: int) -> int:
-    """Cheap over-estimate of the ball size, used to refuse huge runs."""
-    if radius < 0:
-        return 0
-    full = math.factorial(m)
-    if metric == SWAP:
-        # At most C(m(m-1)/2 + r, r) sequences of adjacent transpositions,
-        # capped at m!.
-        return min(full, math.comb(m * (m - 1) // 2 + radius, radius) * 2**radius)
-    if metric == MAXDISP:
-        # Each alternative can land in a window of 2*radius+1 positions.
-        return min(full, (2 * radius + 1) ** m)
-    if metric == FOOTRULE:
-        return min(full, (radius + 1) ** m)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _ball_maxdisp(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:

@@ -14,18 +14,12 @@ import time
 from dataclasses import dataclass
 
 from .core import (
-    BORDA,
     BUCKLIN,
-    KAPPROVAL,
-    PLURALITY,
-    POSITIONAL,
     SBUCKLIN,
-    VETO,
     Preference,
     Profile,
-    approval_vector,
-    borda_vector,
     is_unique_winner,
+    score_vector,
 )
 from .metrics import ball
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
@@ -48,22 +42,6 @@ class ResourceExceeded(Exception):
     def __init__(self, which: str):
         super().__init__(f"oracle resource limit exceeded: {which}")
         self.which = which
-
-
-def _positional_vector(instance: BriberyInstance):
-    rule = instance.rule
-    m = instance.m
-    if rule.tag == PLURALITY:
-        return approval_vector(m, 1)
-    if rule.tag == VETO:
-        return approval_vector(m, m - 1)
-    if rule.tag == KAPPROVAL:
-        return approval_vector(m, rule.k)
-    if rule.tag == BORDA:
-        return borda_vector(m)
-    if rule.tag == POSITIONAL:
-        return rule.alpha
-    return None
 
 
 class _Search:
@@ -94,7 +72,7 @@ class _Search:
         )
         self.chosen: list[Preference | None] = [None] * self.n
 
-        self.alpha = _positional_vector(instance) if prune else None
+        self.alpha = score_vector(instance.rule, self.m) if prune else None
         self.level_rule = (
             instance.rule.tag in (SBUCKLIN, BUCKLIN) and prune
         )

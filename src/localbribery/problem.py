@@ -62,6 +62,9 @@ class BriberyOutcome:
         return BriberyOutcome(False)
 
 
+NOT_UNIQUE_WINNER = "target is not the unique winner"
+
+
 class WitnessError(Exception):
     """A solver produced a witness that fails verification; internal bug."""
 
@@ -94,7 +97,7 @@ def check_witness(
     if price > instance.budget:
         return False, f"price {price} exceeds budget {instance.budget}", bribed, price
     if not is_unique_winner(witness, instance.rule, instance.target):
-        return False, "target is not the unique winner", bribed, price
+        return False, NOT_UNIQUE_WINNER, bribed, price
     return True, "", bribed, price
 
 

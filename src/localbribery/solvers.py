@@ -198,9 +198,7 @@ def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     if instance.rule.tag != PLURALITY:
         raise UnsupportedParameters("solve_plurality requires the plurality rule")
     profile, c = instance.profile, instance.target
-    n, m = instance.n, instance.m
-    if m == 1:
-        return verified_yes(instance, profile)
+    n = instance.n
     q_voters = [i for i in range(n) if profile.prefs[i].order[0] != c]
     s_c = n - len(q_voters)
     if not q_voters:
@@ -233,8 +231,6 @@ def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
         raise UnsupportedParameters("solve_veto requires the veto rule")
     profile, c = instance.profile, instance.target
     n, m = instance.n, instance.m
-    if m == 1:
-        return verified_yes(instance, profile)
     classes = _end_classes(instance, range(n), -1, bottom_reachable)
     # A voter vetoing the target keeps doing so unless it can veto another
     # alternative and is paid to.  Every rival needs more vetoes than the

@@ -171,6 +171,32 @@ def test_ball_negative_radius_exit_2(capsys):
     assert err.startswith("error: ") and "radius" in err
 
 
+def test_ball_negative_cap_exit_2(capsys):
+    code, out, err = run(
+        capsys, "ball", "--metric", "swap", "--radius", "1", "--pref", "a>b",
+        "--cap", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--cap" in err
+
+
+@pytest.mark.parametrize("tag", ["plurality", "veto", "borda"])
+@pytest.mark.parametrize("command", ["winner", "solve", "oracle"])
+def test_one_alternative_is_a_parse_error(tmp_path, capsys, tag, command):
+    p = tmp_path / "one.elb"
+    p.write_text(
+        f"rule: {tag}\nmetric: swap\nalternatives: a\ntarget: a\n"
+        "voter: delta=0 : a\n"
+    )
+    code, out, err = run(capsys, command, "--instance", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"{tag} needs at least 2 alternatives, got m=1" in err
+    assert "Traceback" not in err
+
+
 def test_main_repeats_identically(plurality_path, capsys):
     # main() reuses one parser per process; a usage error in between must
     # leave no state behind.
@@ -258,6 +284,23 @@ def test_realize_wmg_cli(tmp_path, capsys):
     assert code == 0
     assert out.startswith("alternatives: a b ")
     assert "pref: " in out
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("core: a b\nspacing: x\n", 2),
+        ("core: a b\nspacing: 4\nfillers: 1.5\n", 3),
+        ("core: a b\nspacing: 4\nmargin: a b two\n", 3),
+    ],
+)
+def test_realize_wmg_bad_number_exit_2(tmp_path, capsys, text, line):
+    t = tmp_path / "t.wmg"
+    t.write_text(text)
+    code, out, err = run(capsys, "realize-wmg", "--target", str(t))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}: ")
 
 
 def test_gen_gadget_determinism(tmp_path, cnf_path, capsys):

@@ -15,6 +15,7 @@ from localbribery.core import (
     is_unique_winner,
     positional_scores,
     sbucklin_scores,
+    score_vector,
     weighted_majority_graph,
     winners,
 )
@@ -45,6 +46,31 @@ def test_positional_scores_values():
     assert positional_scores(PROFILE, borda_vector(3)) == [4, 3, 2]
     assert positional_scores(PROFILE, approval_vector(3, 1)) == [2, 1, 0]
     assert positional_scores(PROFILE, approval_vector(3, 2)) == [2, 2, 2]
+
+
+def test_score_vector():
+    assert score_vector(VotingRule("plurality"), 4).alpha == (1, 0, 0, 0)
+    assert score_vector(VotingRule("veto"), 4).alpha == (1, 1, 1, 0)
+    assert score_vector(VotingRule("kapproval", k=2), 4).alpha == (1, 1, 0, 0)
+    assert score_vector(VotingRule("borda"), 4).alpha == (3, 2, 1, 0)
+    alpha = ScoreVector((3, 1, 0))
+    assert score_vector(VotingRule("positional", alpha=alpha), 3) is alpha
+    for tag in ("maximin", "copeland", "bucklin", "sbucklin"):
+        assert score_vector(VotingRule(tag), 4) is None
+        assert score_vector(VotingRule(tag), 1) is None
+
+
+@pytest.mark.parametrize("tag", ["plurality", "veto", "borda"])
+def test_one_alternative_is_undefined(tag):
+    one = make_profile([(0,)])
+    message = f"^{tag} needs at least 2 alternatives, got m=1$"
+    for call in (
+        lambda: score_vector(VotingRule(tag), 1),
+        lambda: VotingRule(tag).validate_for(1),
+        lambda: winners(one, VotingRule(tag)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_weighted_majority_graph():

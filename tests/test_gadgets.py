@@ -1,6 +1,10 @@
 """SAT handling, the margin realizer, and the three instance generators."""
 
+import hashlib
 import random
+import sys
+from array import array
+from itertools import chain
 
 import pytest
 
@@ -25,8 +29,8 @@ from localbribery.gadgets import (
     satisfying_assignments,
     witness_from_assignment,
 )
-from localbribery.ioformat import render_instance
-from localbribery.problem import check_witness
+from localbribery.ioformat import render_instance, render_rule
+from localbribery.problem import NOT_UNIQUE_WINNER, check_witness
 from conftest import FROZEN_SAT, FROZEN_SAT_DIMACS
 
 # ---------------------------------------------------------------------------
@@ -249,6 +253,7 @@ def test_kapp_swap_witness_scores(gadget_kapp_swap):
     ok, reason, bribed, price = check_witness(g.instance, w.profile)
     assert ok, reason
     assert price == 0
+    assert w.bribed == bribed
     scores = positional_scores(
         w.profile, approval_vector(g.instance.m, 2)
     )
@@ -283,6 +288,10 @@ def test_kapp_swap_all_assignments(gadget_kapp_swap):
 def test_kapp_swap_nonsatisfying_flag(gadget_kapp_swap):
     w = witness_from_assignment(gadget_kapp_swap, (1, 0, 1))
     assert not w.satisfies
+    # Only the winner condition may fail: distances and price still hold.
+    ok, reason, bribed, _ = check_witness(gadget_kapp_swap.instance, w.profile)
+    assert (ok, reason) == (False, NOT_UNIQUE_WINNER)
+    assert w.bribed == bribed
 
 
 def test_assignment_length_check(gadget_kapp_swap):
@@ -316,6 +325,9 @@ def test_kapp_maxdisp_structure(gadget_kapp_maxdisp):
 def test_kapp_maxdisp_filler_floor(frozen_sat):
     with pytest.raises(GadgetError, match="filler"):
         gen_kapproval_maxdisp_priced_gadget(frozen_sat, k=2, filler_size=50)
+    # The once-only pool runs out before any preference is complete.
+    with pytest.raises(GadgetError, match="exhausted after 5 once-only"):
+        gen_kapproval_maxdisp_priced_gadget(frozen_sat, k=3, filler_size=5)
 
 
 def test_kapp_maxdisp_window_once_rule(gadget_kapp_maxdisp):
@@ -499,3 +511,75 @@ def test_generators_deterministic(frozen_sat):
     e = gen_borda_gadget(frozen_sat, "swap", filler_size=160)
     f = gen_borda_gadget(frozen_sat, "swap", filler_size=160)
     assert render_instance(e.instance) == render_instance(f.instance)
+
+
+# ---------------------------------------------------------------------------
+# Golden digests
+# ---------------------------------------------------------------------------
+
+
+def _digest(profile, *fields) -> str:
+    """sha256 over the profile's orders as one flat array of little-endian
+    32-bit ints, then the repr of the other fields.  Hashing ints instead of
+    rendered text keeps the 26,798-voter Borda fixtures fast."""
+    orders = array("I", chain.from_iterable(p.order for p in profile.prefs))
+    if sys.byteorder == "big":
+        orders.byteswap()
+    h = hashlib.sha256(orders.tobytes())
+    h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+# Taken from the generators before the name table, the shared filler
+# builder and the verifier routing went in; any change to a generated
+# instance, name map or witness shows up here.
+GOLDEN = {
+    "gadget_kapp_swap": (
+        "6fc463759a9e42c5ebcb374dac07e35cc510bd5189ba5543d5e9bbf3e9470ddb",
+        "a2288427c5dace50436b4e8c90d6f985b4da60fb83c4004b5a799ff784efbd8b",
+    ),
+    "gadget_kapp_maxdisp": (
+        "905e2f21cd9edd4fd571f695ce6422b5242d832eb5fa81a95d0095aef847d8df",
+        "fe7936620eff1132efc9ff1a0f59272f38ad44f9157e73aec1e93a9ee5024fd2",
+    ),
+    "gadget_borda_maxdisp": (
+        "8366a8c82ff49e1cac5d6641aecc565bfbc14e5d3f3ae6745d9a3adc31c189b3",
+        "56fb796c51b5a610524dce93413848f465aca00e0300e188215cff514776d7aa",
+    ),
+    "gadget_borda_swap": (
+        "13b153e0ca450a93694cf2551c0bbd817bdf15e324fb0f26bc0fb9f08c35b874",
+        "0e38edaf751ac18177b8c620d0d976313c65ba5a150e1d0d75d7a241c610ed18",
+    ),
+    "gadget_borda_footrule": (
+        "0f9b5ab459db8ce744e6e3ca62babdc6e6009c9ccb332491ddd695df48192f80",
+        "0e38edaf751ac18177b8c620d0d976313c65ba5a150e1d0d75d7a241c610ed18",
+    ),
+}
+
+
+def _golden_digests(g) -> tuple[str, str]:
+    inst = g.instance
+    w = witness_from_assignment(g, (1, 1, 1))
+    bribed = sorted(
+        i for i in range(inst.n) if w.profile.prefs[i] != inst.profile.prefs[i]
+    )
+    return (
+        _digest(
+            inst.profile,
+            inst.profile.alternatives.names,
+            inst.target,
+            inst.deltas,
+            inst.prices,
+            inst.budget,
+            render_rule(inst.rule),
+            inst.metric,
+            g.render_name_map(),
+        ),
+        _digest(w.profile, w.satisfies, bribed),
+    )
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN))
+def test_gadgets_match_golden_digests(request, fixture):
+    g = request.getfixturevalue(fixture)
+    assert _golden_digests(g) == GOLDEN[fixture]
