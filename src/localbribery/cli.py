@@ -1,7 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 = YES/success, 1 = NO/failed check, 2 = usage or parse
-error, 3 = resource limit exceeded.
+error, 3 = resource limit exceeded, 4 = internal error (a bug: any other
+exception, reported as `error: internal error: <type>: <message>`, so a
+crash never reads as NO).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -238,7 +241,7 @@ def _parse_wmg_target(text: str) -> WmgTarget:
     core = None
     spacing = None
     fillers = None
-    margin_lines: list[tuple[str, str, int]] = []
+    margin_lines: list[tuple[int, str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -258,7 +261,7 @@ def _parse_wmg_target(text: str) -> WmgTarget:
             if len(parts) != 3:
                 raise CliError(f"line {lineno}: margin needs '<a> <b> <value>'")
             margin_lines.append(
-                (parts[0], parts[1], _wmg_int(parts[2], lineno))
+                (lineno, parts[0], parts[1], _wmg_int(parts[2], lineno))
             )
         else:
             raise CliError(f"line {lineno}: unknown key {key!r}")
@@ -267,9 +270,13 @@ def _parse_wmg_target(text: str) -> WmgTarget:
     index = {name: i for i, name in enumerate(core)}
     ell = len(core)
     margins = [[0] * ell for _ in range(ell)]
-    for a, b, v in margin_lines:
-        if a not in index or b not in index:
-            raise CliError(f"margin references unknown core alternative")
+    for lineno, a, b, v in margin_lines:
+        for name in (a, b):
+            if name not in index:
+                raise CliError(
+                    f"line {lineno}: margin references unknown core "
+                    f"alternative {name!r}"
+                )
         margins[index[a]][index[b]] = v
         margins[index[b]][index[a]] = -v
     try:
@@ -372,7 +379,7 @@ def _cmd_solve(args) -> int:
     try:
         outcome = solver(instance)
     except UnsupportedParameters as e:  # routing bug; fail loudly
-        raise CliError(f"internal routing error: {e}")
+        raise CliError(f"internal routing error: {e}", EXIT_INTERNAL)
     return _print_outcome(instance, outcome)
 
 
@@ -576,6 +583,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

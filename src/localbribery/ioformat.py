@@ -10,7 +10,9 @@ voter: delta=2 price=1 : a > b > c > x
 ```
 
 `#` starts a comment; blank lines are ignored.  A missing `budget:` line
-selects the unpriced form (all prices 0, budget 0).  `render_instance` is
+selects the unpriced form (all prices 0, budget 0).  Every key but
+`voter:` may appear at most once, and so may each voter attribute; a
+repeat is an error, not a silent override.  `render_instance` is
 the canonical inverse of `parse_instance`.
 """
 
@@ -130,22 +132,20 @@ def _parse_voter_line(
     head, sep, order_text = body.partition(":")
     if not sep:
         raise FormatError(lineno, "voter line needs ': <preference>'")
-    delta = price = None
+    attrs: dict[str, int] = {}
     for tok in head.split():
         key, eq, val = tok.partition("=")
         if not eq or key not in ("delta", "price"):
             raise FormatError(lineno, f"unexpected voter attribute {tok!r}")
+        if key in attrs:
+            raise FormatError(lineno, f"repeated voter attribute '{key}='")
         try:
-            num = int(val)
+            attrs[key] = int(val)
         except ValueError:
             raise FormatError(lineno, f"non-integer {key} {val!r}")
-        if key == "delta":
-            delta = num
-        else:
-            price = num
-    if delta is None:
+    if "delta" not in attrs:
         raise FormatError(lineno, "voter line missing delta=")
-    return delta, 0 if price is None else price, parse_preference_text(
+    return attrs["delta"], attrs.get("price", 0), parse_preference_text(
         order_text, alts, lineno
     )
 
@@ -153,6 +153,7 @@ def _parse_voter_line(
 def parse_instance(text: str) -> BriberyInstance:
     rule = metric = alts = target = budget = None
     voters: list[tuple[int, int, Preference]] = []
+    header_line: dict[str, int] = {}  # header key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,6 +162,12 @@ def parse_instance(text: str) -> BriberyInstance:
         key, body = key.strip(), body.strip()
         if not sep:
             raise FormatError(lineno, "expected 'key: value'")
+        if key in header_line:
+            raise FormatError(
+                lineno, f"repeated '{key}:' line (first on line {header_line[key]})"
+            )
+        if key != "voter":
+            header_line[key] = lineno
         if key == "rule":
             rule = parse_rule(body, lineno)
         elif key == "metric":

@@ -10,8 +10,12 @@ Voters that a network cannot tell apart form one class, and each class
 gets one node or one capacitated edge, so network size follows the number
 of voter types rather than the number of voters.  A class's flow is dealt
 back to its voters in index order, which keeps witnesses deterministic.
-Each guess loop runs only over the guesses that cheap counts of the
-profile leave open.
+Each solver guesses a score (and for simplified Bucklin a level), solves
+one flow per guess, and keeps the cheapest witness through `_cheapest`;
+the guesses run only over what cheap counts of the profile leave open,
+and a cost-0 guess ends the loop.  The two max-displacement solvers share
+one flow with demands, in which the target competes for top-k slots like
+every other alternative.
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ from .core import (
     Preference,
     Profile,
     approval_vector,
-    is_unique_winner,
+    is_unique_winner,  # unused here; bench/tracing.py names it
     positional_scores,
 )
-from .flow import FlowNetwork, max_flow_with_arcs, min_cost_flow_with_demands
+from .flow import (
+    FlowNetwork,
+    max_flow_with_arcs,  # unused here; bench/tracing.py names it
+    min_cost_flow_with_demands,
+)
 from .metrics import FOOTRULE, MAXDISP, SWAP
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
 
@@ -121,6 +129,30 @@ def _affordable(prices: Iterable[int], budget: int) -> int:
     return count
 
 
+def _cheapest(attempts: Iterable[tuple | None]) -> tuple | None:
+    """The first attempt of least cost, skipping None.
+
+    An attempt is a guess that worked: a tuple whose first item is its
+    cost.  Costs are non-negative and earlier attempts win ties, so the scan
+    stops at the first attempt of cost 0; `attempts` is consumed lazily,
+    so the guesses after it are never tried.
+    """
+    best = None
+    for got in attempts:
+        if got is not None and (best is None or got[0] < best[0]):
+            best = got
+            if best[0] == 0:
+                break
+    return best
+
+
+def _outcome(instance: BriberyInstance, witness: Profile | None) -> BriberyOutcome:
+    """NO without a witness; otherwise the verified YES."""
+    if witness is None:
+        return BriberyOutcome.no()
+    return verified_yes(instance, witness)
+
+
 def _end_classes(
     instance: BriberyInstance,
     voters: Iterable[int],
@@ -158,8 +190,8 @@ def _one_choice_solve(
     """
     profile, m = instance.profile, instance.m
     units = sum(len(members) for _, members in classes)
-    best = None  # (cost, edge flows, per-class choice edges)
-    for guess in guesses:
+
+    def attempt(guess: int) -> tuple[int, list[int], list] | None:
         # Nodes: 0 = source, 1 = sink, 2..m+1 = alternatives, then classes.
         net = FlowNetwork(2 + m + len(classes), 0, 1)
         choice_edges = []
@@ -177,9 +209,11 @@ def _one_choice_solve(
             lb, cap = sink_bounds(guess, a)
             net.add_edge(2 + a, 1, lb, cap, 0)
         res = min_cost_flow_with_demands(net, units)
-        if res.feasible and res.total_cost <= instance.budget:
-            if best is None or res.total_cost < best[0]:
-                best = (res.total_cost, res.edge_flow, choice_edges)
+        if not res.feasible or res.total_cost > instance.budget:
+            return None
+        return res.total_cost, res.edge_flow, choice_edges
+
+    best = _cheapest(attempt(guess) for guess in guesses)
     if best is None:
         return None
     _, flows, choice_edges = best
@@ -202,7 +236,7 @@ def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     q_voters = [i for i in range(n) if profile.prefs[i].order[0] != c]
     s_c = n - len(q_voters)
     if not q_voters:
-        return verified_yes(instance, profile)
+        return _outcome(instance, profile)
     classes = _end_classes(instance, q_voters, 0, top_reachable)
     # Each point the target gains is a voter that can reach it, paid for.
     can_gain = _affordable(
@@ -219,9 +253,7 @@ def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
         ),
         _move_to_front,
     )
-    if witness is None:
-        return BriberyOutcome.no()
-    return verified_yes(instance, witness)
+    return _outcome(instance, witness)
 
 
 def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
@@ -247,9 +279,7 @@ def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
         lambda guess, a: (0, guess) if a == c else (guess + 1, n),
         _move_to_back,
     )
-    if witness is None:
-        return BriberyOutcome.no()
-    return verified_yes(instance, witness)
+    return _outcome(instance, witness)
 
 
 def _toggle_radius(delta: int, metric: str) -> int:
@@ -353,11 +383,12 @@ def _boundary_toggle_solve(
 
 
 def _apply_toggles(profile: Profile, k: int, voters: list[int]) -> Profile:
+    prefs = list(profile.prefs)
     for i in voters:
-        order = list(profile.prefs[i].order)
+        order = list(prefs[i].order)
         order[k - 1], order[k] = order[k], order[k - 1]
-        profile = profile.replace(i, Preference(tuple(order)))
-    return profile
+        prefs[i] = Preference(tuple(order))
+    return Profile(profile.alternatives, tuple(prefs))
 
 
 def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
@@ -367,17 +398,15 @@ def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     k, c = instance.rule.k, instance.target
     s0 = positional_scores(instance.profile, approval_vector(instance.m, k))
     toggles = _toggle_classes(instance, k)
-    best = None
     # The target can only gain at the boundary, and a final score of 0
     # leaves rivals no room at all.
-    for guess in range(max(s0[c], 1), s0[c] + _target_gain(instance, toggles) + 1):
-        got = _boundary_toggle_solve(instance, s0, toggles, guess, guess - 1)
-        if got is not None and (best is None or got[0] < best[0]):
-            best = got
-    if best is None:
-        return BriberyOutcome.no()
-    witness = _apply_toggles(instance.profile, k, best[1])
-    return verified_yes(instance, witness)
+    guesses = range(max(s0[c], 1), s0[c] + _target_gain(instance, toggles) + 1)
+    best = _cheapest(
+        _boundary_toggle_solve(instance, s0, toggles, guess, guess - 1)
+        for guess in guesses
+    )
+    witness = None if best is None else _apply_toggles(instance.profile, k, best[1])
+    return _outcome(instance, witness)
 
 
 def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
@@ -388,52 +417,55 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     _check_small_radius(instance)
     n, m, c = instance.n, instance.m, instance.target
     if m == 1:
-        return verified_yes(instance, instance.profile)
+        return _outcome(instance, instance.profile)
     majority = n // 2 + 1
-    best = None
+
     # Guess the level at which the target holds a strict majority while
     # every rival stays at or below half; counts are monotone in the level,
     # so capping rivals at the guessed level also covers all lower levels.
     # The target's exact final count is swept too, because a toggle that
     # raises the target also lowers the rival at the boundary.
-    for level in range(1, m):
-        s0 = positional_scores(instance.profile, approval_vector(m, level))
-        toggles = _toggle_classes(instance, level)
-        top = s0[c] + _target_gain(instance, toggles)
-        for count in range(max(majority, s0[c]), top + 1):
-            got = _boundary_toggle_solve(
-                instance, s0, toggles, count, majority - 1
-            )
-            if got is not None and (best is None or got[0] < best[0]):
-                best = (got[0], got[1], level)
-    if best is None:
-        return BriberyOutcome.no()
-    cost, toggled, level = best
-    witness = _apply_toggles(instance.profile, level, toggled)
-    return verified_yes(instance, witness)
+    def attempts() -> Iterator[tuple[int, list[int], int] | None]:
+        for level in range(1, m):
+            s0 = positional_scores(instance.profile, approval_vector(m, level))
+            toggles = _toggle_classes(instance, level)
+            top = s0[c] + _target_gain(instance, toggles)
+            for count in range(max(majority, s0[c]), top + 1):
+                got = _boundary_toggle_solve(
+                    instance, s0, toggles, count, majority - 1
+                )
+                yield None if got is None else (*got, level)
+
+    best = _cheapest(attempts())
+    witness = (
+        None if best is None else _apply_toggles(instance.profile, best[2], best[1])
+    )
+    return _outcome(instance, witness)
 
 
-def solve_kapproval_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
-    """Unpriced uniform-radius k-approval under max-displacement.
-
-    The target is pulled into the top k wherever it sits within k+delta;
-    a max-flow then decides which window alternatives fill the remaining
-    top-k slots so no rival's final score reaches the target's.
-    """
-    if instance.rule.tag != KAPPROVAL:
-        raise UnsupportedParameters("this solver requires the k-approval rule")
+def _check_unpriced_maxdisp(instance: BriberyInstance) -> None:
     if instance.metric != MAXDISP:
         raise UnsupportedParameters("this solver requires max-displacement")
     if not instance.is_unpriced_uniform():
         raise UnsupportedParameters(
             "priced or non-uniform instances are outside this solver's domain"
         )
-    k = instance.rule.k
-    delta = instance.deltas[0]
-    got = _windowed_maxdisp_solve(instance, k, rival_cap_base=None, delta=delta)
-    if got is None:
-        return BriberyOutcome.no()
-    return verified_yes(instance, got)
+
+
+def solve_kapproval_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
+    """Unpriced uniform-radius k-approval under max-displacement.
+
+    Putting the target into the top k never helps a rival, so the target
+    must enter the top k in every preference that ranks it within k+delta;
+    the windowed flow then decides which window alternatives fill the
+    remaining top-k slots so no rival's final score reaches the target's.
+    """
+    if instance.rule.tag != KAPPROVAL:
+        raise UnsupportedParameters("this solver requires the k-approval rule")
+    _check_unpriced_maxdisp(instance)
+    k, c, delta = instance.rule.k, instance.target, instance.deltas[0]
+    reach = sum(1 for pref in instance.profile.prefs if c in pref.order[: k + delta])
+    return _outcome(instance, _windowed_maxdisp_solve(instance, k, reach, reach - 1))
 
 
 def solve_sbucklin_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
@@ -441,133 +473,84 @@ def solve_sbucklin_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
 
     The target wins uniquely iff at some level k it sits in the top k in a
     strict majority of preferences while every rival does not.  Guess k and
-    solve the same windowed exchange flow as for k-approval, with the
-    target's top-k count as an edge demand instead of a cap.  Shifting the
+    solve the same windowed flow as for k-approval, demanding a strict
+    majority for the target and capping rivals at half.  Shifting the
     target maximally left first (as one might expect) can block a rival's
     only exit slot, so the target is placed by the flow like everyone else.
     """
     if instance.rule.tag != SBUCKLIN:
         raise UnsupportedParameters("this solver requires simplified Bucklin")
-    if instance.metric != MAXDISP:
-        raise UnsupportedParameters("this solver requires max-displacement")
-    if not instance.is_unpriced_uniform():
-        raise UnsupportedParameters(
-            "priced or non-uniform instances are outside this solver's domain"
-        )
-    profile = instance.profile
-    m = instance.m
-    delta = instance.deltas[0]
+    _check_unpriced_maxdisp(instance)
+    n, m = instance.n, instance.m
     if m == 1:
-        return verified_yes(instance, profile)
-    for level in range(1, m):
-        got = _windowed_maxdisp_solve(
-            instance, level, rival_cap_base=instance.n // 2, delta=delta
-        )
-        if got is not None:
-            return verified_yes(instance, got)
-    return BriberyOutcome.no()
+        return _outcome(instance, instance.profile)
+    witnesses = (
+        _windowed_maxdisp_solve(instance, level, n // 2 + 1, n // 2)
+        for level in range(1, m)
+    )
+    # Unpriced, so every witness costs 0 and the first level that works wins.
+    best = _cheapest((0, w) for w in witnesses if w is not None)
+    return _outcome(instance, None if best is None else best[1])
 
 
 def _windowed_maxdisp_solve(
-    instance: BriberyInstance,
-    k: int,
-    rival_cap_base: int | None,
-    delta: int,
+    instance: BriberyInstance, k: int, c_floor: int, rival_cap: int
 ) -> Profile | None:
     """Shared windowed flow for the two max-displacement algorithms.
 
     Per preference, alternatives at positions <= k-delta cannot leave the
     top k (stuck) and those above k+delta cannot enter; the rest form the
-    exchange window.  One flow unit = one window alternative granted a
-    top-k slot.  Preferences with the same number of free slots and the
-    same window form one class node, whose source edge carries all their
-    slots and whose edge to each window alternative carries at most one
-    slot per preference.
-
-    k-approval mode (`rival_cap_base is None`): the target is put into the
-    top k in exactly the preferences that can reach it, and each rival may
-    end with at most (target score - 1) approvals; decided by max flow.
-    Simplified Bucklin mode: `k` is a guessed majority level, the target
-    competes for slots like everyone else but its sink edge carries a
-    lower bound of a strict majority, and rivals are capped at
-    `rival_cap_base`; decided by a feasible flow with demands.
+    exchange window, and every preference has k minus its stuck count free
+    top-k slots.  One flow unit = one window alternative granted a top-k
+    slot.  Preferences with the same window form one class node, whose
+    source edge carries all their slots and whose edge to each window
+    alternative carries at most one slot per preference.  The target's
+    sink edge demands that it end in the top k of at least `c_floor`
+    preferences, and every rival's caps it at `rival_cap`.  All costs are
+    0, so the flow with demands only decides feasibility.
     """
     profile, c = instance.profile, instance.target
     n, m = instance.n, instance.m
-    if m == 1:
-        return profile
-    if delta == 0:
-        return profile if is_unique_winner(profile, instance.rule, c) else None
-
-    stuck_limit = max(0, k - delta)  # positions <= this cannot leave the top k
-    win_hi = min(k + delta, m)
-    sbucklin_mode = rival_cap_base is not None
+    delta = instance.deltas[0]
+    stuck = max(0, k - delta)  # positions <= this cannot leave the top k
+    slots = k - stuck
     prefs = profile.prefs
 
     # Forced top-k appearances, the target's included.
     ell = [0] * m
     for pref in prefs:
-        for a in pref.order[:stuck_limit]:
+        for a in pref.order[:stuck]:
             ell[a] += 1
-
-    if sbucklin_mode:
-        rival_base = rival_cap_base
-        c_lb = max(0, n // 2 + 1 - ell[c])
-    else:
-        ell_x = sum(1 for pref in prefs if pref.position(c) <= k + delta)
-        rival_base = ell_x - 1
-    if any(rival_base - ell[y] < 0 for y in range(m) if y != c):
+    if any(rival_cap < ell[y] for y in range(m) if y != c):
         return None
 
-    def slots_and_window(i: int) -> tuple[int, tuple[int, ...]]:
-        pref = prefs[i]
-        slots = k - stuck_limit
-        if (
-            not sbucklin_mode
-            and c not in pref.order[:stuck_limit]
-            and pref.position(c) <= k + delta
-        ):
-            slots -= 1  # the target takes one free slot in this preference
-        window = pref.order[stuck_limit:win_hi]
-        return slots, tuple(sorted(a for a in window if sbucklin_mode or a != c))
-
-    classes = _voter_classes(range(n), slots_and_window)
+    classes = _voter_classes(
+        range(n), lambda i: tuple(sorted(prefs[i].order[stuck : k + delta]))
+    )
     # Nodes: 0 source, 1 sink, 2..m+1 alternatives, then one per class.
     net = FlowNetwork(2 + m + len(classes), 0, 1)
     pick_edges = []
-    for j, ((slots, window), members) in enumerate(classes):
+    for j, (window, members) in enumerate(classes):
         u = 2 + m + j
         size = len(members)
         net.add_edge(0, u, 0, slots * size, 0)
         pick_edges.append([(net.add_edge(u, 2 + a, 0, size, 0), a) for a in window])
     for y in range(m):
         if y == c:
-            if sbucklin_mode:
-                net.add_edge(2 + c, 1, c_lb, n, 0)
+            net.add_edge(2 + c, 1, max(0, c_floor - ell[c]), n, 0)
         else:
-            net.add_edge(2 + y, 1, 0, rival_base - ell[y], 0)
-    need = sum(slots * len(members) for (slots, _), members in classes)
-    if sbucklin_mode:
-        res = min_cost_flow_with_demands(net, need)
-        if not res.feasible:
-            return None
-        flows = res.edge_flow
-    else:
-        value, flows = max_flow_with_arcs(net)
-        if value != need:
-            return None
+            net.add_edge(2 + y, 1, 0, rival_cap - ell[y], 0)
+    res = min_cost_flow_with_demands(net, slots * n)
+    if not res.feasible:
+        return None
 
     picked: list[list[int]] = [[] for _ in range(n)]
-    for i, a in _deal(classes, pick_edges, flows):
+    for i, a in _deal(classes, pick_edges, res.edge_flow):
         picked[i].append(a)
-
-    out = list(prefs)
-    for i, pref in enumerate(prefs):
-        top = list(pref.order[:stuck_limit]) + picked[i]
-        if not sbucklin_mode and c not in top and pref.position(c) <= k + delta:
-            top.append(c)
-        out[i] = _assemble_maxdisp_pref(pref, top)
-    return Profile(profile.alternatives, tuple(out))
+    return Profile(profile.alternatives, tuple(
+        _assemble_maxdisp_pref(pref, [*pref.order[:stuck], *picked[i]])
+        for i, pref in enumerate(prefs)
+    ))
 
 
 def _assemble_maxdisp_pref(pref: Preference, top_set: list[int]) -> Preference:

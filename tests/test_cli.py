@@ -2,6 +2,7 @@
 
 import pytest
 
+from localbribery import cli
 from localbribery.cli import main, route_poly_solver
 from localbribery.ioformat import parse_instance
 from conftest import FROZEN_SAT_DIMACS
@@ -301,6 +302,48 @@ def test_realize_wmg_bad_number_exit_2(tmp_path, capsys, text, line):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: line {line}: ")
+
+
+def test_realize_wmg_unknown_margin_alternative_exit_2(tmp_path, capsys):
+    t = tmp_path / "t.wmg"
+    t.write_text("core: a b\nspacing: 4\nmargin: a z 2\n")
+    code, out, err = run(capsys, "realize-wmg", "--target", str(t))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: line 3: margin references unknown core alternative 'z'\n"
+    )
+
+
+def test_repeated_alternatives_line_exit_2(tmp_path, capsys):
+    # Last-wins would rename every alternative after the voters are read.
+    p = tmp_path / "twice.elb"
+    p.write_text(PLURALITY_FILE + "alternatives: x y z\n")
+    code, out, err = run(capsys, "winner", "--instance", str(p))
+    assert code == 2
+    assert out == ""
+    assert "line 9: repeated 'alternatives:' line (first on line 3)" in err
+
+
+def test_unexpected_exception_exit_4(plurality_path, capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "winners", boom)
+    code, out, err = run(capsys, "winner", "--instance", plurality_path)
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_routing_error_exit_4(plurality_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "route_poly_solver", lambda instance: (cli.solve_veto, None)
+    )
+    code, out, err = run(capsys, "solve", "--instance", plurality_path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal routing error: ")
 
 
 def test_gen_gadget_determinism(tmp_path, cnf_path, capsys):

@@ -121,6 +121,31 @@ def test_line_diagnostics(mutation, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "extra,fragment",
+    [
+        ("rule: plurality", "repeated 'rule:' line (first on line 1)"),
+        ("metric: footrule", "repeated 'metric:' line (first on line 2)"),
+        ("alternatives: x y z w",
+         "repeated 'alternatives:' line (first on line 3)"),
+        ("target: a", "repeated 'target:' line (first on line 4)"),
+        ("budget: 3", "repeated 'budget:' line (first on line 5)"),
+        ("voter: delta=1 delta=2 : a > b > c > x",
+         "repeated voter attribute 'delta='"),
+        ("voter: price=1 delta=1 price=1 : a > b > c > x",
+         "repeated voter attribute 'price='"),
+    ],
+    ids=["rule", "metric", "alternatives", "target", "budget", "delta",
+         "price"],
+)
+def test_repeats_rejected(extra, fragment):
+    # Appended after the voters, so the repeat is on line 8.
+    with pytest.raises(FormatError) as err:
+        parse_instance(SWAP_FIXTURE + extra + "\n")
+    assert str(err.value) == f"line 8: {fragment}"
+    assert err.value.lineno == 8
+
+
 def test_error_names_line_number():
     bad = SWAP_FIXTURE.replace("a > b > c > x", "a > b > x", 1)
     with pytest.raises(FormatError) as err:

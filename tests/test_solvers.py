@@ -17,6 +17,7 @@ from localbribery.oracle import solve_exhaustive
 from localbribery.problem import BriberyInstance, check_witness
 from localbribery.solvers import (
     UnsupportedParameters,
+    _cheapest,
     solve_kapproval_maxdisp,
     solve_kapproval_small_radius,
     solve_plurality,
@@ -227,6 +228,73 @@ def test_plurality_bribes_lowest_index_of_a_class():
     )
     got = solve_plurality(inst)
     assert got.decision and got.bribed == frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "solver,rules",
+    [
+        (solve_kapproval_maxdisp,
+         (VotingRule("kapproval", k=2), VotingRule("kapproval", k=3))),
+        (solve_sbucklin_maxdisp, (VotingRule("sbucklin"),)),
+    ],
+    ids=["kapproval", "sbucklin"],
+)
+def test_windowed_solvers_at_radius_zero(solver, rules):
+    # Nobody may move, so the answer is whether the target already wins,
+    # and a YES keeps the profile unchanged.
+    rng = random.Random(f"radius-zero-{solver.__name__}")
+    insts = [
+        random_instance(
+            rng, rng.choice(rules), MAXDISP, n_range=(1, 6),
+            delta_choices=(0,), unpriced_uniform=True,
+        )
+        for _ in range(120)
+    ]
+    yes = agree_with_oracle(solver, insts)
+    assert 10 < yes < len(insts) - 10
+    for inst in insts:
+        got = solver(inst)
+        assert not got.decision or got.witness == inst.profile
+
+
+@pytest.mark.parametrize(
+    "solver,metric,delta",
+    [(solve_sbucklin_small_radius, SWAP, 1), (solve_sbucklin_maxdisp, MAXDISP, 2)],
+    ids=["small_radius", "maxdisp"],
+)
+def test_sbucklin_one_alternative_is_yes(solver, metric, delta):
+    inst = BriberyInstance(
+        make_profile([(0,), (0,)]), 0, (delta, delta), (0, 0), 0,
+        VotingRule("sbucklin"), metric,
+    )
+    got = solver(inst)
+    assert got.decision and got.total_price == 0
+    assert got.witness == inst.profile
+
+
+def test_cheapest_keeps_first_of_least_cost_and_stops_at_zero():
+    assert _cheapest([None, (2, "a"), (1, "b"), None, (1, "c")]) == (1, "b")
+    assert _cheapest([None, None]) is None
+
+    def attempts():
+        yield 3, "a"
+        yield 0, "b"
+        raise AssertionError("tried a guess after a cost-0 one")
+
+    assert _cheapest(attempts()) == (0, "b")
+
+
+def test_plurality_cost_zero_guess_builds_one_network():
+    # The target c already wins 2-1, and voter 2 could lift it to 3, so
+    # two guesses are open; the first costs 0, which ends the loop.
+    inst = BriberyInstance(
+        make_profile([(2, 0, 1), (2, 1, 0), (0, 2, 1)]),
+        2, (1, 1, 1), (1, 1, 1), 1, VotingRule("plurality"), SWAP,
+    )
+    with capture_networks() as nets:
+        got = solve_plurality(inst)
+    assert got.decision and got.total_price == 0 and not got.bribed
+    assert len(nets) == 1
 
 
 def test_top_window_values():
