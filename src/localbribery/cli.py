@@ -150,13 +150,9 @@ def _load_instance(path: str) -> BriberyInstance:
 
 
 def _adhoc_alts(text: str) -> AlternativeSet:
-    names = []
-    for tok in text.split(">"):
-        tok = tok.strip()
-        if not tok:
-            raise CliError("empty alternative in preference")
-        if tok not in names:
-            names.append(tok)
+    names = dict.fromkeys(tok.strip() for tok in text.split(">"))
+    if "" in names:
+        raise CliError("empty alternative in preference")
     return AlternativeSet(tuple(names))
 
 

@@ -8,30 +8,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
 @dataclass(frozen=True)
 class AlternativeSet:
-    """An ordered set of distinct alternative names."""
+    """An ordered set of distinct, non-empty names without ``>``."""
 
     names: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.names) < 1:
             raise ValueError("need at least one alternative")
-        if len(set(self.names)) != len(self.names):
+        if len(self.lookup) != len(self.names):
             raise ValueError("alternative names must be distinct")
         for name in self.names:
             if not name:
                 raise ValueError("empty alternative name")
+            if ">" in name:
+                raise ValueError(f"alternative name {name!r} contains '>'")
 
     @property
     def m(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def lookup(self) -> dict[str, int]:
+        """Name to index, built once per set."""
+        return {name: a for a, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
-        return self.names.index(name)
+        return self.lookup[name]
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,6 @@ class Profile:
     @property
     def m(self) -> int:
         return self.alternatives.m
-
-    def replace(self, i: int, pref: Preference) -> "Profile":
-        prefs = list(self.prefs)
-        prefs[i] = pref
-        return Profile(self.alternatives, tuple(prefs))
 
 
 @dataclass(frozen=True)
@@ -182,10 +185,13 @@ def score_vector(rule: VotingRule, m: int) -> ScoreVector | None:
 def positional_scores(profile: Profile, alpha: ScoreVector) -> list[int]:
     if len(alpha.alpha) != profile.m:
         raise ValueError("score vector length differs from alternative count")
+    # alpha is non-negative and non-increasing, so its nonzero entries are
+    # exactly a prefix; the positions past it add nothing.
+    nonzero = alpha.alpha[: profile.m - alpha.alpha.count(0)]
     scores = [0] * profile.m
     for pref in profile.prefs:
-        for pos, a in enumerate(pref.order):
-            scores[a] += alpha.alpha[pos]
+        for a, x in zip(pref.order, nonzero):
+            scores[a] += x
     return scores
 
 

@@ -212,6 +212,10 @@ class WmgTarget:
         ell = len(self.core_names)
         if ell == 0 or len(set(self.core_names)) != ell:
             raise GadgetError("core names must be distinct and non-empty")
+        try:
+            AlternativeSet(self.core_names)
+        except ValueError as e:
+            raise GadgetError(str(e))
         if len(self.margins) != ell or any(
             len(row) != ell for row in self.margins
         ):
@@ -310,8 +314,14 @@ def realize_wmg(target: WmgTarget) -> Profile:
             f"num_fillers={num_fillers} too small; this target needs "
             f"{fillers_needed}"
         )
-    names = target.core_names + tuple(f"f{i}" for i in range(num_fillers))
-    alts = AlternativeSet(names)
+    fillers = tuple(f"f{i}" for i in range(num_fillers))
+    clash = [name for name in target.core_names if name in fillers]
+    if clash:
+        raise GadgetError(
+            f"core alternative {clash[0]!r} clashes with the filler names "
+            f"f0..f{num_fillers - 1}"
+        )
+    alts = AlternativeSet(target.core_names + fillers)
     cursor = 0
     prefs = []
     for seq in seqs:

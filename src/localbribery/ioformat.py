@@ -100,30 +100,35 @@ def render_rule(rule: VotingRule) -> str:
 def parse_preference_text(
     text: str, alts: AlternativeSet, lineno: int | None = None
 ) -> Preference:
+    lookup = alts.lookup
+    try:
+        order = tuple([lookup[t.strip()] for t in text.split(">")])
+    except KeyError:
+        order = ()
+    if len(order) == alts.m == len(set(order)):
+        return Preference(order)
+    raise FormatError(lineno, _preference_problem(text, alts))
+
+
+def _preference_problem(text: str, alts: AlternativeSet) -> str:
+    """The first problem of a preference line that does not parse."""
     names = [t.strip() for t in text.split(">")]
     if names == [""]:
-        raise FormatError(lineno, "empty preference")
-    lookup = {name: a for a, name in enumerate(alts.names)}
-    order = []
+        return "empty preference"
     seen = set()
     for name in names:
-        a = lookup.get(name)
-        if a is None:
-            raise FormatError(lineno, f"unknown alternative {name!r}")
-        if a in seen:
-            raise FormatError(lineno, f"duplicate alternative {name!r}")
-        seen.add(a)
-        order.append(a)
-    missing = [alts.names[a] for a in range(alts.m) if a not in seen]
-    if missing:
-        raise FormatError(
-            lineno, f"preference is missing alternative {missing[0]!r}"
-        )
-    return Preference(tuple(order))
+        if name not in alts.lookup:
+            return f"unknown alternative {name!r}"
+        if name in seen:
+            return f"duplicate alternative {name!r}"
+        seen.add(name)
+    missing = next(name for name in alts.names if name not in seen)
+    return f"preference is missing alternative {missing!r}"
 
 
 def render_preference(pref: Preference, alts: AlternativeSet) -> str:
-    return " > ".join(alts.names[a] for a in pref.order)
+    names = alts.names
+    return " > ".join([names[a] for a in pref.order])
 
 
 def _parse_voter_line(
@@ -187,7 +192,7 @@ def parse_instance(text: str) -> BriberyInstance:
                 raise FormatError(lineno, "target before alternatives")
             try:
                 target = alts.index(body)
-            except (KeyError, ValueError):
+            except KeyError:
                 raise FormatError(lineno, f"unknown alternative {body!r}")
         elif key == "budget":
             try:

@@ -315,6 +315,42 @@ def test_realize_wmg_unknown_margin_alternative_exit_2(tmp_path, capsys):
     )
 
 
+def test_realize_wmg_core_name_clashing_with_filler_exit_2(tmp_path, capsys):
+    # Fillers are named f0, f1, ...; this target needs 24 of them.
+    t = tmp_path / "t.wmg"
+    t.write_text("core: f0 b\nspacing: 4\nmargin: f0 b 2\n")
+    code, out, err = run(capsys, "realize-wmg", "--target", str(t))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: core alternative 'f0' clashes with the filler names "
+        "f0..f23\n"
+    )
+
+
+def test_realize_wmg_core_name_with_separator_exit_2(tmp_path, capsys):
+    # 'a>b' would be written into pref: lines that cannot be read back.
+    t = tmp_path / "t.wmg"
+    t.write_text("core: a>b c\nspacing: 4\n")
+    code, out, err = run(capsys, "realize-wmg", "--target", str(t))
+    assert code == 2
+    assert out == ""
+    assert err == "error: alternative name 'a>b' contains '>'\n"
+
+
+def test_alternative_name_with_separator_exit_2(tmp_path, capsys):
+    # Reported on the alternatives: line, not as an unknown name in a voter.
+    p = tmp_path / "sep.elb"
+    p.write_text(PLURALITY_FILE.replace("alternatives: a b c",
+                                        "alternatives: a>b c d"))
+    code, out, err = run(capsys, "winner", "--instance", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {p}: line 3: alternative name 'a>b' contains '>'\n"
+    )
+
+
 def test_repeated_alternatives_line_exit_2(tmp_path, capsys):
     # Last-wins would rename every alternative after the voters are read.
     p = tmp_path / "twice.elb"

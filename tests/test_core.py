@@ -1,5 +1,6 @@
 """Winner determination for all eight rules on hand-computed profiles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,57 @@ def test_positional_scores_values():
     assert positional_scores(PROFILE, borda_vector(3)) == [4, 3, 2]
     assert positional_scores(PROFILE, approval_vector(3, 1)) == [2, 1, 0]
     assert positional_scores(PROFILE, approval_vector(3, 2)) == [2, 2, 2]
+
+
+def _dense_scores(profile, alpha):
+    # The reference: every position of every voter, zeros included.
+    scores = [0] * profile.m
+    for pref in profile.prefs:
+        for pos, a in enumerate(pref.order):
+            scores[a] += alpha.alpha[pos]
+    return scores
+
+
+def _random_alpha(rng, m):
+    """A non-increasing vector with alpha_1 > alpha_m, often with a zero
+    tail and sometimes with no zero at all."""
+    while True:
+        alpha = sorted((rng.choice([0, 0, 1, 2, 5]) for _ in range(m)),
+                       reverse=True)
+        if alpha[0] > alpha[-1]:
+            return ScoreVector(tuple(alpha))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_positional_scores_equal_dense_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        m = rng.randint(2, 10)
+        n = rng.randint(1, 8)
+        profile = make_profile(
+            [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        )
+        rules = [VotingRule("plurality"), VotingRule("veto"),
+                 VotingRule("borda"),
+                 VotingRule("kapproval", k=rng.randint(1, m - 1)),
+                 VotingRule("positional", alpha=_random_alpha(rng, m))]
+        for rule in rules:
+            alpha = score_vector(rule, m)
+            assert positional_scores(profile, alpha) == _dense_scores(
+                profile, alpha
+            ), (rule, profile)
+
+
+def test_alternative_index_table():
+    alts = AlternativeSet(("x", "y", "z"))
+    assert [alts.index(n) for n in alts.names] == [0, 1, 2]
+    assert alts.lookup == {"x": 0, "y": 1, "z": 2}
+    assert alts.lookup is alts.lookup  # built once
+    with pytest.raises(KeyError):
+        alts.index("w")
+    # The cached table is not part of the value.
+    assert alts == AlternativeSet(("x", "y", "z"))
+    assert hash(alts) == hash(AlternativeSet(("x", "y", "z")))
 
 
 def test_score_vector():
@@ -121,6 +173,8 @@ def test_validation_errors():
         Preference((0, 0, 1))
     with pytest.raises(ValueError):
         AlternativeSet(("a", "a"))
+    with pytest.raises(ValueError, match="^alternative name 'a>b' contains '>'$"):
+        AlternativeSet(("a>b", "c"))
     with pytest.raises(ValueError):
         ScoreVector((1, 2))  # increasing
     with pytest.raises(ValueError):
@@ -136,9 +190,3 @@ def test_validation_errors():
             AlternativeSet(("a", "b")),
             (Preference((0, 1, 2)),),
         )
-
-
-def test_profile_replace():
-    p2 = PROFILE.replace(1, Preference((2, 1, 0)))
-    assert p2.prefs[1].order == (2, 1, 0)
-    assert PROFILE.prefs[1].order == (1, 2, 0)  # original untouched

@@ -1,13 +1,22 @@
 """Instance file parsing, rendering, and round-trip identity."""
 
+import random
+
 import pytest
 
-from localbribery.core import ScoreVector, VotingRule
+from localbribery.core import (
+    AlternativeSet,
+    Preference,
+    ScoreVector,
+    VotingRule,
+)
 from localbribery.ioformat import (
     FormatError,
     parse_instance,
+    parse_preference_text,
     parse_rule,
     render_instance,
+    render_preference,
     render_rule,
 )
 
@@ -189,3 +198,85 @@ def test_copeland_rule_fraction():
     assert rule.copeland_alpha.denominator == 3
     assert parse_rule(render_rule(rule)) == rule
     assert parse_rule("copeland") == parse_rule("copeland 1/2")
+
+
+def _reference_parse(text, alts, lineno):
+    # The reference: the name-by-name loop the parser replaced.
+    names = [t.strip() for t in text.split(">")]
+    if names == [""]:
+        raise FormatError(lineno, "empty preference")
+    lookup = {name: a for a, name in enumerate(alts.names)}
+    order = []
+    seen = set()
+    for name in names:
+        a = lookup.get(name)
+        if a is None:
+            raise FormatError(lineno, f"unknown alternative {name!r}")
+        if a in seen:
+            raise FormatError(lineno, f"duplicate alternative {name!r}")
+        seen.add(a)
+        order.append(a)
+    missing = [alts.names[a] for a in range(alts.m) if a not in seen]
+    if missing:
+        raise FormatError(
+            lineno, f"preference is missing alternative {missing[0]!r}"
+        )
+    return Preference(tuple(order))
+
+
+def _outcome(parse, text, alts):
+    try:
+        return parse(text, alts, 7)
+    except FormatError as e:
+        return str(e)
+
+
+def _mutants(rng, names):
+    """Preference token lists: one valid, then one of each kind of fault."""
+    tokens = list(names)
+    rng.shuffle(tokens)
+    m = len(tokens)
+    i, j = rng.randrange(m), rng.randrange(m)
+    yield tokens
+    yield tokens[:i] + ["zz"] + tokens[i:]  # unknown, one too many
+    yield tokens[:i] + ["zz"] + tokens[i + 1:]  # unknown in place
+    yield tokens[:i] + [tokens[j]] + tokens[i:]  # duplicate
+    yield tokens[:i] + [tokens[j]] + tokens[i + 1:]  # duplicate in place
+    yield tokens[:i] + tokens[i + 1:]  # missing
+    yield tokens[: rng.randrange(m)]  # prefix, possibly empty
+    yield tokens + [""]  # trailing '>'
+    yield [""] + tokens  # leading '>'
+    yield tokens[:i] + ["", "zz"] + tokens[i:]  # empty before unknown
+    yield tokens[:i] + ["zz", tokens[j]] + tokens[i:]  # unknown, duplicate
+    yield tokens[:i] + [tokens[j], "zz"] + tokens[i:]  # duplicate, unknown
+    yield tokens[:i] + tokens[i + 1:] + [tokens[i]] * 2  # duplicate at end
+    yield [tokens[i] + " " + tokens[j]] + tokens  # two names, no '>'
+
+
+def _join(rng, tokens):
+    # Separators with tabs and extra spaces, and padded ends.
+    seps = [" > ", ">", " >\t", "\t>  ", "  >  "]
+    text = tokens[0] if tokens else ""
+    for t in tokens[1:]:
+        text += rng.choice(seps) + t
+    return rng.choice(["", " ", "\t"]) + text + rng.choice(["", " ", "\t "])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_preference_equals_reference(seed):
+    rng = random.Random(seed)
+    for m in (1, 2, 3, 5, 9, 40, rng.randint(100, 600), 3000):
+        alts = AlternativeSet(tuple(f"a{i}" for i in rng.sample(range(m), m)))
+        for tokens in _mutants(rng, alts.names):
+            text = _join(rng, tokens)
+            want = _outcome(_reference_parse, text, alts)
+            assert _outcome(parse_preference_text, text, alts) == want, text
+            if isinstance(want, Preference):
+                assert parse_preference_text(
+                    render_preference(want, alts), alts
+                ) == want
+    for text in ("", " ", "\t", ">", " > "):
+        alts = AlternativeSet(("a", "b"))
+        assert _outcome(parse_preference_text, text, alts) == _outcome(
+            _reference_parse, text, alts
+        )
