@@ -238,6 +238,7 @@ def _parse_wmg_target(text: str) -> WmgTarget:
     spacing = None
     fillers = None
     margin_lines: list[tuple[int, str, str, int]] = []
+    header_line: dict[str, int] = {}  # header key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -246,6 +247,13 @@ def _parse_wmg_target(text: str) -> WmgTarget:
         key, body = key.strip(), body.strip()
         if not sep:
             raise CliError(f"line {lineno}: expected 'key: value'")
+        if key in header_line:
+            raise CliError(
+                f"line {lineno}: repeated '{key}:' line "
+                f"(first on line {header_line[key]})"
+            )
+        if key != "margin":
+            header_line[key] = lineno
         if key == "core":
             core = tuple(body.split())
         elif key == "spacing":

@@ -14,7 +14,7 @@ checked by ``problem.check_witness``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 from .core import (
     KAPPROVAL,
@@ -432,7 +432,10 @@ def _filler_preference(
                 f = pool.deep(1, used)[0]
             order.append(num_named + f)
         order.append(a)
-    order.extend(num_named + f for f in range(pool.size) if f not in used)
+    free = bytearray(b"\x01") * pool.size
+    for f in used:
+        free[f] = 0
+    order.extend(compress(range(num_named, num_named + pool.size), free))
     return Preference(tuple(order))
 
 

@@ -315,6 +315,28 @@ def test_realize_wmg_unknown_margin_alternative_exit_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "text,line,key,first",
+    [
+        ("core: a b\nspacing: 4\nmargin: a b 2\ncore: c d\n", 4, "core", 1),
+        ("core: a b\nspacing: 4\nspacing: 6\n", 3, "spacing", 2),
+        ("fillers: 30\ncore: a b\nspacing: 4\nfillers: 40\n", 4, "fillers",
+         1),
+    ],
+)
+def test_realize_wmg_repeated_header_exit_2(tmp_path, capsys, text, line, key,
+                                            first):
+    # Last-wins would blame a later margin line, or silently drop a value.
+    t = tmp_path / "t.wmg"
+    t.write_text(text)
+    code, out, err = run(capsys, "realize-wmg", "--target", str(t))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: line {line}: repeated '{key}:' line (first on line {first})\n"
+    )
+
+
 def test_realize_wmg_core_name_clashing_with_filler_exit_2(tmp_path, capsys):
     # Fillers are named f0, f1, ...; this target needs 24 of them.
     t = tmp_path / "t.wmg"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localbribery.metrics import (
+    DEFAULT_BALL_CAP,
     BallTooLarge,
     FOOTRULE,
     MAXDISP,
@@ -22,6 +23,7 @@ from localbribery.metrics import (
     swap_distance,
 )
 from localbribery.core import Preference
+from localbribery.oracle import _relabel, _shape
 
 
 def all_prefs(m):
@@ -193,6 +195,22 @@ def test_ball_equals_filter(metric, m, radius):
         got = ball(Preference(start), metric, radius)
         want = [q for q, d in _filter_distances(metric, start) if d <= radius]
         assert got == want
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_relabeled_shape_equals_ball(metric, m):
+    # The oracle enumerates each radius's ball once, around the identity,
+    # and relabels it through every voter's order; each place's rank
+    # extremes over the shape are the alternative's extremes over the ball.
+    for radius in range(5):
+        shape, lo, hi = _shape(metric, m, radius, DEFAULT_BALL_CAP)
+        for start in _ball_starts(m):
+            want = ball(Preference(start), metric, radius)
+            assert _relabel(shape, start) == [q.order for q in want]
+            for j, a in enumerate(start):
+                ranks = [q.order.index(a) for q in want]
+                assert (lo[j], hi[j]) == (min(ranks), max(ranks))
 
 
 @pytest.mark.parametrize("metric", METRICS)
