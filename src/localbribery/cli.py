@@ -41,6 +41,7 @@ from .gadgets import (
 from .ioformat import (
     FormatError,
     parse_instance,
+    parse_preference_once,
     parse_preference_text,
     render_instance,
     render_preference,
@@ -142,9 +143,11 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {e}")
 
 
-def _load_instance(path: str) -> BriberyInstance:
+def _load_instance(
+    path: str, table: dict[str, Preference] | None = None
+) -> BriberyInstance:
     try:
-        return parse_instance(_read(path))
+        return parse_instance(_read(path), table)
     except FormatError as e:
         raise CliError(f"{path}: {e}")
 
@@ -291,7 +294,13 @@ def _parse_wmg_target(text: str) -> WmgTarget:
         raise CliError(str(e))
 
 
-def _read_witness_profile(path: str, instance: BriberyInstance) -> Profile:
+def _read_witness_profile(
+    path: str, instance: BriberyInstance, table: dict[str, Preference]
+) -> Profile:
+    """The `pref:` lines of a witness file, parsed through `table`, the
+    preference table the instance was parsed with.  The `decision:`,
+    `cost:` and `bribed:` lines of `solve` and `witness` output are
+    skipped."""
     alts = instance.profile.alternatives
     prefs = []
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
@@ -300,12 +309,14 @@ def _read_witness_profile(path: str, instance: BriberyInstance) -> Profile:
             continue
         key, sep, body = line.partition(":")
         key = key.strip()
-        if not sep or key in ("decision", "cost", "bribed"):
+        if not sep:
+            raise CliError(f"{path}: line {lineno}: expected 'key: value'")
+        if key in ("decision", "cost", "bribed"):
             continue
         if key != "pref":
             raise CliError(f"{path} line {lineno}: unknown key {key!r}")
         try:
-            prefs.append(parse_preference_text(body.strip(), alts, lineno))
+            prefs.append(parse_preference_once(body, alts, lineno, table))
         except FormatError as e:
             raise CliError(f"{path}: {e}")
     if len(prefs) != instance.n:
@@ -423,8 +434,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance(args.instance)
-    witness = _read_witness_profile(args.witness, instance)
+    table: dict[str, Preference] = {}
+    instance = _load_instance(args.instance, table)
+    witness = _read_witness_profile(args.witness, instance, table)
     ok, reason, bribed, price = check_witness(instance, witness)
     if ok:
         print("verified: yes")

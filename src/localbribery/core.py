@@ -14,7 +14,9 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class AlternativeSet:
-    """An ordered set of distinct, non-empty names without ``>``."""
+    """An ordered set of distinct, non-empty names without ``>`` and
+    without leading or trailing whitespace, which the preference parser
+    strips."""
 
     names: tuple[str, ...]
 
@@ -28,6 +30,11 @@ class AlternativeSet:
                 raise ValueError("empty alternative name")
             if ">" in name:
                 raise ValueError(f"alternative name {name!r} contains '>'")
+            if name != name.strip():
+                raise ValueError(
+                    f"alternative name {name!r} has leading or trailing "
+                    "whitespace"
+                )
 
     @property
     def m(self) -> int:
@@ -49,8 +56,21 @@ class Preference:
     order: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.order:
+            raise ValueError("need at least one alternative")
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("order must be a permutation of 0..m-1")
+
+    @classmethod
+    def trusted(cls, order: tuple[int, ...]) -> "Preference":
+        """A preference over `order` without the permutation check, for
+        callers that have already proved it: the parser, which checked the
+        length and index set, and the ball generators, which place every
+        alternative exactly once.  Equal to, and hashes like, the checked
+        form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        return self
 
     @property
     def m(self) -> int:

@@ -14,6 +14,15 @@ selects the unpriced form (all prices 0, budget 0).  Every key but
 `voter:` may appear at most once, and so may each voter attribute; a
 repeat is an error, not a silent override.  `render_instance` is
 the canonical inverse of `parse_instance`.
+
+A preference line in the canonical `a > b > c` form, which
+`render_preference` writes, is mapped through the set's name table by one
+split on `" > "`; any other spacing falls back to a split on `>` with each
+name stripped, and only a line that fails both is scanned for its first
+problem.  Within one call, a preference text is parsed once: `parse_instance`
+keeps a table from each stripped text to its `Preference`, which a caller
+may own and pass on, so that the `pref:` lines of a witness that repeat
+their voter's line cost one dict lookup and give the instance's own object.
 """
 
 from __future__ import annotations
@@ -101,13 +110,36 @@ def parse_preference_text(
     text: str, alts: AlternativeSet, lineno: int | None = None
 ) -> Preference:
     lookup = alts.lookup
+    # Names have no '>' and no surrounding whitespace, so the canonical
+    # split maps every token to a name exactly when the tolerant split does,
+    # and to the same names.
     try:
-        order = tuple([lookup[t.strip()] for t in text.split(">")])
+        order = tuple(map(lookup.__getitem__, text.strip().split(" > ")))
     except KeyError:
-        order = ()
+        try:
+            order = tuple([lookup[t.strip()] for t in text.split(">")])
+        except KeyError:
+            order = ()
     if len(order) == alts.m == len(set(order)):
-        return Preference(order)
+        return Preference.trusted(order)
     raise FormatError(lineno, _preference_problem(text, alts))
+
+
+def parse_preference_once(
+    text: str,
+    alts: AlternativeSet,
+    lineno: int | None,
+    table: dict[str, Preference],
+) -> Preference:
+    """`parse_preference_text` through `table`, a caller-owned map from
+    stripped text to its preference over `alts`: equal texts give the same
+    object and are parsed once.  A text that fails is not stored, so every
+    bad line reports its own line number."""
+    text = text.strip()
+    pref = table.get(text)
+    if pref is None:
+        pref = table[text] = parse_preference_text(text, alts, lineno)
+    return pref
 
 
 def _preference_problem(text: str, alts: AlternativeSet) -> str:
@@ -132,7 +164,7 @@ def render_preference(pref: Preference, alts: AlternativeSet) -> str:
 
 
 def _parse_voter_line(
-    body: str, alts: AlternativeSet, lineno: int
+    body: str, alts: AlternativeSet, lineno: int, table: dict[str, Preference]
 ) -> tuple[int, int, Preference]:
     head, sep, order_text = body.partition(":")
     if not sep:
@@ -150,12 +182,19 @@ def _parse_voter_line(
             raise FormatError(lineno, f"non-integer {key} {val!r}")
     if "delta" not in attrs:
         raise FormatError(lineno, "voter line missing delta=")
-    return attrs["delta"], attrs.get("price", 0), parse_preference_text(
-        order_text, alts, lineno
+    return attrs["delta"], attrs.get("price", 0), parse_preference_once(
+        order_text, alts, lineno, table
     )
 
 
-def parse_instance(text: str) -> BriberyInstance:
+def parse_instance(
+    text: str, table: dict[str, Preference] | None = None
+) -> BriberyInstance:
+    """The instance of `text`.  `table` is the preference table of
+    `parse_preference_once`; pass one to share the voters' preferences with
+    later parses over the same alternatives."""
+    if table is None:
+        table = {}
     rule = metric = alts = target = budget = None
     voters: list[tuple[int, int, Preference]] = []
     header_line: dict[str, int] = {}  # header key -> line it was set on
@@ -202,7 +241,7 @@ def parse_instance(text: str) -> BriberyInstance:
         elif key == "voter":
             if alts is None:
                 raise FormatError(lineno, "voter before alternatives")
-            voters.append(_parse_voter_line(body, alts, lineno))
+            voters.append(_parse_voter_line(body, alts, lineno, table))
         else:
             raise FormatError(lineno, f"unknown key {key!r}")
     for field, name in (

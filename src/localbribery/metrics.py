@@ -4,7 +4,8 @@ Each distance first drops the prefix and suffix the two orders share
 elementwise.  Each metric has its own backtracking ball generator, used
 for every m: it extends an order position by position, cuts a partial
 order as soon as it provably exceeds the radius, and so yields the ball
-in lexicographic order.
+in lexicographic order.  The max-displacement generator tries at each
+position only the alternatives whose home lies within the radius.
 """
 
 from __future__ import annotations
@@ -109,7 +110,12 @@ def distance(metric: str, p1: Preference, p2: Preference) -> int:
 def _ball_maxdisp(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:
     """Backtracking with per-position candidate windows, lexicographic order."""
     m = pref.m
-    home = {a: i for i, a in enumerate(pref.order)}
+    # The alternatives whose home is within the radius of each position,
+    # by index, so that members come out in lexicographic order.
+    window = [
+        sorted(pref.order[max(0, pos - radius):pos + radius + 1])
+        for pos in range(m)
+    ]
     used = [False] * m
     out: list[int] = []
 
@@ -117,8 +123,8 @@ def _ball_maxdisp(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:
         if pos == m:
             yield tuple(out)
             return
-        for a in range(m):
-            if not used[a] and abs(home[a] - pos) <= radius:
+        for a in window[pos]:
+            if not used[a]:
                 used[a] = True
                 out.append(a)
                 yield from rec(pos + 1)
@@ -198,8 +204,9 @@ def iter_ball(pref: Preference, metric: str, radius: int) -> Iterator[Preference
         gen = _ball_maxdisp(pref, radius)
     else:
         raise ValueError(f"unknown metric {metric!r}")
+    # Every generator places each alternative exactly once.
     for order in gen:
-        yield Preference(order)
+        yield Preference.trusted(order)
 
 
 def ball(

@@ -5,6 +5,7 @@ import pytest
 from localbribery import cli
 from localbribery.cli import main, route_poly_solver
 from localbribery.ioformat import parse_instance
+from localbribery.problem import check_witness
 from conftest import FROZEN_SAT_DIMACS
 
 PLURALITY_FILE = """\
@@ -276,6 +277,68 @@ def test_verify_rejects_bad_witness(tmp_path, plurality_path, capsys):
     )
     assert code == 1
     assert "verified: no" in out
+
+
+def test_verify_reads_solve_output(tmp_path, plurality_path, capsys):
+    code, out, _ = run(capsys, "solve", "--instance", plurality_path)
+    assert code == 0 and out.startswith("decision: YES\ncost: ")
+    w = tmp_path / "w.txt"
+    w.write_text(out)
+    code, vout, _ = run(
+        capsys, "verify", "--instance", plurality_path, "--witness", str(w)
+    )
+    assert (code, vout.splitlines()[0]) == (0, "verified: yes")
+
+
+def test_verify_junk_witness_line_exit_2(tmp_path, plurality_path, capsys):
+    # Without the junk line, this witness verifies YES.
+    w = tmp_path / "w.txt"
+    w.write_text(
+        "pref: a > c > b\nthis line is junk\npref: c > b > a\npref: c > a > b\n"
+    )
+    code, out, err = run(
+        capsys, "verify", "--instance", plurality_path, "--witness", str(w)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {w}: line 2: expected 'key: value'\n"
+
+
+def test_verify_bad_witness_line_reports_its_line(
+    tmp_path, plurality_path, capsys
+):
+    w = tmp_path / "w.txt"
+    w.write_text("# witness\npref: a > c > b\npref: c > zz > a\n")
+    code, _, err = run(
+        capsys, "verify", "--instance", plurality_path, "--witness", str(w)
+    )
+    assert code == 2
+    assert err == f"error: {w}: line 3: unknown alternative 'zz'\n"
+
+
+def test_verify_shares_the_instance_preferences(
+    tmp_path, plurality_path, capsys, monkeypatch
+):
+    # An unbribed witness: every line repeats its voter's preference text.
+    w = tmp_path / "w.txt"
+    w.write_text("".join(
+        "pref: " + line.split(" : ")[1] + "\n"
+        for line in PLURALITY_FILE.splitlines() if line.startswith("voter:")
+    ))
+    seen = []
+
+    def spy(instance, witness):
+        seen.append((instance, witness))
+        return check_witness(instance, witness)
+
+    monkeypatch.setattr(cli, "check_witness", spy)
+    code, _, _ = run(
+        capsys, "verify", "--instance", plurality_path, "--witness", str(w)
+    )
+    assert code == 1  # c is not the unique winner unbribed
+    [(instance, witness)] = seen
+    assert witness.n == instance.n == 3
+    for p, q in zip(witness.prefs, instance.profile.prefs):
+        assert p is q
 
 
 def test_realize_wmg_cli(tmp_path, capsys):

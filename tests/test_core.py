@@ -100,6 +100,22 @@ def test_alternative_index_table():
     assert hash(alts) == hash(AlternativeSet(("x", "y", "z")))
 
 
+@pytest.mark.parametrize("order", [(0, 0), (1, 2), ()])
+def test_preference_rejects_non_permutation(order):
+    with pytest.raises(ValueError):
+        Preference(order)
+
+
+def test_trusted_preference_equals_checked():
+    for order in ((0,), (1, 0), (2, 0, 3, 1)):
+        trusted, checked = Preference.trusted(order), Preference(order)
+        assert trusted == checked and checked == trusted
+        assert hash(trusted) == hash(checked)
+        assert {trusted: 1}[checked] == 1
+        assert trusted.m == len(order) and trusted.order is order
+    assert Preference.trusted((1, 0)) != Preference((0, 1))
+
+
 def test_score_vector():
     assert score_vector(VotingRule("plurality"), 4).alpha == (1, 0, 0, 0)
     assert score_vector(VotingRule("veto"), 4).alpha == (1, 1, 1, 0)
@@ -175,6 +191,9 @@ def test_validation_errors():
         AlternativeSet(("a", "a"))
     with pytest.raises(ValueError, match="^alternative name 'a>b' contains '>'$"):
         AlternativeSet(("a>b", "c"))
+    for name in (" a", "a ", "a\t"):
+        with pytest.raises(ValueError, match="leading or trailing whitespace"):
+            AlternativeSet((name, "c"))
     with pytest.raises(ValueError):
         ScoreVector((1, 2))  # increasing
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from localbribery.core import (
 from localbribery.ioformat import (
     FormatError,
     parse_instance,
+    parse_preference_once,
     parse_preference_text,
     parse_rule,
     render_instance,
@@ -162,6 +163,35 @@ def test_error_names_line_number():
     assert "line 6" in str(err.value)
 
 
+def test_repeated_voter_texts_share_one_preference():
+    text = SWAP_FIXTURE + (
+        "voter: delta=0 : a > b > c > x\n"
+        "voter: delta=1 price=2 :   a > b > c > x  # padded\n"
+        "voter: delta=1 : a>b>c>x\n"
+    )
+    table = {}
+    prefs = parse_instance(text, table).profile.prefs
+    assert prefs[0] is prefs[2] is prefs[3]
+    assert prefs[4] == prefs[0] and prefs[4] is not prefs[0]
+    assert table == {
+        "a > b > c > x": prefs[0], "x > a > b > c": prefs[1], "a>b>c>x": prefs[4]
+    }
+    # A second parse through the same table reuses its objects.
+    again = parse_instance(text, table).profile.prefs
+    assert all(p is q for p, q in zip(again, prefs))
+    assert parse_instance(text).profile.prefs[0] is not prefs[0]
+
+
+def test_shared_table_keeps_no_failed_text():
+    alts = AlternativeSet(("a", "b"))
+    table = {}
+    for lineno in (3, 9):
+        with pytest.raises(FormatError, match=f"^line {lineno}: unknown"):
+            parse_preference_once(" a > zz ", alts, lineno, table)
+    assert table == {}
+    assert parse_preference_once(" b > a", alts, 1, table) is table["b > a"]
+
+
 def test_missing_sections():
     with pytest.raises(FormatError, match="missing rule"):
         parse_instance("metric: swap\nalternatives: a b\ntarget: a\n"
@@ -268,13 +298,16 @@ def test_parse_preference_equals_reference(seed):
     for m in (1, 2, 3, 5, 9, 40, rng.randint(100, 600), 3000):
         alts = AlternativeSet(tuple(f"a{i}" for i in rng.sample(range(m), m)))
         for tokens in _mutants(rng, alts.names):
-            text = _join(rng, tokens)
-            want = _outcome(_reference_parse, text, alts)
-            assert _outcome(parse_preference_text, text, alts) == want, text
-            if isinstance(want, Preference):
-                assert parse_preference_text(
-                    render_preference(want, alts), alts
-                ) == want
+            # Random separators mostly take the tolerant path; canonical
+            # ones take the split on " > ", which must accept and reject
+            # exactly as the reference does.
+            for text in (_join(rng, tokens), " > ".join(tokens)):
+                want = _outcome(_reference_parse, text, alts)
+                assert _outcome(parse_preference_text, text, alts) == want, text
+                if isinstance(want, Preference):
+                    assert parse_preference_text(
+                        render_preference(want, alts), alts
+                    ) == want
     for text in ("", " ", "\t", ">", " > "):
         alts = AlternativeSet(("a", "b"))
         assert _outcome(parse_preference_text, text, alts) == _outcome(
