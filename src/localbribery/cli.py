@@ -314,7 +314,7 @@ def _read_witness_profile(
         if key in ("decision", "cost", "bribed"):
             continue
         if key != "pref":
-            raise CliError(f"{path} line {lineno}: unknown key {key!r}")
+            raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
             prefs.append(parse_preference_once(body, alts, lineno, table))
         except FormatError as e:

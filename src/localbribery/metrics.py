@@ -1,15 +1,18 @@
-"""The three rank distances and radius-bounded neighborhood enumeration.
+"""The three rank distances, radius-bounded neighborhood enumeration, and
+closed forms for how far a ball reaches.
 
 Each distance first drops the prefix and suffix the two orders share
-elementwise.  Each metric has its own backtracking ball generator, used
-for every m: it extends an order position by position, cuts a partial
-order as soon as it provably exceeds the radius, and so yields the ball
-in lexicographic order.  The max-displacement generator tries at each
-position only the alternatives whose home lies within the radius.
+elementwise.  Each metric has its own ball generator, used for every m: it
+extends an order position by position, trying only the alternatives that
+fit the remaining budget, and yields the ball lazily in lexicographic
+order.  `rank_reach` and `precedence_reach` say, without enumerating a
+ball, how far an alternative's rank can move and which alternative can be
+put above which; the oracle's bounds for every rule are built from them.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from .core import Preference
@@ -107,117 +110,141 @@ def distance(metric: str, p1: Preference, p2: Preference) -> int:
     return fn(p1, p2)
 
 
-def _ball_maxdisp(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking with per-position candidate windows, lexicographic order."""
-    m = pref.m
-    # The alternatives whose home is within the radius of each position,
-    # by index, so that members come out in lexicographic order.
-    window = [
-        sorted(pref.order[max(0, pos - radius):pos + radius + 1])
-        for pos in range(m)
-    ]
-    used = [False] * m
-    out: list[int] = []
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == m:
-            yield tuple(out)
-            return
-        for a in window[pos]:
-            if not used[a]:
-                used[a] = True
-                out.append(a)
-                yield from rec(pos + 1)
-                out.pop()
-                used[a] = False
-
-    return rec(0)
-
-
-def _ball_footrule(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking with a running displacement budget, lexicographic order."""
-    m = pref.m
-    home = {a: i for i, a in enumerate(pref.order)}
-    used = [False] * m
-    out: list[int] = []
-
-    def rec(pos: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if pos == m:
-            if budget >= 0:
-                yield tuple(out)
-            return
-        for a in range(m):
-            if used[a]:
-                continue
-            cost = abs(home[a] - pos)
-            if cost <= budget:
-                used[a] = True
-                out.append(a)
-                yield from rec(pos + 1, budget - cost)
-                out.pop()
-                used[a] = False
-
-    return rec(0, radius)
+# Each generator walks the ball depth first with an explicit stack of
+# partial orders, one position per level, pushing a node's children in
+# descending order so that they pop in ascending order: members come out
+# in lexicographic order, one at a time, without a chain of nested
+# generators.  Each tries only the alternatives that fit the remaining
+# budget, and yields the rest of an order in one piece once it is forced.
 
 
 def _ball_swap(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking over orders, pruning by inversions already committed.
-
-    Choosing alternative a at the current position inverts a pair with every
-    not-yet-placed alternative that pref ranks above a; that count is a lower
-    bound on the final swap distance, so the budget prunes exactly.
-    """
-    m = pref.m
-    home = {a: i for i, a in enumerate(pref.order)}
-    used = [False] * m
-    out: list[int] = []
-
-    def rec(pos: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if pos == m:
-            yield tuple(out)
-            return
-        for a in range(m):
-            if used[a]:
-                continue
-            cost = sum(
-                1 for b in range(m) if not used[b] and b != a and home[b] < home[a]
+    """Placing the j-th unplaced alternative in home order inverts exactly
+    j pairs, so only the first budget+1 of them fit, and at budget 0 the
+    rest keep their home order."""
+    # (placed, unplaced in home order, budget)
+    stack = [((), pref.order, radius)]
+    while stack:
+        head, rest, budget = stack.pop()
+        if budget == 0 or len(rest) < 2:
+            yield head + rest
+            continue
+        fits = range(min(budget + 1, len(rest)))
+        for j in sorted(fits, key=rest.__getitem__, reverse=True):
+            stack.append(
+                (head + rest[j:j + 1], rest[:j] + rest[j + 1:], budget - j)
             )
-            if cost <= budget:
-                used[a] = True
-                out.append(a)
-                yield from rec(pos + 1, budget - cost)
-                out.pop()
-                used[a] = False
 
-    return rec(0, radius)
+
+def _ball_footrule(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:
+    """An alternative placed at pos costs |home - pos| of the budget, so
+    only those whose home lies within the budget of pos fit, and at budget
+    0 every remaining alternative must be at home."""
+    order = pref.order
+    m = len(order)
+    home = [0] * m
+    for i, a in enumerate(order):
+        home[a] = i
+    # at_home[pos]: the set of order[:pos], as a bit mask.
+    at_home = [0]
+    for a in order:
+        at_home.append(at_home[-1] | 1 << a)
+    stack = [((), 0, radius)]  # (placed, their bit mask, budget)
+    while stack:
+        head, used, budget = stack.pop()
+        pos = len(head)
+        if budget == 0 or pos == m:
+            if used == at_home[pos]:
+                yield head + order[pos:]
+            continue
+        near = order[max(0, pos - budget):pos + budget + 1]
+        for a in sorted(near, reverse=True):
+            if not used >> a & 1:
+                stack.append(
+                    (head + (a,), used | 1 << a, budget - abs(home[a] - pos))
+                )
+
+
+def _ball_maxdisp(pref: Preference, radius: int) -> Iterator[tuple[int, ...]]:
+    """Only the alternatives whose home is within the radius of pos fit
+    there, and the one whose home is `radius` places back must go there
+    if it is still unplaced: no later place is within its reach.  So no
+    branch dies, and the last unplaced alternative fits the last place."""
+    order = pref.order
+    m = len(order)
+    # Descending, so that the children pop in ascending order.
+    window = [
+        sorted(order[max(0, pos - radius):pos + radius + 1], reverse=True)
+        for pos in range(m)
+    ]
+    everyone = (1 << m) - 1
+    stack = [((), 0)]  # (placed, their bit mask)
+    while stack:
+        head, used = stack.pop()
+        pos = len(head)
+        if pos == m - 1:
+            yield head + ((everyone ^ used).bit_length() - 1,)
+            continue
+        if pos >= radius and not used >> order[pos - radius] & 1:
+            fits = (order[pos - radius],)
+        else:
+            fits = window[pos]
+        for a in fits:
+            if not used >> a & 1:
+                stack.append((head + (a,), used | 1 << a))
+
+
+_BALL = {
+    SWAP: _ball_swap,
+    FOOTRULE: _ball_footrule,
+    MAXDISP: _ball_maxdisp,
+}
 
 
 def iter_ball(pref: Preference, metric: str, radius: int) -> Iterator[Preference]:
-    """All preferences within `radius` of pref, in lexicographic order."""
+    """All preferences within `radius` of pref, in lexicographic order,
+    lazily."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if metric == SWAP:
-        gen = _ball_swap(pref, radius)
-    elif metric == FOOTRULE:
-        gen = _ball_footrule(pref, radius)
-    elif metric == MAXDISP:
-        gen = _ball_maxdisp(pref, radius)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    _check_metric(metric)
     # Every generator places each alternative exactly once.
-    for order in gen:
-        yield Preference.trusted(order)
+    return map(Preference.trusted, _BALL[metric](pref, radius))
 
 
 def ball(
     pref: Preference, metric: str, radius: int, cap: int = DEFAULT_BALL_CAP
 ) -> list[Preference]:
     """Materialized ball; refuses to exceed `cap` elements."""
-    result = []
-    for q in iter_ball(pref, metric, radius):
-        result.append(q)
-        if len(result) > cap:
-            raise BallTooLarge(
-                f"ball(metric={metric}, radius={radius}) exceeds cap {cap}"
-            )
+    result = list(islice(iter_ball(pref, metric, radius), cap + 1))
+    if len(result) > cap:
+        raise BallTooLarge(
+            f"ball(metric={metric}, radius={radius}) exceeds cap {cap}"
+        )
     return result
+
+
+def rank_reach(metric: str, radius: int) -> int:
+    """How far one alternative can move within the ball of `radius`: the
+    alternative at place j of the centre ranks j - reach and j + reach
+    (within 0..m-1) in some members, and nowhere further in any.  Moving
+    one alternative d places costs d swaps, a footrule of 2d and a
+    displacement of d."""
+    _check_metric(metric)
+    return radius // 2 if metric == FOOTRULE else radius
+
+
+def precedence_reach(metric: str, radius: int) -> int:
+    """The greatest j - k for which some member of the ball of `radius`
+    ranks the centre's place j above its place k.  Putting place j above
+    place k < j inverts at least j - k pairs and costs at least 2(j - k)
+    of footrule; under max displacement both can move `radius` places
+    towards each other."""
+    _check_metric(metric)
+    if metric == MAXDISP:
+        return 2 * radius - 1
+    return radius // 2 if metric == FOOTRULE else radius
+
+
+def _check_metric(metric: str) -> None:
+    if metric not in _BALL:
+        raise ValueError(f"unknown metric {metric!r}")

@@ -1,37 +1,50 @@
 """Exhaustive exact solver: ground truth for every rule/metric combination.
 
 Depth-first search over the product of per-voter distance balls, in
-lexicographic witness order, with a price cap and rule-specific optimistic
-score bounds.  Returns the cheapest witness; among equal-cost witnesses,
-the lexicographically smallest profile.  Leaves come in lexicographic
-order, so after each winning leaf only cheaper branches are entered.
+lexicographic witness order, with a price cap and an optimistic score
+bound for every rule.  Returns the cheapest witness; among equal-cost
+witnesses, the lexicographically smallest profile.  Leaves come in
+lexicographic order, so after each winning leaf only cheaper branches are
+entered.
 
 - **Ball shapes.**  The three metrics only compare ranks, so the ball of an
   order o is o applied to the ball of the identity order.  Each search
-  enumerates that shape once per distinct radius, relabels it through each
-  voter's order and sorts it back into lexicographic order; the bound
-  tables read each voter's rank extremes off the shape.
-- **Carried leaf state.**  Each branch carries one additive vector:
-  positional scores, top-k level counts (Bucklin, simplified Bucklin) or
-  pairwise margins (maximin, Copeland).  Every ball member's contribution
-  is computed once, and the bounds and the leaf decision read the vector,
-  so no leaf builds a profile or runs a winner computation.
-- **Score classes.**  For positional rules each ball keeps only the first
-  member of each distinct (score contribution, price) class.  Swapping a
+  enumerates that shape once per distinct radius and relabels it through
+  each voter's order.
+- **Score classes.**  For positional rules the members of a shape are
+  grouped once per shape by their score contribution, and each voter keeps
+  the lexicographically least relabeled member of each class, with the
+  voter's own order a class of its own when bribing costs.  Swapping a
   member for that representative keeps every score and the price and never
   raises the lexicographic order, so the optimum is unchanged.
+- **Carried leaf state.**  Each branch carries one additive vector:
+  positional scores, top-k level counts (Bucklin, simplified Bucklin) or
+  pairwise margins (maximin, Copeland).  Every option's contribution is
+  computed once, and the bounds and the leaf decision read the vector, so
+  no leaf builds a profile or runs a winner computation.
+- **Bounds.**  The per-voter tables come from closed forms in `metrics`:
+  how far each alternative's rank can move, and which alternative can be
+  put above which.  Summed over the remaining voters they give the
+  target's best and each rival's worst score: positional scores, level
+  counts, maximin minima and Copeland wins and ties.  A branch is cut when
+  some rival's worst reaches the target's best, so no cut leaf could have
+  won.  The one exception is the level bound under Bucklin: it is exact
+  for simplified Bucklin but also cuts some Bucklin winners (see
+  `_Search._prune_level`).
 
 `OracleBudget.max_nodes` counts visited search nodes.  The score classes
-leave fewer nodes to visit, so the same limit decides more instances.
+and the bounds leave fewer nodes to visit, so the same limit decides more
+instances.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import add
+from operator import add, and_, itemgetter, methodcaller, sub
 
 from .core import (
     BUCKLIN,
@@ -43,7 +56,7 @@ from .core import (
     is_unique_winner,  # unused here; bench/tracing.py names it
     score_vector,
 )
-from .metrics import ball
+from .metrics import ball, precedence_reach, rank_reach
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
 
 
@@ -82,84 +95,96 @@ class _Search:
         self.deadline = time.monotonic() + limits.time_limit_s
         n = self.n = instance.n
         m = self.m = instance.m
-        self.c = instance.target
+        c = self.c = instance.target
         self.nodes = 0
         self.max_nodes = limits.max_nodes
         self.best: tuple[int, tuple[tuple[int, ...], ...]] | None = None
         self.cap = instance.budget  # then one less than the incumbent's cost
         self.chosen: list[tuple[int, ...] | None] = [None] * n
+        # Row x of a flat m*m table, for C-level row minima and maxima.
+        self.rows = [slice(x * m, (x + 1) * m) for x in range(m)]
+        self.rival_rows = self.rows[:c] + self.rows[c + 1:]
 
+        # Plain functions with their parameters bound, and the bound test
+        # as a plain function that takes the search: a bound method kept on
+        # the search would make it a reference cycle, which outlives the
+        # call until the cyclic collector runs.
         rule = instance.rule
         self.alpha = score_vector(rule, m)
         self.level_rule = rule.tag in (SBUCKLIN, BUCKLIN)
-        # Plain functions with their parameters bound: a bound method kept
-        # on the search would make it a reference cycle, which outlives
-        # the call until the cyclic collector runs.
+        self.pair_rule = rule.tag in (MAXIMIN, COPELAND)
+        class_key = None
         if self.alpha is not None:
-            self.contribution = partial(_scores_of, self.alpha.alpha, m)
-            self.wins = partial(_wins_positional, self.c)
+            class_key = self.contribution = partial(
+                _scores_of, self.alpha.alpha, m
+            )
+            self.wins = partial(_wins_positional, c)
+            self.prune = _Search._prune_positional
         elif self.level_rule:
             self.contribution = partial(_levels_of, m)
             wins = _wins_bucklin if rule.tag == BUCKLIN else _wins_sbucklin
-            self.wins = partial(wins, n, m, self.c)
+            self.wins = partial(wins, n, m, c)
+            self.prune = _Search._prune_level
         elif rule.tag == MAXIMIN:
             self.contribution = partial(_margins_of, m)
-            self.wins = partial(_wins_maximin, m, self.c)
+            self.wins = partial(_wins_maximin, m, c)
+            self.row_score = min
+            self.prune = _Search._prune_pairs
         elif rule.tag == COPELAND:
             # alpha = p/q, so q*wins + p*ties orders the scores exactly.
             a = rule.copeland_alpha
             self.contribution = partial(_margins_of, m)
-            self.wins = partial(
-                _wins_copeland, m, self.c, a.denominator, a.numerator
+            self.row_score = partial(
+                _copeland_row, a.denominator, a.numerator
             )
+            self.wins = partial(_wins_copeland, self.rows, c, self.row_score)
+            self.prune = _Search._prune_pairs
         else:
             raise ValueError(f"unknown rule tag {rule.tag!r}")
 
         shapes = {}  # radius -> _shape(...)
-        best_c, worst = [], []
+        best_c, worst, ahead = [], [], []
         self.options: list[list[list]] = []
+        # Options that cost nothing: the voter's own order, or every order
+        # when the voter is free.
+        self.unbribed: list[list[list]] = []
         for i, pref in enumerate(instance.profile.prefs):
             radius = instance.deltas[i]
             if radius not in shapes:
                 shapes[radius] = _shape(
-                    instance.metric, m, radius, limits.max_ball
+                    instance.metric, m, radius, limits.max_ball, class_key
                 )
-            shape, lo, hi = shapes[radius]
+            free, priced = shapes[radius]
             o = pref.order
             price = instance.prices[i]
-            opts = [
-                [q, 0 if q == o else price, None] for q in _relabel(shape, o)
-            ]
-            if self.alpha is not None:
-                opts = self._score_classes(opts)
+            reps = _relabel(priced if price else free, o)
+            opts = [[q, price, None] for q in reps]
             self.options.append(opts)
-            best_c.append(lo[o.index(self.c)])
-            w = [0] * m
+            if price:
+                own = opts[bisect_left(reps, o)]
+                own[1] = 0
+                self.unbribed.append([own])
+            else:
+                self.unbribed.append(opts)
+            # Voter i's best and worst rank of each alternative over its
+            # ball, and which alternative can rank above which.
+            place = [0] * m
             for j, y in enumerate(o):
-                w[y] = hi[j]
-            worst.append(w)
-        # Options that cost nothing: the voter's own order, or every order
-        # when the voter is free.
-        self.unbribed = [
-            [opt for opt in opts if opt[1] == 0] for opts in self.options
-        ]
+                place[y] = j
+            reach = rank_reach(instance.metric, radius)
+            best_c.append(max(0, place[c] - reach))
+            worst.append([min(m - 1, j + reach) for j in place])
+            if self.pair_rule:
+                t = precedence_reach(instance.metric, radius)
+                ahead.append(
+                    [1 if px - py <= t else -1 for px in place for py in place]
+                )
         if self.alpha is not None:
             self._prep_positional_bounds(best_c, worst)
-        if self.level_rule:
+        elif self.level_rule:
             self._prep_level_bounds(best_c, worst)
-
-    def _score_classes(self, opts):
-        """The first member of each (contribution, price) class."""
-        seen = set()
-        kept = []
-        for opt in opts:
-            d = self.contribution(opt[0])
-            key = (tuple(d), opt[1])
-            if key not in seen:
-                seen.add(key)
-                opt[2] = d
-                kept.append(opt)
-        return kept
+        else:
+            self._prep_pair_bounds(ahead)
 
     # -- optimistic bounds ----------------------------------------------------
 
@@ -193,13 +218,40 @@ class _Search:
                 for y in range(m)
             ]
 
+    def _prep_pair_bounds(self, ahead):
+        # Over the remaining voters, the greatest sum the target's margins
+        # [c*m + y] can still gain and the least sum each margin [x*m + y]
+        # can.  ahead[i][x*m + y] is +1 if some member of voter i's ball
+        # ranks x above y, and -1 if none does; the least a voter adds to
+        # [x*m + y] is minus what it can add to [y*m + x] at best.  The
+        # diagonal holds n + 1, above every margin, so that it is never a
+        # row's minimum and counts as the same win in every Copeland row.
+        n, m, c = self.n, self.m, self.c
+        own = self.rows[c]
+        flip = [y * m + x for x in range(m) for y in range(m)]
+        self.pair_cmax = [[0] * m for _ in range(n + 1)]
+        self.pair_rmin = [[0] * (m * m) for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            up = ahead[i]
+            self.pair_cmax[i] = list(map(add, self.pair_cmax[i + 1], up[own]))
+            self.pair_rmin[i] = list(
+                map(sub, self.pair_rmin[i + 1], map(up.__getitem__, flip))
+            )
+        for row in self.pair_cmax:
+            row[c] = n + 1
+        diagonal = [n + 1] * m
+        for table in self.pair_rmin:
+            table[::m + 1] = diagonal
+
+    # Each test prunes a branch when its optimistic bound shows that the
+    # target cannot be the unique winner at any of the branch's leaves.
+
     def _prune_positional(self, depth: int, scores: list[int]) -> bool:
         # Optimistic: target at its per-voter max, each rival at its min.
         upper_c = scores[self.c] + self.cmax_suffix[depth]
-        row = self.rmin_suffix[depth]
-        return any(
-            scores[y] + row[y] >= upper_c for y in range(self.m) if y != self.c
-        )
+        rivals = list(map(add, scores, self.rmin_suffix[depth]))
+        del rivals[self.c]
+        return any(map(upper_c.__le__, rivals))
 
     def _prune_level(self, depth: int, counts: list[int]) -> bool:
         # Prune when no level is left at which the target can reach a
@@ -209,19 +261,23 @@ class _Search:
         # (tests/test_oracle.py, test_bucklin_winner_sharing_its_level).
         maj = self.n // 2 + 1
         m, c = self.m, self.c
-        cmax = self.lvl_cmax[depth]
-        rmin = self.lvl_rmin[depth]
-        for k in range(m):
-            base = k * m
-            if counts[base + c] + cmax[k] < maj:
-                continue
-            if all(
-                counts[base + y] + rmin[base + y] <= maj - 1
-                for y in range(m)
-                if y != c
-            ):
-                return False
-        return True
+        rivals = list(map(add, counts, self.lvl_rmin[depth]))
+        rivals[c::m] = [0] * m  # the target is no rival of itself
+        reach = map(maj.__le__, map(add, counts[c::m], self.lvl_cmax[depth]))
+        clear = map(maj.__gt__, map(max, map(rivals.__getitem__, self.rows)))
+        return not any(map(and_, reach, clear))
+
+    def _prune_pairs(self, depth: int, margins: list[int]) -> bool:
+        # A row's score (its minimum for maximin, its weighted wins and
+        # ties for Copeland) only grows with the row's entries, so the
+        # target scores at most row_score of its greatest margins and a
+        # rival at least row_score of its least.
+        score = self.row_score
+        own = margins[self.rows[self.c]]
+        upper_c = score(list(map(add, own, self.pair_cmax[depth])))
+        least = list(map(add, margins, self.pair_rmin[depth]))
+        rivals = map(score, map(least.__getitem__, self.rival_rows))
+        return any(map(upper_c.__le__, rivals))
 
     # -- search ---------------------------------------------------------------
 
@@ -250,10 +306,7 @@ class _Search:
                 self.best = (price, tuple(self.chosen))
                 self.cap = price - 1
             return
-        if self.alpha is not None:
-            if self._prune_positional(depth, state):
-                return
-        elif self.level_rule and self._prune_level(depth, state):
+        if self.prune(self, depth, state):
             return
         opts = self.options[depth]
         if price + self.instance.prices[depth] > self.cap:
@@ -342,40 +395,53 @@ def _wins_maximin(m: int, c: int, margins: list[int]) -> bool:
     return all(score(x) < own for x in range(m) if x != c)
 
 
-def _wins_copeland(
-    m: int, c: int, win_w: int, tie_w: int, margins: list[int]
-) -> bool:
-    def score(x):
-        row = margins[x * m:(x + 1) * m]
-        # The diagonal is the one zero that is not a tie.
-        return win_w * sum(map((0).__lt__, row)) + tie_w * (row.count(0) - 1)
-
-    own = score(c)
-    return all(score(x) < own for x in range(m) if x != c)
+def _copeland_row(win_w: int, tie_w: int, row: list[int]) -> int:
+    # The diagonal counts as one more tie (a zero margin) or, in the bound
+    # tables, one more win in every row, which keeps every comparison.
+    return win_w * sum(map((0).__lt__, row)) + tie_w * row.count(0)
 
 
-def _shape(metric: str, m: int, radius: int, cap: int):
-    """The ball of radius `radius` around the identity order, with each
-    place's least and greatest rank over it.  Relabeled through an order
-    o, member s becomes o[s[0]], o[s[1]], ...; the alternative in o's place
-    j then ranks between lo[j] and hi[j]."""
+def _wins_copeland(rows, c: int, row_score, margins: list[int]) -> bool:
+    scores = list(map(row_score, map(margins.__getitem__, rows)))
+    return _wins_positional(c, scores)
+
+
+def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):
+    """The ball of radius `radius` around the identity order, as classes
+    of relabeling functions: member s relabeled through an order o is
+    o[s[0]], o[s[1]], ...  Two members are in one class when `class_key`
+    gives them the same value; without a key every class is one member.
+
+    Returns the classes for a free voter and for a priced one, in whose
+    ball the identity (the voter's own order, at no price) is a class of
+    its own.  The identity is the ball's least member, so the first class
+    holds it."""
     identity = Preference(tuple(range(m)))
-    shape = [q.order for q in ball(identity, metric, radius, cap)]
-    lo, hi = [m] * m, [0] * m
-    for s in shape:
-        for r, j in enumerate(s):
-            if r < lo[j]:
-                lo[j] = r
-            if r > hi[j]:
-                hi[j] = r
-    return shape, lo, hi
+    members = [q.order for q in ball(identity, metric, radius, cap)]
+    # One index makes itemgetter return the item, not a tuple; with m = 1
+    # the ball is the identity alone.
+    getters = [itemgetter(*s) for s in members] if m > 1 else [tuple]
+    if class_key is None:
+        free = [[g] for g in getters]
+        return free, free
+    classes: dict[tuple, list] = {}
+    for s, g in zip(members, getters):
+        classes.setdefault(tuple(class_key(s)), []).append(g)
+    free = list(classes.values())
+    own, *rest = free[0]
+    return free, [[own]] + ([rest] if rest else []) + free[1:]
 
 
-def _relabel(shape, order: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The ball around `order`, in lexicographic order: the metrics compare
-    ranks only, so it is `order` applied to each member of the identity's
-    ball of the same radius."""
-    return sorted(tuple(map(order.__getitem__, s)) for s in shape)
+def _relabel(classes, order: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The lexicographically least member of each class, relabeled through
+    `order`, in lexicographic order.  The metrics compare ranks only, so
+    relabeling the identity's ball gives the ball around `order`; within a
+    class, the least member is the one the search would reach first."""
+    call = methodcaller("__call__", order)
+    return sorted(
+        [cls[0](order) if len(cls) == 1 else min(map(call, cls))
+         for cls in classes]
+    )
 
 
 def solve_exhaustive(

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, routing, pipelines."""
 
+import time
+
 import pytest
 
 from localbribery import cli
@@ -120,6 +122,20 @@ def test_ball_cap_is_exit_3(capsys):
     )
     assert code == 3
     assert "cap" in err
+
+
+def test_ball_cap_stops_a_huge_ball_early(capsys):
+    # The swap ball of radius 30 around 12 alternatives has millions of
+    # members; the cap must stop the enumeration after the first few.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "ball", "--metric", "swap", "--radius", "30",
+        "--pref", ">".join("abcdefghijkl"), "--cap", "5",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert len(out.splitlines()) == 5
+    assert "cap 5" in err
 
 
 def test_oracle_limits_exit_3(plurality_path, capsys):
@@ -301,6 +317,18 @@ def test_verify_junk_witness_line_exit_2(tmp_path, plurality_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err == f"error: {w}: line 2: expected 'key: value'\n"
+
+
+def test_verify_unknown_witness_key_names_path_and_line(
+    tmp_path, plurality_path, capsys
+):
+    w = tmp_path / "w.txt"
+    w.write_text("pref: a > c > b\nverified: yes\n")
+    code, out, err = run(
+        capsys, "verify", "--instance", plurality_path, "--witness", str(w)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {w}: line 2: unknown key 'verified'\n"
 
 
 def test_verify_bad_witness_line_reports_its_line(

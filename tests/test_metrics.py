@@ -2,6 +2,7 @@
 
 import functools
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -20,6 +21,8 @@ from localbribery.metrics import (
     footrule_distance,
     iter_ball,
     maxdisp_distance,
+    precedence_reach,
+    rank_reach,
     swap_distance,
 )
 from localbribery.core import Preference
@@ -201,16 +204,34 @@ def test_ball_equals_filter(metric, m, radius):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_relabeled_shape_equals_ball(metric, m):
     # The oracle enumerates each radius's ball once, around the identity,
-    # and relabels it through every voter's order; each place's rank
-    # extremes over the shape are the alternative's extremes over the ball.
+    # and relabels it through every voter's order.
     for radius in range(5):
-        shape, lo, hi = _shape(metric, m, radius, DEFAULT_BALL_CAP)
+        classes, _ = _shape(metric, m, radius, DEFAULT_BALL_CAP)
         for start in _ball_starts(m):
             want = ball(Preference(start), metric, radius)
-            assert _relabel(shape, start) == [q.order for q in want]
-            for j, a in enumerate(start):
-                ranks = [q.order.index(a) for q in want]
-                assert (lo[j], hi[j]) == (min(ranks), max(ranks))
+            assert _relabel(classes, start) == [q.order for q in want]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("m", range(2, 8))
+def test_reach_closed_forms(metric, m):
+    # Against the enumerated ball around the identity, for every radius up
+    # to 5: each place's least and greatest rank, and for each ordered pair
+    # of places whether some member ranks place j above place k.
+    for radius in range(6):
+        identity = Preference(tuple(range(m)))
+        members = [q.order for q in ball(identity, metric, radius)]
+        reach = rank_reach(metric, radius)
+        ahead = precedence_reach(metric, radius)
+        for j in range(m):
+            ranks = [s.index(j) for s in members]
+            assert (min(ranks), max(ranks)) == (
+                max(0, j - reach), min(m - 1, j + reach)
+            )
+            for k in range(m):
+                if k != j:
+                    some = any(s.index(j) < s.index(k) for s in members)
+                    assert some == (j - k <= ahead), (j, k, radius)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -242,6 +263,18 @@ def test_ball_cap_raises():
     start = Preference(tuple(range(6)))
     with pytest.raises(BallTooLarge):
         ball(start, SWAP, 15, cap=10)
+
+
+@pytest.mark.parametrize(
+    "metric,radius", [(SWAP, 30), (FOOTRULE, 60), (MAXDISP, 11)]
+)
+def test_ball_cap_stops_a_huge_ball_early(metric, radius):
+    # Each ball holds millions of the 12! orders; the cap must stop the
+    # enumeration after the first few members.
+    start = time.perf_counter()
+    with pytest.raises(BallTooLarge):
+        ball(Preference(tuple(range(12))), metric, radius, cap=5)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_distance_rejects_mismatched_sizes():

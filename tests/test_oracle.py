@@ -305,6 +305,25 @@ def _brute_force_tables(search, inst):
                         int(q.position(y) <= k) for q in balls[i]
                     )
         tables["lvl_cmax"], tables["lvl_rmin"] = lvl_cmax, lvl_rmin
+    if search.pair_rule:
+        # The greatest and least sum of +1 (x above y) or -1 (y above x)
+        # over the remaining voters' balls; the diagonal holds n + 1.
+        hi = [[0] * (m * m) for _ in range(n + 1)]
+        lo = [[0] * (m * m) for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            for x in range(m):
+                for y in range(m):
+                    signs = [
+                        1 if q.position(x) < q.position(y) else -1
+                        for q in balls[i]
+                    ]
+                    hi[i][x * m + y] = hi[i + 1][x * m + y] + max(signs)
+                    lo[i][x * m + y] = lo[i + 1][x * m + y] + min(signs)
+        for table in hi + lo:
+            for x in range(m):
+                table[x * m + x] = n + 1
+        tables["pair_cmax"] = [t[c * m:(c + 1) * m] for t in hi]
+        tables["pair_rmin"] = lo
     return tables
 
 
@@ -316,6 +335,10 @@ def test_bound_tables_match_brute_force():
         VotingRule("kapproval", k=2),
         VotingRule("bucklin"),
         VotingRule("sbucklin"),
+        VotingRule("maximin"),
+    ] + [
+        VotingRule("copeland", copeland_alpha=Fraction(a))
+        for a in ("0", "1/3", "1/2", "1")
     ]
     for rule in rules:
         for metric in METRICS:
@@ -329,6 +352,20 @@ def test_bound_tables_match_brute_force():
                 assert want  # every rule here has at least one table
                 for name, table in want.items():
                     assert getattr(search, name) == table, name
+
+
+@pytest.mark.parametrize("tag", ["maximin", "copeland"])
+def test_pair_bound_cuts_a_certain_tie(tag):
+    # Two fixed voters who disagree: a and b tie at every leaf, so the
+    # target a cannot win, and the bound must see that at the root, where
+    # the rival's least score equals the target's greatest.
+    profile = make_profile([(0, 1), (1, 0)])
+    inst = BriberyInstance(
+        profile, 0, (0, 0), (0, 0), 0, VotingRule(tag), "swap"
+    )
+    search = _Search(inst, OracleBudget())
+    assert not search.run().decision
+    assert search.nodes == 1
 
 
 LEAF_RULES = RULES + [
