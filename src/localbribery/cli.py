@@ -579,7 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_realize_wmg)
 
     p = sub.add_parser(
-        "dump-flow", help="print the flow networks a solver builds"
+        "dump-flow",
+        help="print the flow networks a solver builds: one per guess that "
+             "passes its count screen",
     )
     p.add_argument("--instance", required=True)
     p.set_defaults(func=_cmd_dump_flow)

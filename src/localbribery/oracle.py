@@ -9,8 +9,8 @@ entered.
 
 - **Ball shapes.**  The three metrics only compare ranks, so the ball of an
   order o is o applied to the ball of the identity order.  Each search
-  enumerates that shape once per distinct radius and relabels it through
-  each voter's order.
+  enumerates that shape once per distinct ball (footrule radii 2j and
+  2j + 1 give one ball) and relabels it through each voter's order.
 - **Score classes.**  For positional rules the members of a shape are
   grouped once per shape by their score contribution, and each voter keeps
   the lexicographically least relabeled member of each class, with the
@@ -56,7 +56,7 @@ from .core import (
     is_unique_winner,  # unused here; bench/tracing.py names it
     score_vector,
 )
-from .metrics import ball, precedence_reach, rank_reach
+from .metrics import FOOTRULE, ball, precedence_reach, rank_reach
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
 
 
@@ -142,7 +142,7 @@ class _Search:
         else:
             raise ValueError(f"unknown rule tag {rule.tag!r}")
 
-        shapes = {}  # radius -> _shape(...)
+        shapes = {}  # radius, even under footrule -> _shape(...)
         best_c, worst, ahead = [], [], []
         self.options: list[list[list]] = []
         # Options that cost nothing: the voter's own order, or every order
@@ -150,11 +150,14 @@ class _Search:
         self.unbribed: list[list[list]] = []
         for i, pref in enumerate(instance.profile.prefs):
             radius = instance.deltas[i]
-            if radius not in shapes:
-                shapes[radius] = _shape(
-                    instance.metric, m, radius, limits.max_ball, class_key
+            # Footrule distances are even, so radii 2j and 2j + 1 give
+            # one ball.
+            key = radius - radius % 2 if instance.metric == FOOTRULE else radius
+            if key not in shapes:
+                shapes[key] = _shape(
+                    instance.metric, m, key, limits.max_ball, class_key
                 )
-            free, priced = shapes[radius]
+            free, priced = shapes[key]
             o = pref.order
             price = instance.prices[i]
             reps = _relabel(priced if price else free, o)

@@ -16,11 +16,23 @@ the guesses run only over what cheap counts of the profile leave open,
 and a cost-0 guess ends the loop.  The two max-displacement solvers share
 one flow with demands, in which the target competes for top-k slots like
 every other alternative.
+
+Before its network is built, each guess passes a count screen: a
+node-balance condition that every feasible flow within budget meets.  A
+rival over its cap must lose the excess through distinct voters able to
+take a point from it, whose least total price fits the budget
+(`_sheds_fit`: toggles at small radius, moved first places under
+plurality, new vetoes under veto); under max displacement the target's
+demand must fit the preferences whose window holds it (`_window_fits`).
+A screen drops only guesses whose flow is infeasible or over budget, so
+`_cheapest` sees the same successful guesses in the same order as a full
+scan, and returns the same witness.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Iterator
+from itertools import accumulate
 
 from .core import (
     KAPPROVAL,
@@ -129,6 +141,31 @@ def _affordable(prices: Iterable[int], budget: int) -> int:
     return count
 
 
+def _shed_spends(
+    m: int, sheds: Iterable[tuple[int, int, int]]
+) -> list[list[int]]:
+    """From (alternative, price, voters) triples, one list per alternative
+    y whose entry j is the least total price of j distinct voters able to
+    take a point from y."""
+    prices: list[list[int]] = [[] for _ in range(m)]
+    for y, price, count in sheds:
+        prices[y] += [price] * count
+    return [list(accumulate(sorted(p), initial=0)) for p in prices]
+
+
+def _sheds_fit(spends: list[list[int]], needs: Iterable[int], budget: int) -> bool:
+    """Whether each alternative y can lose `needs[y]` points through
+    distinct voters of `spends[y]` (see `_shed_spends`) within `budget`.
+    No voter serves two alternatives, so the least totals add up."""
+    total = 0
+    for spend, need in zip(spends, needs):
+        if need > 0:
+            if need >= len(spend):
+                return False
+            total += spend[need]
+    return total <= budget
+
+
 def _cheapest(attempts: Iterable[tuple | None]) -> tuple | None:
     """The first attempt of least cost, skipping None.
 
@@ -232,7 +269,7 @@ def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     if instance.rule.tag != PLURALITY:
         raise UnsupportedParameters("solve_plurality requires the plurality rule")
     profile, c = instance.profile, instance.target
-    n = instance.n
+    n, m = instance.n, instance.m
     q_voters = [i for i in range(n) if profile.prefs[i].order[0] != c]
     s_c = n - len(q_voters)
     if not q_voters:
@@ -244,10 +281,24 @@ def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
          for _ in members),
         instance.budget,
     )
+    # A rival keeps at most guess - 1 of its first places, so it loses the
+    # rest through voters that can lift another alternative, paid for.  The
+    # target holds none of these voters' first places.
+    top = [0] * m
+    for (current, _, _), members in classes:
+        top[current] += len(members)
+    spends = _shed_spends(m, (
+        (current, price, len(members))
+        for (current, reach, price), members in classes if len(reach) > 1
+    ))
+    guesses = (
+        guess for guess in range(max(s_c, 1), s_c + can_gain + 1)
+        if _sheds_fit(spends, [t - guess + 1 for t in top], instance.budget)
+    )
     witness = _one_choice_solve(
         instance,
         classes,
-        range(max(s_c, 1), s_c + can_gain + 1),
+        guesses,
         lambda guess, a: (
             (guess - s_c, guess - s_c) if a == c else (0, guess - 1)
         ),
@@ -272,10 +323,26 @@ def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
         (price for _, reach, price in vetoing_c if reach != (c,)),
         instance.budget,
     )
+    vetoes = [0] * m
+    for (current, _, _), members in classes:
+        vetoes[current] += len(members)
+
+    def fits(guess: int) -> bool:
+        # Each veto a rival lacks is a distinct voter that can veto it
+        # instead of what it vetoes now, paid for.
+        short = {y for y in range(m) if y != c and vetoes[y] <= guess}
+        spends = _shed_spends(1, (
+            (0, price, len(members))
+            for (current, reach, price), members in classes
+            if any(a in short for a in reach if a != current)
+        ))
+        need = sum(guess + 1 - vetoes[y] for y in short)
+        return _sheds_fit(spends, [need], instance.budget)
+
     witness = _one_choice_solve(
         instance,
         classes,
-        range(forced, n // (m - 1)),
+        filter(fits, range(forced, n // (m - 1))),
         lambda guess, a: (0, guess) if a == c else (guess + 1, n),
         _move_to_back,
     )
@@ -327,6 +394,14 @@ def _toggle_classes(instance: BriberyInstance, k: int) -> list[VoterClass]:
     )
 
 
+def _toggle_spends(m: int, toggles: list[VoterClass]) -> list[list[int]]:
+    """`_shed_spends` of the toggle classes: a toggling voter takes a point
+    from its boundary loser only."""
+    return _shed_spends(m, (
+        (out, price, len(members)) for (out, _, price), members in toggles
+    ))
+
+
 def _target_gain(instance: BriberyInstance, toggles: list[VoterClass]) -> int:
     """How many toggles raising the target at the boundary the budget pays
     for."""
@@ -341,6 +416,7 @@ def _boundary_toggle_solve(
     instance: BriberyInstance,
     s0: list[int],
     toggles: list[VoterClass],
+    spends: list[list[int]],
     c_floor: int,
     rival_cap: int,
 ) -> tuple[int, list[int]] | None:
@@ -355,9 +431,17 @@ def _boundary_toggle_solve(
     exact final level-k score demanded for the target and `rival_cap` the
     maximum allowed final score of every rival.  Returns (cost, toggled
     voters) for the cheapest feasible selection, or None.
+
+    Every rival over the cap must shed the excess through toggles whose
+    boundary loser it is, one point per voter; when the cheapest such
+    toggles (`spends`, from `_toggle_spends`) overrun the budget, no
+    network is built.
     """
     c = instance.target
     n, m = instance.n, instance.m
+    excess = [0 if y == c else s - rival_cap for y, s in enumerate(s0)]
+    if not _sheds_fit(spends, excess, instance.budget):
+        return None
     # Nodes: 0 = super source, 1 = super sink, 2..m+1 = alternatives.
     net = FlowNetwork(2 + m, 0, 1)
     toggle_edges = [
@@ -398,11 +482,12 @@ def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     k, c = instance.rule.k, instance.target
     s0 = positional_scores(instance.profile, approval_vector(instance.m, k))
     toggles = _toggle_classes(instance, k)
+    spends = _toggle_spends(instance.m, toggles)
     # The target can only gain at the boundary, and a final score of 0
     # leaves rivals no room at all.
     guesses = range(max(s0[c], 1), s0[c] + _target_gain(instance, toggles) + 1)
     best = _cheapest(
-        _boundary_toggle_solve(instance, s0, toggles, guess, guess - 1)
+        _boundary_toggle_solve(instance, s0, toggles, spends, guess, guess - 1)
         for guess in guesses
     )
     witness = None if best is None else _apply_toggles(instance.profile, k, best[1])
@@ -429,10 +514,11 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
         for level in range(1, m):
             s0 = positional_scores(instance.profile, approval_vector(m, level))
             toggles = _toggle_classes(instance, level)
+            spends = _toggle_spends(m, toggles)
             top = s0[c] + _target_gain(instance, toggles)
             for count in range(max(majority, s0[c]), top + 1):
                 got = _boundary_toggle_solve(
-                    instance, s0, toggles, count, majority - 1
+                    instance, s0, toggles, spends, count, majority - 1
                 )
                 yield None if got is None else (*got, level)
 
@@ -523,6 +609,8 @@ def _windowed_maxdisp_solve(
             ell[a] += 1
     if any(rival_cap < ell[y] for y in range(m) if y != c):
         return None
+    if not _window_fits(prefs, c, stuck, k + delta, c_floor - ell[c]):
+        return None
 
     classes = _voter_classes(
         range(n), lambda i: tuple(sorted(prefs[i].order[stuck : k + delta]))
@@ -551,6 +639,15 @@ def _windowed_maxdisp_solve(
         _assemble_maxdisp_pref(pref, [*pref.order[:stuck], *picked[i]])
         for i, pref in enumerate(prefs)
     ))
+
+
+def _window_fits(
+    prefs: Iterable[Preference], c: int, start: int, end: int, need: int
+) -> bool:
+    """Whether at least `need` preferences hold `c` in their window
+    `order[start:end]`: the target enters the top k at most once per such
+    preference."""
+    return need <= sum(c in pref.order[start:end] for pref in prefs)
 
 
 def _assemble_maxdisp_pref(pref: Preference, top_set: list[int]) -> Preference:

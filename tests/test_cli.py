@@ -245,6 +245,25 @@ def test_dump_flow(plurality_path, capsys):
     assert "edge 0 " in out
 
 
+def test_dump_flow_prints_no_network_when_every_guess_is_screened(
+    tmp_path, capsys
+):
+    # Rival a holds every voter's first two places and no toggle demotes
+    # it, so the count screen drops every guess before its network.
+    p = tmp_path / "stuck.elb"
+    p.write_text(
+        "rule: sbucklin\nmetric: swap\nalternatives: a b c d\ntarget: c\n"
+        "budget: 3\n"
+        + "voter: delta=1 price=1 : a > b > c > d\n" * 3
+    )
+    code, out, _ = run(capsys, "dump-flow", "--instance", str(p))
+    assert code == 0
+    assert "network" not in out
+    assert run(capsys, "solve", "--instance", str(p))[:2] == (
+        1, "decision: NO\n"
+    )
+
+
 def test_dump_flow_refuses_hard_cell(borda_path, capsys):
     code, _, err = run(capsys, "dump-flow", "--instance", borda_path)
     assert code == 2

@@ -15,6 +15,7 @@ from localbribery.core import (
     is_unique_winner,
     sbucklin_scores,
 )
+from localbribery import oracle
 from localbribery.metrics import METRICS, ball
 from localbribery.oracle import (
     OracleBudget,
@@ -247,6 +248,39 @@ def test_node_limit_raises():
         solve_exhaustive(
             inst, OracleBudget(max_nodes=50, max_ball=10**5, time_limit_s=60)
         )
+
+
+@pytest.mark.parametrize("rule", [VotingRule("borda"), VotingRule("maximin")],
+                         ids=lambda r: r.tag)
+def test_footrule_radii_of_one_ball_share_a_shape(rule, monkeypatch):
+    # Footrule distances are even, so radii 2 and 3 give one ball and the
+    # search must enumerate it once; the answer is the brute force's.
+    calls = []
+    real_shape = oracle._shape
+
+    def counting_shape(*args):
+        calls.append(args)
+        return real_shape(*args)
+
+    monkeypatch.setattr(oracle, "_shape", counting_shape)
+    rng = random.Random(23)
+    for t in range(12):
+        m, n = rng.randint(3, 4), rng.randint(2, 3)
+        profile = make_profile([rng.sample(range(m), m) for _ in range(n)])
+        deltas = (2, 3) + tuple(rng.choice((2, 3)) for _ in range(n - 2))
+        prices = tuple(rng.choice((0, 1, 2)) for _ in range(n))
+        inst = BriberyInstance(
+            profile, rng.randrange(m), deltas, prices, rng.randint(0, 3),
+            rule, "footrule",
+        )
+        calls.clear()
+        out = solve_exhaustive(inst)
+        assert len(calls) == 1
+        got = (
+            (out.total_price, tuple(p.order for p in out.witness.prefs))
+            if out.decision else None
+        )
+        assert got == _brute_force(inst)
 
 
 def test_ball_limit_raises():

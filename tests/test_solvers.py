@@ -2,14 +2,16 @@
 
 The full acceptance sweeps live in test_acceptance.py; these are quicker
 spot checks, a sweep over profiles whose voters share types, the shape and
-determinism of the class-compressed networks, plus domain-boundary
-behavior.
+determinism of the class-compressed networks, the soundness of the count
+screens that drop guesses before their networks are built, plus
+domain-boundary behavior.
 """
 
 import random
 
 import pytest
 
+from localbribery import solvers
 from localbribery.core import VotingRule
 from localbribery.flow import capture_networks
 from localbribery.metrics import FOOTRULE, MAXDISP, METRICS, SWAP
@@ -295,6 +297,116 @@ def test_plurality_cost_zero_guess_builds_one_network():
         got = solve_plurality(inst)
     assert got.decision and got.total_price == 0 and not got.bribed
     assert len(nets) == 1
+
+
+SCREENS = ("_sheds_fit", "_window_fits")
+
+
+def unscreened(monkeypatch):
+    """Let every guess through its screen, and pair each screen's own
+    verdict with the flow result of the guess it judged."""
+    verdicts = []
+    for name in SCREENS:
+        def let_through(*args, real=getattr(solvers, name)):
+            verdicts.append([real(*args), None])
+            return True
+
+        monkeypatch.setattr(solvers, name, let_through)
+    real_flow = solvers.min_cost_flow_with_demands
+
+    def flow(net, value):
+        res = real_flow(net, value)
+        assert verdicts and verdicts[-1][1] is None  # one flow per guess
+        verdicts[-1][1] = res
+        return res
+
+    monkeypatch.setattr(solvers, "min_cost_flow_with_demands", flow)
+    return verdicts
+
+
+def screened_instance(rng, rule, metric, radii, unpriced):
+    """Up to 60 voters of up to four types, so guesses span wide ranges;
+    zero, middling and generous budgets."""
+    m = rng.randint(max(3, (rule.k or 0) + 1), 6)
+    n = rng.randint(1, 60)
+    types = [rng.sample(range(m), m) for _ in range(rng.randint(1, 4))]
+    orders = [rng.choice(types) for _ in range(n)]
+    if unpriced:
+        deltas, prices, budget = (rng.choice(radii),) * n, (0,) * n, 0
+    else:
+        deltas = tuple(rng.choice(radii) for _ in range(n))
+        prices = tuple(rng.choice(rng.choice(((0, 1), (1, 2, 3))))
+                       for _ in range(n))
+        budget = rng.choice((0, rng.randint(1, n), 3 * n))
+    return BriberyInstance(
+        make_profile(orders), rng.randrange(m), deltas, prices, budget, rule,
+        metric,
+    )
+
+
+GUESS_LOOPS = {
+    "plurality": ([solve_plurality], VotingRule("plurality"), METRICS,
+                  (0, 1, 2, 3)),
+    "veto": ([solve_veto], VotingRule("veto"), METRICS, (0, 1, 2, 3)),
+    "kapproval_small_radius": ([solve_kapproval_small_radius],
+                               VotingRule("kapproval", k=2), METRICS, None),
+    "sbucklin_small_radius": ([solve_sbucklin_small_radius],
+                              VotingRule("sbucklin"), METRICS, None),
+    "windowed": ([solve_kapproval_maxdisp, solve_sbucklin_maxdisp], None,
+                 (MAXDISP,), (0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("loop", GUESS_LOOPS)
+def test_screens_drop_only_failing_guesses(loop, monkeypatch):
+    # Every guess a screen rejects is solved anyway: its flow must be
+    # infeasible or over budget, and the full scan must give the screened
+    # answer, witness included.
+    fns, rule, metrics, radii = GUESS_LOOPS[loop]
+    rng = random.Random(f"screens-{loop}")
+    rejected = 0
+    for t in range(150):
+        metric = metrics[t % len(metrics)]
+        solver = fns[t % len(fns)]
+        windowed = rule is None
+        inst = screened_instance(
+            rng,
+            rule or (VotingRule("kapproval", k=rng.randint(1, 3))
+                     if solver is solve_kapproval_maxdisp
+                     else VotingRule("sbucklin")),
+            metric,
+            radii or SMALL_RADII[metric],
+            unpriced=windowed or t % 4 == 0,
+        )
+        screened = solver(inst)
+        with monkeypatch.context() as patch:
+            verdicts = unscreened(patch)
+            full = solver(inst)
+        assert (full.decision, full.total_price, full.witness) == (
+            screened.decision, screened.total_price, screened.witness
+        ), inst
+        for passed, res in verdicts:
+            if not passed:
+                assert not res.feasible or res.total_cost > inst.budget, inst
+                rejected += 1
+    assert rejected > 20
+
+
+def test_sbucklin_screen_builds_no_network_for_a_stuck_majority():
+    # Three voters a > b > c > d, each free to swap one pair.  At level 2
+    # the target c could enter every voter's top two, but a sits there in
+    # all three and no toggle at that boundary demotes it; at level 3 no
+    # toggle is open at all and a and b stay over half.  Without the screen
+    # each level's count guesses built a network (three in all).
+    orders = [(0, 1, 2, 3)] * 3
+    inst = BriberyInstance(
+        make_profile(orders), 2, (1, 1, 1), (0, 1, 1), 3,
+        VotingRule("sbucklin"), SWAP,
+    )
+    with capture_networks() as nets:
+        got = solve_sbucklin_small_radius(inst)
+    assert not got.decision
+    assert nets == []
 
 
 def test_top_window_values():
