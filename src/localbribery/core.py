@@ -2,14 +2,22 @@
 
 Alternatives are identified by index everywhere; names only matter at the
 I/O boundary.  All types are immutable values and all operations are pure.
+
+Each rule is scored by one additive tally (`tally`): one voter's order
+contributes a flat list, and a decision maps the sum over n voters to the
+co-winner set.  `winners` sums a profile's tally and decides; the oracle
+carries the same partial sums down its search and decides each leaf with
+the same decision.  The level rules read their tally one level row at a
+time, so `winners` builds those rows cumulatively and never holds an m*m
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -75,13 +83,6 @@ class Preference:
     @property
     def m(self) -> int:
         return len(self.order)
-
-    def position(self, a: int) -> int:
-        """1-based rank of alternative a."""
-        try:
-            return self.order.index(a) + 1
-        except ValueError:
-            raise ValueError(f"unknown alternative index {a}") from None
 
 
 @dataclass(frozen=True)
@@ -176,9 +177,6 @@ class VotingRule:
         if self.tag == COPELAND and not 0 <= self.copeland_alpha <= 1:
             raise ValueError("copeland alpha must be in [0,1]")
 
-    def validate_for(self, m: int) -> None:
-        score_vector(self, m)
-
 
 def score_vector(rule: VotingRule, m: int) -> ScoreVector | None:
     """The positional score vector of ``rule`` over m alternatives, or None
@@ -215,89 +213,152 @@ def positional_scores(profile: Profile, alpha: ScoreVector) -> list[int]:
     return scores
 
 
+# -- one voter's contribution to a rule's tally ------------------------------
+
+
+def _scores_of(alpha: tuple[int, ...], m: int, q: tuple[int, ...]) -> list:
+    # [y] is the score q gives y.
+    d = [0] * m
+    for y, x in zip(q, alpha):
+        d[y] = x
+    return d
+
+
+def _levels_of(m: int, q: tuple[int, ...]) -> list[int]:
+    # Flat m*m: [k*m + y] is 1 iff y is within q's first k+1 places.
+    d = [0] * (m * m)
+    for pos, y in enumerate(q):
+        for k in range(pos, m):
+            d[k * m + y] = 1
+    return d
+
+
+def _margins_of(m: int, q: tuple[int, ...]) -> list[int]:
+    # Flat m*m: [x*m + y] is +1 if q ranks x above y, -1 if below.
+    d = [0] * (m * m)
+    for i, x in enumerate(q):
+        for y in q[i + 1:]:
+            d[x * m + y] = 1
+            d[y * m + x] = -1
+    return d
+
+
+# -- decisions on a summed tally ---------------------------------------------
+
+
+def _top(scores: list) -> set[int]:
+    """The alternatives with the greatest score."""
+    best = max(scores)
+    if scores.count(best) == 1:
+        return {scores.index(best)}
+    return {x for x, s in enumerate(scores) if s == best}
+
+
+def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
+    """Co-winners from the level rows of n voters: row k counts, for each
+    alternative, the voters that rank it within their first k+1 places.
+
+    Rows are read in order up to the first level at which some alternative
+    has a strict majority (count > n/2; every alternative has one at the
+    last level).  The simplified Bucklin winners are all alternatives with
+    a majority there, the Bucklin winners those with the most approvals
+    there."""
+    for row in rows:
+        most = max(row)
+        if 2 * most > n:
+            if bucklin:
+                return _top(row)
+            return {y for y, v in enumerate(row) if 2 * v > n}
+
+
+def _copeland_row(win_w: int, tie_w: int, row: list[int]) -> int:
+    return win_w * sum(map((0).__lt__, row)) + tie_w * row.count(0)
+
+
+def pair_row_score(rule: VotingRule):
+    """The score of x under maximin or Copeland, from row x of the margins
+    (flat [x*m + y]).  Maximin takes the row's minimum.  Copeland with
+    alpha = p/q takes q*wins + p*ties, which orders the scores exactly.
+
+    The row includes its diagonal, which changes no comparison.  A zero
+    there is one more Copeland tie in every row, and it lowers a row's
+    minimum only if every other entry is positive: x is then the Condorcet
+    winner, and every rival's minimum is negative.  The oracle's bound
+    tables hold n + 1 there, one more Copeland win in every row and never
+    a minimum."""
+    if rule.tag == MAXIMIN:
+        return min
+    if rule.tag == COPELAND:
+        a = rule.copeland_alpha
+        return partial(_copeland_row, a.denominator, a.numerator)
+    raise ValueError(f"unknown rule tag {rule.tag!r}")
+
+
+def tally(rule: VotingRule, n: int, m: int):
+    """The additive tally of `rule` over n voters and m alternatives, as
+    (contribution, decide).  `contribution(order)` is one voter's flat
+    list; `decide` maps the sum of n contributions to the co-winner set.
+
+    - positional rules: scores, [y];
+    - Bucklin and simplified Bucklin: top-(k+1) level counts, [k*m + y];
+    - maximin and Copeland: pairwise margins, [x*m + y].
+    """
+    alpha = score_vector(rule, m)
+    if alpha is not None:
+        return partial(_scores_of, alpha.alpha, m), _top
+    rows = [slice(x * m, (x + 1) * m) for x in range(m)]
+    if rule.tag in (SBUCKLIN, BUCKLIN):
+        decide = partial(_first_majority, n, rule.tag == BUCKLIN)
+        return (
+            partial(_levels_of, m),
+            lambda levels: decide(map(levels.__getitem__, rows)),
+        )
+    score = pair_row_score(rule)
+    return (
+        partial(_margins_of, m),
+        lambda margins: _top(list(map(score, map(margins.__getitem__, rows)))),
+    )
+
+
+def _summed(profile: Profile, contribution) -> list[int]:
+    """The sum of the contributions of a profile's orders."""
+    prefs = profile.prefs
+    total = contribution(prefs[0].order)
+    for pref in prefs[1:]:
+        total = list(map(add, total, contribution(pref.order)))
+    return total
+
+
+def _level_rows(profile: Profile):
+    """The level rows of a profile, built one level at a time, so a wide
+    profile never holds an m*m table.  Each row is the same list, updated
+    in place."""
+    counts = [0] * profile.m
+    for k in range(profile.m):
+        for pref in profile.prefs:
+            counts[pref.order[k]] += 1
+        yield counts
+
+
 def weighted_majority_graph(profile: Profile) -> WeightedMajorityGraph:
     m = profile.m
-    wins = [[0] * m for _ in range(m)]
-    for pref in profile.prefs:
-        for i, x in enumerate(pref.order):
-            for y in pref.order[i + 1:]:
-                wins[x][y] += 1
-    margins = tuple(
-        tuple(wins[x][y] - wins[y][x] for y in range(m)) for x in range(m)
+    margins = _summed(profile, partial(_margins_of, m))
+    return WeightedMajorityGraph(
+        tuple(tuple(margins[x * m:(x + 1) * m]) for x in range(m))
     )
-    return WeightedMajorityGraph(margins)
-
-
-def _top_counts(profile: Profile, level: int) -> list[int]:
-    """How many voters rank each alternative within the first `level` positions."""
-    counts = [0] * profile.m
-    for pref in profile.prefs:
-        for a in pref.order[:level]:
-            counts[a] += 1
-    return counts
-
-
-def sbucklin_scores(profile: Profile) -> list[int]:
-    """Per alternative, the least level at which it has a strict majority.
-
-    "More than half" is read literally: count > n/2.  Every alternative
-    reaches majority by level m, so the score is always defined.
-    """
-    n = profile.n
-    scores = [None] * profile.m
-    remaining = profile.m
-    counts = [0] * profile.m
-    for level in range(1, profile.m + 1):
-        for pref in profile.prefs:
-            counts[pref.order[level - 1]] += 1
-        for a in range(profile.m):
-            if scores[a] is None and 2 * counts[a] > n:
-                scores[a] = level
-                remaining -= 1
-        if remaining == 0:
-            break
-    return scores
-
-
-def _argmax_set(values: Sequence) -> set[int]:
-    best = max(values)
-    return {i for i, v in enumerate(values) if v == best}
 
 
 def winners(profile: Profile, rule: VotingRule) -> set[int]:
     """Co-winner set under the given rule; ties are never broken here."""
-    m = profile.m
-    alpha = score_vector(rule, m)
+    alpha = score_vector(rule, profile.m)
     if alpha is not None:
-        return _argmax_set(positional_scores(profile, alpha))
-    tag = rule.tag
-    if tag == MAXIMIN:
-        D = weighted_majority_graph(profile)
-        if m == 1:
-            return {0}
-        return _argmax_set(
-            [min(D[x, y] for y in range(m) if y != x) for x in range(m)]
+        return _top(positional_scores(profile, alpha))
+    if rule.tag in (SBUCKLIN, BUCKLIN):
+        return _first_majority(
+            profile.n, rule.tag == BUCKLIN, _level_rows(profile)
         )
-    if tag == COPELAND:
-        D = weighted_majority_graph(profile)
-        a = rule.copeland_alpha
-        scores = []
-        for x in range(m):
-            wins = sum(1 for y in range(m) if y != x and D[x, y] > 0)
-            ties = sum(1 for y in range(m) if y != x and D[x, y] == 0)
-            scores.append(wins + a * ties)
-        return _argmax_set(scores)
-    if tag == SBUCKLIN:
-        scores = sbucklin_scores(profile)
-        best = min(scores)
-        return {a for a in range(m) if scores[a] == best}
-    if tag == BUCKLIN:
-        scores = sbucklin_scores(profile)
-        k = min(scores)
-        counts = _top_counts(profile, k)
-        best = max(counts[a] for a in range(m) if scores[a] == k)
-        return {a for a in range(m) if scores[a] == k and counts[a] == best}
-    raise ValueError(f"unknown rule tag {tag!r}")
+    contribution, decide = tally(rule, profile.n, profile.m)
+    return decide(_summed(profile, contribution))
 
 
 def is_unique_winner(profile: Profile, rule: VotingRule, c: int) -> bool:

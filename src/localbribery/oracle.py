@@ -17,11 +17,12 @@ entered.
   voter's own order a class of its own when bribing costs.  Swapping a
   member for that representative keeps every score and the price and never
   raises the lexicographic order, so the optimum is unchanged.
-- **Carried leaf state.**  Each branch carries one additive vector:
-  positional scores, top-k level counts (Bucklin, simplified Bucklin) or
-  pairwise margins (maximin, Copeland).  Every option's contribution is
-  computed once, and the bounds and the leaf decision read the vector, so
-  no leaf builds a profile or runs a winner computation.
+- **Carried leaf state.**  Each branch carries the partial sum of the
+  rule's tally from `core.tally`: positional scores, top-(k+1) level
+  counts (Bucklin, simplified Bucklin) or pairwise margins (maximin,
+  Copeland).  Every option's contribution is computed once, the bounds
+  read the sum, and each leaf decides with core's decision, the one
+  `core.winners` uses, so no leaf builds a profile.
 - **Bounds.**  The per-voter tables come from closed forms in `metrics`:
   how far each alternative's rank can move, and which alternative can be
   put above which.  Summed over the remaining voters they give the
@@ -43,7 +44,6 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from operator import add, and_, itemgetter, methodcaller, sub
 
 from .core import (
@@ -54,7 +54,9 @@ from .core import (
     Preference,
     Profile,
     is_unique_winner,  # unused here; bench/tracing.py names it
+    pair_row_score,
     score_vector,
+    tally,
 )
 from .metrics import FOOTRULE, ball, precedence_reach, rank_reach
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
@@ -105,42 +107,26 @@ class _Search:
         self.rows = [slice(x * m, (x + 1) * m) for x in range(m)]
         self.rival_rows = self.rows[:c] + self.rows[c + 1:]
 
-        # Plain functions with their parameters bound, and the bound test
-        # as a plain function that takes the search: a bound method kept on
-        # the search would make it a reference cycle, which outlives the
-        # call until the cyclic collector runs.
+        # The rule's tally from core: plain functions with their parameters
+        # bound, and the bound test as a plain function that takes the
+        # search.  A bound method kept on the search would make it a
+        # reference cycle, which outlives the call until the cyclic
+        # collector runs.
         rule = instance.rule
+        self.contribution, self.decide = tally(rule, n, m)
+        self.goal = {c}
         self.alpha = score_vector(rule, m)
         self.level_rule = rule.tag in (SBUCKLIN, BUCKLIN)
         self.pair_rule = rule.tag in (MAXIMIN, COPELAND)
         class_key = None
         if self.alpha is not None:
-            class_key = self.contribution = partial(
-                _scores_of, self.alpha.alpha, m
-            )
-            self.wins = partial(_wins_positional, c)
+            class_key = self.contribution
             self.prune = _Search._prune_positional
         elif self.level_rule:
-            self.contribution = partial(_levels_of, m)
-            wins = _wins_bucklin if rule.tag == BUCKLIN else _wins_sbucklin
-            self.wins = partial(wins, n, m, c)
             self.prune = _Search._prune_level
-        elif rule.tag == MAXIMIN:
-            self.contribution = partial(_margins_of, m)
-            self.wins = partial(_wins_maximin, m, c)
-            self.row_score = min
-            self.prune = _Search._prune_pairs
-        elif rule.tag == COPELAND:
-            # alpha = p/q, so q*wins + p*ties orders the scores exactly.
-            a = rule.copeland_alpha
-            self.contribution = partial(_margins_of, m)
-            self.row_score = partial(
-                _copeland_row, a.denominator, a.numerator
-            )
-            self.wins = partial(_wins_copeland, self.rows, c, self.row_score)
-            self.prune = _Search._prune_pairs
         else:
-            raise ValueError(f"unknown rule tag {rule.tag!r}")
+            self.row_score = pair_row_score(rule)
+            self.prune = _Search._prune_pairs
 
         shapes = {}  # radius, even under footrule -> _shape(...)
         best_c, worst, ahead = [], [], []
@@ -305,7 +291,7 @@ class _Search:
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise ResourceExceeded("time")
         if depth == self.n:
-            if self.wins(state):
+            if self.decide(state) == self.goal:
                 self.best = (price, tuple(self.chosen))
                 self.cap = price - 1
             return
@@ -323,90 +309,6 @@ class _Search:
                 d = opt[2] = self.contribution(q)
             self.chosen[depth] = q
             self._rec(depth + 1, new_price, list(map(add, state, d)))
-
-
-# -- contributions of one chosen order to the carried state ----------------
-
-
-def _scores_of(alpha: tuple[int, ...], m: int, q: tuple[int, ...]) -> list:
-    d = [0] * m
-    for y, x in zip(q, alpha):
-        d[y] = x
-    return d
-
-
-def _levels_of(m: int, q: tuple[int, ...]) -> list[int]:
-    # Flat m*m: [k*m + y] is 1 iff y is within q's first k+1 places.
-    d = [0] * (m * m)
-    for pos, y in enumerate(q):
-        for k in range(pos, m):
-            d[k * m + y] = 1
-    return d
-
-
-def _margins_of(m: int, q: tuple[int, ...]) -> list[int]:
-    # Flat m*m: [x*m + y] is +1 if q ranks x above y, -1 if below.
-    d = [0] * (m * m)
-    for i, x in enumerate(q):
-        for y in q[i + 1:]:
-            d[x * m + y] = 1
-            d[y * m + x] = -1
-    return d
-
-
-# -- leaf decisions on the carried state, as `core.is_unique_winner` --------
-
-
-def _wins_positional(c: int, scores: list[int]) -> bool:
-    top = max(scores)
-    return scores[c] == top and scores.count(top) == 1
-
-
-def _target_level(n: int, m: int, c: int, counts: list[int]) -> int:
-    """The least 0-based level at which the target has a strict majority;
-    every alternative has one at level m-1."""
-    k = 0
-    while 2 * counts[k * m + c] <= n:
-        k += 1
-    return k
-
-
-def _wins_sbucklin(n: int, m: int, c: int, counts: list[int]) -> bool:
-    # Unique iff no rival also has a majority at the target's level.
-    row = _target_level(n, m, c, counts) * m
-    return all(2 * counts[row + y] <= n for y in range(m) if y != c)
-
-
-def _wins_bucklin(n: int, m: int, c: int, counts: list[int]) -> bool:
-    # Unique iff every rival has fewer approvals at the target's level, and
-    # none has a majority one level earlier.
-    k = _target_level(n, m, c, counts)
-    row = k * m
-    top = counts[row + c]
-    if any(counts[row + y] >= top for y in range(m) if y != c):
-        return False
-    prev = row - m
-    return k == 0 or all(2 * counts[prev + y] <= n for y in range(m))
-
-
-def _wins_maximin(m: int, c: int, margins: list[int]) -> bool:
-    def score(x):
-        row = margins[x * m:(x + 1) * m]
-        return min(row[:x] + row[x + 1:], default=0)
-
-    own = score(c)
-    return all(score(x) < own for x in range(m) if x != c)
-
-
-def _copeland_row(win_w: int, tie_w: int, row: list[int]) -> int:
-    # The diagonal counts as one more tie (a zero margin) or, in the bound
-    # tables, one more win in every row, which keeps every comparison.
-    return win_w * sum(map((0).__lt__, row)) + tie_w * row.count(0)
-
-
-def _wins_copeland(rows, c: int, row_score, margins: list[int]) -> bool:
-    scores = list(map(row_score, map(margins.__getitem__, rows)))
-    return _wins_positional(c, scores)
 
 
 def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):

@@ -1,10 +1,10 @@
-"""Bribery instances, outcomes, and the independent witness verifier."""
+"""Bribery instances, outcomes, and the witness verifier."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Profile, VotingRule, is_unique_winner
+from .core import Profile, VotingRule, is_unique_winner, score_vector
 from .metrics import METRICS, distance
 
 
@@ -30,7 +30,7 @@ class BriberyInstance:
             raise ValueError("target out of range")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        self.rule.validate_for(self.profile.m)
+        score_vector(self.rule, self.profile.m)
 
     @property
     def n(self) -> int:

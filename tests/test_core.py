@@ -1,6 +1,12 @@
-"""Winner determination for all eight rules on hand-computed profiles."""
+"""Winner determination for all eight rules: hand-computed profiles, and
+literal-definition references computed from full rankings.
+
+The verifier and the oracle share core's tally, so these references are
+where the winner computation is checked against code that shares none of
+it."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,11 +21,11 @@ from localbribery.core import (
     borda_vector,
     is_unique_winner,
     positional_scores,
-    sbucklin_scores,
     score_vector,
     weighted_majority_graph,
     winners,
 )
+from localbribery.problem import BriberyInstance
 from conftest import make_profile
 
 # a=0 b=1 c=2; plurality counts a:2 b:1; borda a:4 b:3 c:2.
@@ -47,6 +53,148 @@ def test_positional_scores_values():
     assert positional_scores(PROFILE, borda_vector(3)) == [4, 3, 2]
     assert positional_scores(PROFILE, approval_vector(3, 1)) == [2, 1, 0]
     assert positional_scores(PROFILE, approval_vector(3, 2)) == [2, 2, 2]
+
+
+# -- literal-definition references, from full rankings -----------------------
+
+
+def _prefer(profile, x, y):
+    """How many voters rank x above y."""
+    return sum(p.order.index(x) < p.order.index(y) for p in profile.prefs)
+
+
+def _approvals(profile, x, k):
+    """How many voters rank x within their first k places."""
+    return sum(p.order.index(x) < k for p in profile.prefs)
+
+
+def majority_levels(profile):
+    """Each alternative's Bucklin score: the least k such that more than
+    half of the voters rank it within their first k places, which is the
+    (n//2 + 1)-th best of its ranks."""
+    n = profile.n
+    return [
+        sorted(p.order.index(x) + 1 for p in profile.prefs)[n // 2]
+        for x in range(profile.m)
+    ]
+
+
+def _best(scores):
+    top = max(scores)
+    return {x for x, s in enumerate(scores) if s == top}
+
+
+def reference_winners(profile, rule):
+    """The co-winners of `rule`, each straight from its definition."""
+    m = profile.m
+    alpha = score_vector(rule, m)
+    if alpha is not None:
+        return _best(_dense_scores(profile, alpha))
+    others = [[y for y in range(m) if y != x] for x in range(m)]
+    if rule.tag == "maximin":
+        # The least number of voters that prefer x to any one rival.
+        return _best([
+            min((_prefer(profile, x, y) for y in others[x]), default=0)
+            for x in range(m)
+        ])
+    if rule.tag == "copeland":
+        # One point per rival beaten head to head, alpha per tie.
+        a = rule.copeland_alpha
+        scores = []
+        for x in range(m):
+            duels = [_prefer(profile, x, y) - _prefer(profile, y, x)
+                     for y in others[x]]
+            scores.append(sum(d > 0 for d in duels)
+                          + a * sum(d == 0 for d in duels))
+        return _best(scores)
+    levels = majority_levels(profile)
+    k = min(levels)
+    leaders = [x for x in range(m) if levels[x] == k]
+    if rule.tag == "sbucklin":
+        return set(leaders)
+    # Bucklin: among the leaders, those with the most approvals at level k.
+    counts = {x: _approvals(profile, x, k) for x in leaders}
+    return {x for x in leaders if counts[x] == max(counts.values())}
+
+
+def reference_tally(profile, rule):
+    """The summed flat tally of `rule`, from its definition: scores [y],
+    level counts [k*m + y] (voters ranking y within their first k+1
+    places) or margins [x*m + y]."""
+    m = profile.m
+    alpha = score_vector(rule, m)
+    if alpha is not None:
+        return _dense_scores(profile, alpha)
+    if rule.tag in ("bucklin", "sbucklin"):
+        return [_approvals(profile, y, k + 1)
+                for k in range(m) for y in range(m)]
+    return [_prefer(profile, x, y) - _prefer(profile, y, x)
+            for x in range(m) for y in range(m)]
+
+
+TALLY_RULES = [
+    VotingRule("maximin"),
+    VotingRule("bucklin"),
+    VotingRule("sbucklin"),
+] + [
+    VotingRule("copeland", copeland_alpha=Fraction(a))
+    for a in ("0", "1/3", "1/2", "1")
+]
+
+
+def rule_id(rule):
+    if rule.tag == "copeland":
+        return f"copeland-{rule.copeland_alpha}"
+    return rule.tag
+
+
+@pytest.mark.parametrize("rule", TALLY_RULES, ids=rule_id)
+def test_winners_equal_literal_reference(rule):
+    rng = random.Random(606)
+    shared_levels = ties = 0
+    for t in range(900):
+        m = 1 + t % 6
+        n = 1 + (t // 6) % 8  # odd and even electorates alike
+        # A small pool of orders makes ties and shared levels common.
+        pool = [rng.sample(range(m), m) for _ in range(rng.randint(3, 8))]
+        profile = make_profile([rng.choice(pool) for _ in range(n)])
+        want = reference_winners(profile, rule)
+        assert winners(profile, rule) == want, (rule, profile)
+        ties += len(want) > 1
+        levels = majority_levels(profile)
+        shared_levels += levels.count(min(levels)) > 1
+    assert ties > 50
+    assert shared_levels > 50  # ties at the winning level are covered
+
+
+def test_weighted_majority_graph_equals_reference():
+    rng = random.Random(607)
+    for t in range(60):
+        m, n = 1 + t % 6, 1 + t % 7
+        profile = make_profile([rng.sample(range(m), m) for _ in range(n)])
+        flat = reference_tally(profile, VotingRule("maximin"))
+        wmg = weighted_majority_graph(profile)
+        assert [wmg[x, y] for x in range(m) for y in range(m)] == flat
+
+
+@pytest.mark.parametrize("tag", ["bucklin", "sbucklin"])
+def test_level_rules_stay_sparse_on_wide_profiles(tag):
+    # A dense m*m level table at m = 2,000 is 4M entries, about 32 MB of
+    # pointers alone; the level rows are built one level at a time.
+    m = 2000
+    rng = random.Random(608)
+    profile = Profile(
+        AlternativeSet(tuple(f"a{i}" for i in range(m))),
+        tuple(Preference(tuple(rng.sample(range(m), m))) for _ in range(3)),
+    )
+    tracemalloc.start()
+    try:
+        won = winners(profile, VotingRule(tag))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert won == reference_winners(profile, VotingRule(tag))
+    assert peak < 2_000_000
 
 
 def _dense_scores(profile, alpha):
@@ -134,7 +282,7 @@ def test_one_alternative_is_undefined(tag):
     message = f"^{tag} needs at least 2 alternatives, got m=1$"
     for call in (
         lambda: score_vector(VotingRule(tag), 1),
-        lambda: VotingRule(tag).validate_for(1),
+        lambda: BriberyInstance(one, 0, (0,), (0,), 0, VotingRule(tag), "swap"),
         lambda: winners(one, VotingRule(tag)),
     ):
         with pytest.raises(ValueError, match=message):
@@ -169,12 +317,12 @@ def test_copeland_alpha():
 def test_sbucklin_and_bucklin():
     # n=3, strict majority = 2.  Top-1 counts: a:2 -> a reaches a strict
     # majority at level 1.
-    assert sbucklin_scores(PROFILE) == [1, 2, 2]
+    assert majority_levels(PROFILE) == [1, 2, 2]
     assert winners(PROFILE, VotingRule("sbucklin")) == {0}
     assert winners(PROFILE, VotingRule("bucklin")) == {0}
     # Even split: no strict majority at level 1; both reach it at level 2.
     even = make_profile([(0, 1), (1, 0)])
-    assert sbucklin_scores(even) == [2, 2]
+    assert majority_levels(even) == [2, 2]
     assert winners(even, VotingRule("sbucklin")) == {0, 1}
 
 
@@ -203,7 +351,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         VotingRule("copeland", copeland_alpha=Fraction(3, 2))
     with pytest.raises(ValueError):
-        VotingRule("kapproval", k=3).validate_for(3)
+        score_vector(VotingRule("kapproval", k=3), 3)
     with pytest.raises(ValueError):
         Profile(
             AlternativeSet(("a", "b")),

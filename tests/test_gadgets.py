@@ -142,13 +142,13 @@ def check_realization(target):
     half = target.spacing // 2
     near_core_count = [0] * m
     for p in profile.prefs:
-        positions = sorted(p.position(i) for i in range(ell))
+        positions = sorted(p.order.index(i) + 1 for i in range(ell))
         for lo, hi in zip(positions, positions[1:]):
             assert hi - lo > half
         # condition (iii) bookkeeping: fillers close to a core alternative
         core_pos = set(positions)
         for f in range(ell, m):
-            pf = p.position(f)
+            pf = p.order.index(f) + 1
             if any(abs(pf - cp) <= half for cp in core_pos):
                 near_core_count[f] += 1
     # condition (iii): each filler is near a core alternative in <= 1 pref

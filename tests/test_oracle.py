@@ -1,5 +1,6 @@
 """Exhaustive solver: invariances, monotonicity, pruning, limits."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from localbribery.core import (
     ScoreVector,
     VotingRule,
     is_unique_winner,
-    sbucklin_scores,
 )
 from localbribery import oracle
 from localbribery.metrics import METRICS, ball
@@ -25,6 +25,7 @@ from localbribery.oracle import (
 )
 from localbribery.problem import BriberyInstance, check_witness
 from conftest import make_profile, random_instance
+from test_core import majority_levels, reference_tally, reference_winners
 
 RULES = [
     VotingRule("plurality"),
@@ -319,10 +320,10 @@ def _brute_force_tables(search, inst):
         cmax = [0] * (n + 1)
         rmin = [[0] * m for _ in range(n + 1)]
         for i in range(n - 1, -1, -1):
-            cmax[i] = cmax[i + 1] + max(a[q.position(c) - 1] for q in balls[i])
+            cmax[i] = cmax[i + 1] + max(a[q.order.index(c)] for q in balls[i])
             for y in range(m):
                 rmin[i][y] = rmin[i + 1][y] + min(
-                    a[q.position(y) - 1] for q in balls[i]
+                    a[q.order.index(y)] for q in balls[i]
                 )
         tables["cmax_suffix"], tables["rmin_suffix"] = cmax, rmin
     if search.level_rule:
@@ -331,12 +332,12 @@ def _brute_force_tables(search, inst):
         for i in range(n - 1, -1, -1):
             for k in range(1, m + 1):
                 lvl_cmax[i][k - 1] = lvl_cmax[i + 1][k - 1] + max(
-                    int(q.position(c) <= k) for q in balls[i]
+                    int(q.order.index(c) < k) for q in balls[i]
                 )
                 for y in range(m):
                     at = (k - 1) * m + y
                     lvl_rmin[i][at] = lvl_rmin[i + 1][at] + min(
-                        int(q.position(y) <= k) for q in balls[i]
+                        int(q.order.index(y) < k) for q in balls[i]
                     )
         tables["lvl_cmax"], tables["lvl_rmin"] = lvl_cmax, lvl_rmin
     if search.pair_rule:
@@ -348,7 +349,7 @@ def _brute_force_tables(search, inst):
             for x in range(m):
                 for y in range(m):
                     signs = [
-                        1 if q.position(x) < q.position(y) else -1
+                        1 if q.order.index(x) < q.order.index(y) else -1
                         for q in balls[i]
                     ]
                     hi[i][x * m + y] = hi[i + 1][x * m + y] + max(signs)
@@ -419,7 +420,9 @@ LEAF_RULES = RULES + [
 )
 def test_carried_leaf_decision_equals_winner(rule):
     # The leaf decides on the sum of the chosen orders' contributions, never
-    # on a profile; it must agree with the winner computation everywhere.
+    # on a profile.  The verifier decides through the same core tally, so
+    # both the sum and the decision are checked against the literal
+    # definitions of tests/test_core.py.
     rng = random.Random(404)
     wins = shared_levels = 0
     for t in range(400):
@@ -431,6 +434,7 @@ def test_carried_leaf_decision_equals_winner(rule):
         profile = make_profile(
             [rng.sample(range(m), m) for _ in range(n)]
         )
+        want = reference_winners(profile, rule)
         for c in range(m):
             inst = BriberyInstance(
                 profile, c, (0,) * n, (0,) * n, 0, rule, "swap"
@@ -440,14 +444,61 @@ def test_carried_leaf_decision_equals_winner(rule):
             for p in profile.prefs:
                 d = search.contribution(p.order)
                 state = [a + b for a, b in zip(state, d)]
-            want = is_unique_winner(profile, rule, c)
-            assert search.wins(state) == want
-            wins += want
-        levels = sbucklin_scores(profile)
+            assert state == reference_tally(profile, rule)
+            assert search.decide(state) == want
+            wins += want == {c}
+        levels = majority_levels(profile)
         shared_levels += levels.count(min(levels)) > 1
     assert wins > 50
     if search.level_rule:
         assert shared_levels > 50  # ties at the winning level are covered
+
+
+# Every rule but Bucklin, whose level prune is known to cut winning
+# branches (BUCKLIN_PRUNE_UNSOUND above), so its outcomes are due to change
+# when the prune is made sound.
+DIGEST_RULES = [
+    VotingRule("plurality"),
+    VotingRule("veto"),
+    VotingRule("kapproval", k=2),
+    VotingRule("borda"),
+    VotingRule("maximin"),
+    VotingRule("sbucklin"),
+    VotingRule("positional", alpha=ScoreVector((5, 3, 3, 1, 0))),
+] + [
+    VotingRule("copeland", copeland_alpha=Fraction(a))
+    for a in ("0", "1/3", "1/2", "1")
+]
+# sha256 of the (decision, cost, witness orders) lines of the searches
+# below.  It was recorded with the oracle's own leaf deciders, before the
+# leaves shared core's tally, so it does not come from the code it checks.
+ORACLE_DIGEST = (
+    "c3b33bf281f329b20a618458352897a5212eea39a7e9f0a188275d3b395fad9a"
+)
+
+
+def test_oracle_outcomes_match_golden_digest():
+    rng = random.Random(505)
+    digest = hashlib.sha256()
+    searches = yes = 0
+    for rule in DIGEST_RULES:
+        for metric in METRICS:
+            for _ in range(9):
+                inst = random_instance(
+                    rng, rule, metric, m_range=(3, 6), n_range=(2, 5),
+                    delta_choices=(0, 1, 2, 3),
+                )
+                out = solve_exhaustive(inst)
+                orders = (
+                    tuple(p.order for p in out.witness.prefs)
+                    if out.decision else None
+                )
+                line = repr((out.decision, out.total_price, orders))
+                digest.update(line.encode() + b"\n")
+                searches += 1
+                yes += out.decision
+    assert searches == 297 and yes > 100
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 def test_cheapest_witness_minimal():
