@@ -15,10 +15,6 @@ import sys
 
 from . import flow
 from .core import (
-    KAPPROVAL,
-    PLURALITY,
-    SBUCKLIN,
-    VETO,
     AlternativeSet,
     Preference,
     Profile,
@@ -48,10 +44,7 @@ from .ioformat import (
 )
 from .metrics import (
     BallTooLarge,
-    FOOTRULE,
-    MAXDISP,
     METRICS,
-    SWAP,
     distance,
     iter_ball,
 )
@@ -59,6 +52,7 @@ from .oracle import OracleBudget, ResourceExceeded, solve_exhaustive
 from .problem import BriberyInstance, BriberyOutcome, check_witness
 from .solvers import (
     UnsupportedParameters,
+    route_poly_solver,
     solve_kapproval_maxdisp,
     solve_kapproval_small_radius,
     solve_plurality,
@@ -81,58 +75,26 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Solver routing: which (rule, metric, radius, pricing) cells are handled
-# polynomially.  Everything else needs explicit --oracle consent.
-# ---------------------------------------------------------------------------
-
-
-def route_poly_solver(instance: BriberyInstance):
-    """The polynomial solver for this instance, or None with a reason."""
-    tag = instance.rule.tag
-    if tag == PLURALITY:
-        return solve_plurality, None
-    if tag == VETO:
-        return solve_veto, None
-    if tag in (KAPPROVAL, SBUCKLIN):
-        small = (
-            solve_kapproval_small_radius
-            if tag == KAPPROVAL
-            else solve_sbucklin_small_radius
-        )
-        windowed = (
-            solve_kapproval_maxdisp if tag == KAPPROVAL else solve_sbucklin_maxdisp
-        )
-        if instance.metric == SWAP:
-            if all(d <= 1 for d in instance.deltas):
-                return small, None
-            return None, f"{tag} under swap is NP-complete for radius > 1"
-        if instance.metric == FOOTRULE:
-            if all(d <= 3 for d in instance.deltas):
-                return small, None
-            return None, f"{tag} under footrule is NP-complete for radius > 3"
-        if instance.metric == MAXDISP:
-            if instance.is_unpriced_uniform():
-                return windowed, None
-            if all(d <= 1 for d in instance.deltas):
-                return small, None
-            return None, (
-                f"priced {tag} under max-displacement is NP-complete for "
-                "radius > 1"
-            )
-    return None, f"{tag} under {instance.metric} is NP-complete"
-
-
-# ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
 
+def _routed(instance: BriberyInstance):
+    """`route_poly_solver`, with the solver looked up by name in this
+    module at call time, so that wrappers installed on this module's
+    bindings (bench/tracing.py) see the call."""
+    solver, reason = route_poly_solver(instance)
+    return (None if solver is None else globals()[solver.__name__]), reason
+
+
 def _read(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({e})")
 
 
 def _write(path: str, text: str) -> None:
@@ -383,7 +345,7 @@ def _run_oracle(instance: BriberyInstance, args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
-    solver, reason = route_poly_solver(instance)
+    solver, reason = _routed(instance)
     if solver is None:
         if args.oracle:
             return _run_oracle(instance, args)
@@ -469,7 +431,7 @@ def _cmd_realize_wmg(args) -> int:
 
 def _cmd_dump_flow(args) -> int:
     instance = _load_instance(args.instance)
-    solver, reason = route_poly_solver(instance)
+    solver, reason = _routed(instance)
     if solver is None:
         raise CliError(f"{reason}; no flow network to dump")
     with flow.capture_networks() as nets:

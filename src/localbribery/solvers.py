@@ -3,30 +3,38 @@
 Covers: plurality and veto with prices under all three metrics,
 k-approval and simplified Bucklin with prices at small radius, and the
 unpriced uniform-radius max-displacement algorithms for k-approval and
-simplified Bucklin.  Every YES passes through the independent witness
-verifier before being returned.
+simplified Bucklin.  `route_poly_solver` picks an instance's solver, and
+the solvers guard their domain through the same `_refusal`.  Every YES
+passes through the independent witness verifier before being returned.
 
-Voters that a network cannot tell apart form one class, and each class
-gets one node or one capacitated edge, so network size follows the number
-of voter types rather than the number of voters.  A class's flow is dealt
-back to its voters in index order, which keeps witnesses deterministic.
-Each solver guesses a score (and for simplified Bucklin a level), solves
-one flow per guess, and keeps the cheapest witness through `_cheapest`;
-the guesses run only over what cheap counts of the profile leave open,
-and a cost-0 guess ends the loop.  The two max-displacement solvers share
-one flow with demands, in which the target competes for top-k slots like
+Plurality, veto and the two small-radius solvers all choose, for each
+voter, which reachable alternative sits at the scoring end of its order:
+first place, last place, or position k.  They share one network,
+`_move_flow`, a circulation on the alternatives that carries only the
+moves.  Voters that the network cannot tell apart form one class, keyed
+(current, reach, price), so network size follows the number of voter
+types rather than the number of voters.  A class with one paid option is
+one edge; only a class with two or more gets a node.  Each alternative's
+loss and gain edges take its score from what it holds now into the bounds
+of the guess.  A class's flow is dealt back to its voters in index order,
+which keeps witnesses deterministic.  Each solver guesses a score (and for
+simplified Bucklin a level), solves one flow per guess, and keeps the
+cheapest witness through `_cheapest`; the guesses run only over what cheap
+counts of the profile leave open, and a cost-0 guess ends the loop.  The
+two max-displacement solvers share a windowed flow with demands, in which
+a voter fills several top-k slots and the target competes for them like
 every other alternative.
 
 Before its network is built, each guess passes a count screen: a
 node-balance condition that every feasible flow within budget meets.  A
 rival over its cap must lose the excess through distinct voters able to
 take a point from it, whose least total price fits the budget
-(`_sheds_fit`: toggles at small radius, moved first places under
-plurality, new vetoes under veto); under max displacement the target's
-demand must fit the preferences whose window holds it (`_window_fits`).
-A screen drops only guesses whose flow is infeasible or over budget, so
-`_cheapest` sees the same successful guesses in the same order as a full
-scan, and returns the same witness.
+(`_sheds_fit`: moves out of first place or position k, new vetoes under
+veto); under max displacement the target's demand must fit the
+preferences whose window holds it (`_window_fits`).  A screen drops only
+guesses whose flow is infeasible or over budget, so `_cheapest` sees the
+same successful guesses in the same order as a full scan, and returns the
+same witness.
 """
 
 from __future__ import annotations
@@ -55,10 +63,61 @@ from .problem import BriberyInstance, BriberyOutcome, verified_yes
 
 # A class of interchangeable voters: its key and its voters in index order.
 VoterClass = tuple[Hashable, list[int]]
+# A voter and the alternative it moves to the scoring end of its order.
+Move = tuple[int, int]
+
+# The largest radius at which every voter's ball changes k-approval and
+# simplified Bucklin scores by at most one adjacent exchange: footrule
+# distances are even, and footrule radius 2 or 3 buys exactly one.
+SMALL_RADIUS = {SWAP: 1, MAXDISP: 1, FOOTRULE: 3}
 
 
 class UnsupportedParameters(Exception):
     """The instance falls outside this solver's polynomial domain."""
+
+
+def _refusal(instance: BriberyInstance, windowed: bool) -> str | None:
+    """Why the k-approval and simplified Bucklin solvers of one kind cannot
+    take `instance`, or None when they can.
+
+    The windowed solvers need unpriced, uniform-radius max displacement;
+    the small-radius ones need every radius within `SMALL_RADIUS`.
+    """
+    metric, tag = instance.metric, instance.rule.tag
+    if windowed:
+        if metric == MAXDISP and instance.is_unpriced_uniform():
+            return None
+        return "the windowed solvers need unpriced uniform-radius max-displacement"
+    limit = SMALL_RADIUS[metric]
+    if all(d <= limit for d in instance.deltas):
+        return None
+    cell = "priced {} under max-displacement" if metric == MAXDISP else "{} under {}"
+    return f"{cell.format(tag, metric)} is NP-complete for radius > {limit}"
+
+
+def _check_domain(instance: BriberyInstance, windowed: bool) -> None:
+    reason = _refusal(instance, windowed)
+    if reason is not None:
+        raise UnsupportedParameters(reason)
+
+
+def route_poly_solver(instance: BriberyInstance):
+    """The polynomial solver for this instance, or None with a reason.
+    Unpriced uniform-radius max displacement goes to the windowed solvers,
+    even at small radius."""
+    tag = instance.rule.tag
+    if tag in (PLURALITY, VETO):
+        return (solve_plurality if tag == PLURALITY else solve_veto), None
+    if tag not in (KAPPROVAL, SBUCKLIN):
+        return None, f"{tag} under {instance.metric} is NP-complete"
+    kapproval = tag == KAPPROVAL
+    if _refusal(instance, windowed=True) is None:
+        return (solve_kapproval_maxdisp if kapproval else solve_sbucklin_maxdisp), None
+    reason = _refusal(instance, windowed=False)
+    if reason is not None:
+        return None, reason
+    small = solve_kapproval_small_radius if kapproval else solve_sbucklin_small_radius
+    return small, None
 
 
 def top_window(delta: int, metric: str) -> int:
@@ -72,29 +131,6 @@ def top_window(delta: int, metric: str) -> int:
     if metric == FOOTRULE:
         return delta // 2 + 1
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def top_reachable(pref: Preference, delta: int, metric: str) -> set[int]:
-    return set(pref.order[: top_window(delta, metric)])
-
-
-def bottom_reachable(pref: Preference, delta: int, metric: str) -> set[int]:
-    w = top_window(delta, metric)
-    return set(pref.order[-w:])
-
-
-def _move_to_front(pref: Preference, a: int) -> Preference:
-    if pref.order[0] == a:
-        return pref
-    rest = [b for b in pref.order if b != a]
-    return Preference((a, *rest))
-
-
-def _move_to_back(pref: Preference, a: int) -> Preference:
-    if pref.order[-1] == a:
-        return pref
-    rest = [b for b in pref.order if b != a]
-    return Preference((*rest, a))
 
 
 def _voter_classes(
@@ -190,144 +226,206 @@ def _outcome(instance: BriberyInstance, witness: Profile | None) -> BriberyOutco
     return verified_yes(instance, witness)
 
 
-def _end_classes(
+def _move_to(profile: Profile, moves: Iterable[Move], pos: int) -> Profile:
+    """`profile` with each move's alternative taken to position `pos` of
+    its voter's order, the others keeping their order."""
+    prefs = list(profile.prefs)
+    for i, a in moves:
+        order = [b for b in prefs[i].order if b != a]
+        order.insert(pos, a)
+        prefs[i] = Preference.trusted(tuple(order))
+    return Profile(profile.alternatives, tuple(prefs))
+
+
+def _move_flow(
     instance: BriberyInstance,
-    voters: Iterable[int],
-    end: int,
-    reachable: Callable[[Preference, int, str], set[int]],
+    held: list[int],
+    classes: list[VoterClass],
+    bounds: list[tuple[int, int]],
+) -> tuple[int, list[Move]] | None:
+    """The cheapest moves that take every alternative's score at the
+    scoring end from `held` into `bounds`, within budget.
+
+    A class keyed (current, reach, price) moves up to one unit per voter
+    from `current` to an alternative of `reach` other than `current`, at
+    `price`: the alternative moved takes `current`'s place and its point.
+    Nodes are the super source 0, the super sink 1, the alternatives, and
+    one node per class with two or more paid options.  Alternative a's
+    gain edge a->1 and loss edge 0->a carry what it ends up with beyond
+    `held[a]` and short of it, bounded so that it ends within `bounds[a]`;
+    a closing edge 1->0 makes the flow a circulation.  Returns the cost and
+    the moves of the cheapest circulation, each class's moves on its
+    lowest-indexed voters, or None when none fits the budget.
+    """
+    m = instance.m
+    options = [
+        [a for a in reach if a != current] for (current, reach, _), _ in classes
+    ]
+    net = FlowNetwork(2 + m + sum(len(paid) > 1 for paid in options), 0, 1)
+    node = 2 + m
+    move_edges = []
+    for ((current, _, price), members), paid in zip(classes, options):
+        size = len(members)
+        via, cost = 2 + current, price
+        if len(paid) > 1:
+            net.add_edge(via, node, 0, size, price)
+            via, cost, node = node, 0, node + 1
+        move_edges.append(
+            [(net.add_edge(via, 2 + a, 0, size, cost), a) for a in paid]
+        )
+    for a, ((lo, hi), h) in enumerate(zip(bounds, held)):
+        if hi > h:
+            net.add_edge(2 + a, 1, max(0, lo - h), hi - h, 0)
+        if h > lo:
+            net.add_edge(0, 2 + a, max(0, h - hi), h - lo, 0)
+    net.add_edge(1, 0, 0, instance.n, 0)
+    res = min_cost_flow_with_demands(net, 0)
+    if not res.feasible or res.total_cost > instance.budget:
+        return None
+    return res.total_cost, list(_deal(classes, move_edges, res.edge_flow))
+
+
+def _end_classes(
+    instance: BriberyInstance, voters: Iterable[int], end: int
 ) -> list[VoterClass]:
-    """Voters keyed (alternative at position `end`, the sorted alternatives
-    `reachable` can bring there, price)."""
-    prefs = instance.profile.prefs
+    """Voters able to change what sits at position `end` (0 or -1), keyed
+    (alternative there now, the sorted alternatives that can reach it,
+    price)."""
+    prefs, prices = instance.profile.prefs, instance.prices
+    width = [top_window(d, instance.metric) for d in instance.deltas]
+
+    def key(i: int) -> Hashable:
+        order, w = prefs[i].order, width[i]
+        window = order[:w] if end == 0 else order[-w:]
+        return order[end], tuple(sorted(window)), prices[i]
+
+    return _voter_classes((i for i in voters if width[i] > 1), key)
+
+
+def _toggle_classes(instance: BriberyInstance, k: int) -> list[VoterClass]:
+    """Voters that may exchange positions k and k+1, keyed (the alternative
+    at k, the pair, price).  Voters whose exchange would demote the target
+    are left out: that is never useful."""
+    prefs, c = instance.profile.prefs, instance.target
+    togglable = (
+        i
+        for i in range(instance.n)
+        if top_window(instance.deltas[i], instance.metric) > 1
+        and prefs[i].order[k - 1] != c
+    )
     return _voter_classes(
-        voters,
-        lambda i: (
-            prefs[i].order[end],
-            tuple(sorted(reachable(prefs[i], instance.deltas[i], instance.metric))),
-            instance.prices[i],
-        ),
+        togglable,
+        lambda i: (prefs[i].order[k - 1], prefs[i].order[k - 1 : k + 1],
+                   instance.prices[i]),
     )
 
 
-def _one_choice_solve(
+def _boundary_toggle_solve(
     instance: BriberyInstance,
+    held: list[int],
     classes: list[VoterClass],
-    guesses: Iterable[int],
-    sink_bounds: Callable[[int, int], tuple[int, int]],
-    move: Callable[[Preference, int], Preference],
-) -> Profile | None:
-    """Shared body of the plurality and veto solvers.
+    spends: list[list[int]],
+    target: int,
+    rival_cap: int,
+) -> tuple[int, list[Move]] | None:
+    """One guess at boundary k, plurality being k = 1: the target ends
+    with exactly `target` of the top-k places that `held` counts now, and
+    every rival with at most `rival_cap`.
 
-    Every voter of `classes`, keyed (current, reachable, price), routes
-    one unit to the alternative it ends up with at the scoring end of its
-    order: `current` for free, any other reachable one at `price`.  For
-    each guess, `sink_bounds(guess, a)` bounds the units alternative `a`
-    may receive.  Returns the witness of the cheapest flow within budget,
-    the earliest guess winning ties, or None.
+    Small-radius k-approval and simplified Bucklin take this form because
+    at radius 1 the only change that moves level-k scores is exchanging
+    the alternatives at positions k and k+1; any other radius-1 change can
+    be dropped without raising cost or altering level-k scores.  Every
+    rival over the cap must shed the excess through moves out of its
+    place, one point per voter; when the cheapest such moves (`spends`)
+    overrun the budget, no network is built.
     """
-    profile, m = instance.profile, instance.m
-    units = sum(len(members) for _, members in classes)
-
-    def attempt(guess: int) -> tuple[int, list[int], list] | None:
-        # Nodes: 0 = source, 1 = sink, 2..m+1 = alternatives, then classes.
-        net = FlowNetwork(2 + m + len(classes), 0, 1)
-        choice_edges = []
-        for j, ((current, reach, price), members) in enumerate(classes):
-            u = 2 + m + j
-            size = len(members)
-            net.add_edge(0, u, 0, size, 0)
-            # Paid moves are dealt first, so a class's bribes fall on its
-            # lowest-indexed voters.
-            choice_edges.append([
-                (net.add_edge(u, 2 + a, 0, size, 0 if a == current else price), a)
-                for a in sorted(reach, key=lambda a: (a == current, a))
-            ])
-        for a in range(m):
-            lb, cap = sink_bounds(guess, a)
-            net.add_edge(2 + a, 1, lb, cap, 0)
-        res = min_cost_flow_with_demands(net, units)
-        if not res.feasible or res.total_cost > instance.budget:
-            return None
-        return res.total_cost, res.edge_flow, choice_edges
-
-    best = _cheapest(attempt(guess) for guess in guesses)
-    if best is None:
+    c = instance.target
+    excess = [0 if y == c else h - rival_cap for y, h in enumerate(held)]
+    if not _sheds_fit(spends, excess, instance.budget):
         return None
-    _, flows, choice_edges = best
-    prefs = list(profile.prefs)
-    for i, a in _deal(classes, choice_edges, flows):
-        prefs[i] = move(prefs[i], a)
-    return Profile(profile.alternatives, tuple(prefs))
+    bounds = [(0, rival_cap)] * instance.m
+    bounds[c] = (target, target)
+    return _move_flow(instance, held, classes, bounds)
+
+
+def _boundary_guesses(
+    instance: BriberyInstance,
+    k: int,
+    classes: list[VoterClass],
+    floor: int,
+    rival_cap: int | None = None,
+) -> Iterator[tuple[int, list[Move]] | None]:
+    """Lazily, `_boundary_toggle_solve` for every guess of the target's
+    final score at boundary k, from `floor` (or its score now, if higher)
+    up to what the budget can buy it.  Rivals are capped at `rival_cap`,
+    or one below the guess when it is None."""
+    c, m = instance.target, instance.m
+    held = positional_scores(instance.profile, approval_vector(m, k))
+    spends = _shed_spends(m, (
+        (current, price, len(members))
+        for (current, _, price), members in classes
+    ))
+    # The target gains only through voters that can bring it in, paid for.
+    gain = _affordable(
+        (price for (_, reach, price), members in classes if c in reach
+         for _ in members),
+        instance.budget,
+    )
+    for guess in range(max(floor, held[c]), held[c] + gain + 1):
+        cap = guess - 1 if rival_cap is None else rival_cap
+        yield _boundary_toggle_solve(instance, held, classes, spends, guess, cap)
+
+
+def _approval_solve(
+    instance: BriberyInstance, k: int, classes: list[VoterClass]
+) -> BriberyOutcome:
+    """Shared body of plurality (k = 1) and small-radius k-approval: guess
+    the target's final score, at least 1, cap every rival one below it."""
+    best = _cheapest(_boundary_guesses(instance, k, classes, 1))
+    return _outcome(
+        instance,
+        None if best is None else _move_to(instance.profile, best[1], k - 1),
+    )
 
 
 def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     """Guess the target's final plurality score, solve a min-cost flow.
 
-    One unit per voter not already ranking the target first; the unit picks
-    which alternative ends up at that voter's top.
+    A voter not ranking the target first may move any alternative of its
+    top window to the top; one ranking it first never moves, since that
+    could only cost the target a point.
     """
     if instance.rule.tag != PLURALITY:
         raise UnsupportedParameters("solve_plurality requires the plurality rule")
-    profile, c = instance.profile, instance.target
-    n, m = instance.n, instance.m
-    q_voters = [i for i in range(n) if profile.prefs[i].order[0] != c]
-    s_c = n - len(q_voters)
-    if not q_voters:
-        return _outcome(instance, profile)
-    classes = _end_classes(instance, q_voters, 0, top_reachable)
-    # Each point the target gains is a voter that can reach it, paid for.
-    can_gain = _affordable(
-        (price for (_, reach, price), members in classes if c in reach
-         for _ in members),
-        instance.budget,
+    c = instance.target
+    voters = (
+        i for i, pref in enumerate(instance.profile.prefs) if pref.order[0] != c
     )
-    # A rival keeps at most guess - 1 of its first places, so it loses the
-    # rest through voters that can lift another alternative, paid for.  The
-    # target holds none of these voters' first places.
-    top = [0] * m
-    for (current, _, _), members in classes:
-        top[current] += len(members)
-    spends = _shed_spends(m, (
-        (current, price, len(members))
-        for (current, reach, price), members in classes if len(reach) > 1
-    ))
-    guesses = (
-        guess for guess in range(max(s_c, 1), s_c + can_gain + 1)
-        if _sheds_fit(spends, [t - guess + 1 for t in top], instance.budget)
-    )
-    witness = _one_choice_solve(
-        instance,
-        classes,
-        guesses,
-        lambda guess, a: (
-            (guess - s_c, guess - s_c) if a == c else (0, guess - 1)
-        ),
-        _move_to_front,
-    )
-    return _outcome(instance, witness)
+    return _approval_solve(instance, 1, _end_classes(instance, voters, 0))
 
 
 def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
-    """Guess the target's final veto count; every voter routes one unit to
-    the alternative it ends up vetoing."""
+    """Guess the target's final veto count; a voter may move any
+    alternative of its bottom window to the last place."""
     if instance.rule.tag != VETO:
         raise UnsupportedParameters("solve_veto requires the veto rule")
     profile, c = instance.profile, instance.target
     n, m = instance.n, instance.m
-    classes = _end_classes(instance, range(n), -1, bottom_reachable)
-    # A voter vetoing the target keeps doing so unless it can veto another
-    # alternative and is paid to.  Every rival needs more vetoes than the
-    # target, so (m-1)(guess+1) <= n caps the guess.
-    vetoing_c = [key for key, members in classes if key[0] == c for _ in members]
-    forced = len(vetoing_c) - _affordable(
-        (price for _, reach, price in vetoing_c if reach != (c,)),
+    classes = _end_classes(instance, range(n), -1)
+    vetoes = [0] * m
+    for pref in profile.prefs:
+        vetoes[pref.order[-1]] += 1
+    # A voter vetoing the target keeps doing so unless it is paid to veto
+    # another alternative.  Every rival needs more vetoes than the target,
+    # so (m-1)(guess+1) <= n caps the guess.
+    forced = vetoes[c] - _affordable(
+        (price for (current, _, price), members in classes if current == c
+         for _ in members),
         instance.budget,
     )
-    vetoes = [0] * m
-    for (current, _, _), members in classes:
-        vetoes[current] += len(members)
 
-    def fits(guess: int) -> bool:
+    def attempt(guess: int) -> tuple[int, list[Move]] | None:
         # Each veto a rival lacks is a distinct voter that can veto it
         # instead of what it vetoes now, paid for.
         short = {y for y in range(m) if y != c and vetoes[y] <= guess}
@@ -337,161 +435,24 @@ def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
             if any(a in short for a in reach if a != current)
         ))
         need = sum(guess + 1 - vetoes[y] for y in short)
-        return _sheds_fit(spends, [need], instance.budget)
+        if not _sheds_fit(spends, [need], instance.budget):
+            return None
+        bounds = [(guess + 1, n)] * m
+        bounds[c] = (0, guess)
+        return _move_flow(instance, vetoes, classes, bounds)
 
-    witness = _one_choice_solve(
-        instance,
-        classes,
-        filter(fits, range(forced, n // (m - 1))),
-        lambda guess, a: (0, guess) if a == c else (guess + 1, n),
-        _move_to_back,
+    best = _cheapest(attempt(guess) for guess in range(forced, n // (m - 1)))
+    return _outcome(
+        instance, None if best is None else _move_to(profile, best[1], m - 1)
     )
-    return _outcome(instance, witness)
-
-
-def _toggle_radius(delta: int, metric: str) -> int:
-    """Effective swap radius for the small-radius solvers: 1 if the voter
-    may exchange one adjacent pair, else 0.
-
-    Footrule radius 2 or 3 buys exactly one adjacent exchange (the footrule
-    ball of radius 3 equals the swap ball of radius 1); radius 0 or 1 buys
-    nothing since footrule distances are even.
-    """
-    if metric in (SWAP, MAXDISP):
-        return min(delta, 1)
-    if metric == FOOTRULE:
-        return 1 if delta >= 2 else 0
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def _check_small_radius(instance: BriberyInstance) -> None:
-    if instance.metric in (SWAP, MAXDISP):
-        if any(d > 1 for d in instance.deltas):
-            raise UnsupportedParameters(
-                "small-radius solver needs delta <= 1 under swap/maxdisp"
-            )
-    else:
-        if any(d > 3 for d in instance.deltas):
-            raise UnsupportedParameters(
-                "small-radius solver needs delta <= 3 under footrule"
-            )
-
-
-def _toggle_classes(instance: BriberyInstance, k: int) -> list[VoterClass]:
-    """Voters that may exchange positions k and k+1, keyed (boundary
-    loser, boundary gainer, price).  Voters whose exchange would demote
-    the target are left out: that is never useful."""
-    prefs, c = instance.profile.prefs, instance.target
-    togglable = (
-        i
-        for i in range(instance.n)
-        if _toggle_radius(instance.deltas[i], instance.metric)
-        and prefs[i].order[k - 1] != c
-    )
-    return _voter_classes(
-        togglable,
-        lambda i: (prefs[i].order[k - 1], prefs[i].order[k], instance.prices[i]),
-    )
-
-
-def _toggle_spends(m: int, toggles: list[VoterClass]) -> list[list[int]]:
-    """`_shed_spends` of the toggle classes: a toggling voter takes a point
-    from its boundary loser only."""
-    return _shed_spends(m, (
-        (out, price, len(members)) for (out, _, price), members in toggles
-    ))
-
-
-def _target_gain(instance: BriberyInstance, toggles: list[VoterClass]) -> int:
-    """How many toggles raising the target at the boundary the budget pays
-    for."""
-    return _affordable(
-        (price for (_, into, price), members in toggles
-         if into == instance.target for _ in members),
-        instance.budget,
-    )
-
-
-def _boundary_toggle_solve(
-    instance: BriberyInstance,
-    s0: list[int],
-    toggles: list[VoterClass],
-    spends: list[list[int]],
-    c_floor: int,
-    rival_cap: int,
-) -> tuple[int, list[int]] | None:
-    """Shared core of the small-radius solvers.
-
-    At radius 1 the only change that moves k-approval (or level-k) scores is
-    exchanging the alternatives at positions k and k+1; any other radius-1
-    change can be dropped without raising cost or altering level-k scores.
-    Each toggle class (see `_toggle_classes`) becomes one edge moving up to
-    one point of score per voter from its boundary loser to its boundary
-    gainer.  `s0` holds the level-k scores before bribery, `c_floor` is the
-    exact final level-k score demanded for the target and `rival_cap` the
-    maximum allowed final score of every rival.  Returns (cost, toggled
-    voters) for the cheapest feasible selection, or None.
-
-    Every rival over the cap must shed the excess through toggles whose
-    boundary loser it is, one point per voter; when the cheapest such
-    toggles (`spends`, from `_toggle_spends`) overrun the budget, no
-    network is built.
-    """
-    c = instance.target
-    n, m = instance.n, instance.m
-    excess = [0 if y == c else s - rival_cap for y, s in enumerate(s0)]
-    if not _sheds_fit(spends, excess, instance.budget):
-        return None
-    # Nodes: 0 = super source, 1 = super sink, 2..m+1 = alternatives.
-    net = FlowNetwork(2 + m, 0, 1)
-    toggle_edges = [
-        [(net.add_edge(2 + out, 2 + into, 0, len(members), price), None)]
-        for (out, into, price), members in toggles
-    ]
-    need_c = c_floor - s0[c]
-    net.add_edge(2 + c, 1, need_c, need_c, 0)
-    for y in range(m):
-        if y == c:
-            continue
-        gain_room = max(0, rival_cap - s0[y])
-        forced_loss = max(0, s0[y] - rival_cap)
-        net.add_edge(2 + y, 1, 0, gain_room, 0)
-        net.add_edge(0, 2 + y, forced_loss, n, 0)
-    # Close the circulation so the super nodes conserve flow too.
-    net.add_edge(1, 0, 0, n * m + 1, 0)
-    res = min_cost_flow_with_demands(net, 0)
-    if not res.feasible or res.total_cost > instance.budget:
-        return None
-    toggled = [i for i, _ in _deal(toggles, toggle_edges, res.edge_flow)]
-    return res.total_cost, toggled
-
-
-def _apply_toggles(profile: Profile, k: int, voters: list[int]) -> Profile:
-    prefs = list(profile.prefs)
-    for i in voters:
-        order = list(prefs[i].order)
-        order[k - 1], order[k] = order[k], order[k - 1]
-        prefs[i] = Preference(tuple(order))
-    return Profile(profile.alternatives, tuple(prefs))
 
 
 def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     if instance.rule.tag != KAPPROVAL:
         raise UnsupportedParameters("this solver requires the k-approval rule")
-    _check_small_radius(instance)
-    k, c = instance.rule.k, instance.target
-    s0 = positional_scores(instance.profile, approval_vector(instance.m, k))
-    toggles = _toggle_classes(instance, k)
-    spends = _toggle_spends(instance.m, toggles)
-    # The target can only gain at the boundary, and a final score of 0
-    # leaves rivals no room at all.
-    guesses = range(max(s0[c], 1), s0[c] + _target_gain(instance, toggles) + 1)
-    best = _cheapest(
-        _boundary_toggle_solve(instance, s0, toggles, spends, guess, guess - 1)
-        for guess in guesses
-    )
-    witness = None if best is None else _apply_toggles(instance.profile, k, best[1])
-    return _outcome(instance, witness)
+    _check_domain(instance, windowed=False)
+    k = instance.rule.k
+    return _approval_solve(instance, k, _toggle_classes(instance, k))
 
 
 def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
@@ -499,8 +460,8 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     every rival stays at or below half."""
     if instance.rule.tag != SBUCKLIN:
         raise UnsupportedParameters("this solver requires simplified Bucklin")
-    _check_small_radius(instance)
-    n, m, c = instance.n, instance.m, instance.target
+    _check_domain(instance, windowed=False)
+    n, m = instance.n, instance.m
     if m == 1:
         return _outcome(instance, instance.profile)
     majority = n // 2 + 1
@@ -510,32 +471,19 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     # so capping rivals at the guessed level also covers all lower levels.
     # The target's exact final count is swept too, because a toggle that
     # raises the target also lowers the rival at the boundary.
-    def attempts() -> Iterator[tuple[int, list[int], int] | None]:
+    def attempts() -> Iterator[tuple[int, list[Move], int] | None]:
         for level in range(1, m):
-            s0 = positional_scores(instance.profile, approval_vector(m, level))
-            toggles = _toggle_classes(instance, level)
-            spends = _toggle_spends(m, toggles)
-            top = s0[c] + _target_gain(instance, toggles)
-            for count in range(max(majority, s0[c]), top + 1):
-                got = _boundary_toggle_solve(
-                    instance, s0, toggles, spends, count, majority - 1
-                )
+            for got in _boundary_guesses(
+                instance, level, _toggle_classes(instance, level), majority,
+                majority - 1,
+            ):
                 yield None if got is None else (*got, level)
 
     best = _cheapest(attempts())
-    witness = (
-        None if best is None else _apply_toggles(instance.profile, best[2], best[1])
+    return _outcome(
+        instance,
+        None if best is None else _move_to(instance.profile, best[1], best[2] - 1),
     )
-    return _outcome(instance, witness)
-
-
-def _check_unpriced_maxdisp(instance: BriberyInstance) -> None:
-    if instance.metric != MAXDISP:
-        raise UnsupportedParameters("this solver requires max-displacement")
-    if not instance.is_unpriced_uniform():
-        raise UnsupportedParameters(
-            "priced or non-uniform instances are outside this solver's domain"
-        )
 
 
 def solve_kapproval_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
@@ -548,7 +496,7 @@ def solve_kapproval_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
     """
     if instance.rule.tag != KAPPROVAL:
         raise UnsupportedParameters("this solver requires the k-approval rule")
-    _check_unpriced_maxdisp(instance)
+    _check_domain(instance, windowed=True)
     k, c, delta = instance.rule.k, instance.target, instance.deltas[0]
     reach = sum(1 for pref in instance.profile.prefs if c in pref.order[: k + delta])
     return _outcome(instance, _windowed_maxdisp_solve(instance, k, reach, reach - 1))
@@ -566,7 +514,7 @@ def solve_sbucklin_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
     """
     if instance.rule.tag != SBUCKLIN:
         raise UnsupportedParameters("this solver requires simplified Bucklin")
-    _check_unpriced_maxdisp(instance)
+    _check_domain(instance, windowed=True)
     n, m = instance.n, instance.m
     if m == 1:
         return _outcome(instance, instance.profile)

@@ -43,7 +43,6 @@ from localbribery.solvers import (
     solve_sbucklin_maxdisp,
     solve_sbucklin_small_radius,
     solve_veto,
-    top_reachable,
     top_window,
 )
 from localbribery.cli import route_poly_solver
@@ -148,7 +147,9 @@ def test_criterion_05_metric_suite():
                     reachable = {
                         q.order[0] for q in ball(start, metric, radius)
                     }
-                    assert reachable == top_reachable(start, radius, metric)
+                    assert reachable == set(
+                        start.order[: top_window(radius, metric)]
+                    )
                     assert len(reachable) == min(
                         m, top_window(radius, metric)
                     )

@@ -97,6 +97,27 @@ def test_parse_error_is_exit_2(tmp_path, capsys):
     assert "unknown rule" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--instance", "{bad}"),
+        ("winner", "--instance", "{bad}"),
+        ("verify", "--instance", "{plurality}", "--witness", "{bad}"),
+        ("gen-gadget", "--reduction", "kapp-swap", "--cnf", "{bad}"),
+        ("realize-wmg", "--target", "{bad}"),
+    ],
+    ids=["instance-solve", "instance-winner", "witness", "cnf", "wmg-target"],
+)
+def test_non_utf8_file_exit_2(tmp_path, plurality_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("voter: Zoë\n".encode("latin-1"))
+    paths = {"bad": str(bad), "plurality": plurality_path}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: not UTF-8 text")
+
+
 def test_distance_and_ball(capsys):
     code, out, _ = run(
         capsys, "distance", "--metric", "swap", "--p1", "a>b>c", "--p2", "c>b>a"
@@ -512,6 +533,19 @@ def test_routing_error_exit_4(plurality_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: internal routing error: ")
+
+
+def test_solve_calls_the_solver_bound_in_cli(plurality_path, capsys, monkeypatch):
+    # The bench's layer tracer wraps the solver names bound in cli, so the
+    # routed solver must be called through them.
+    calls = []
+    real = cli.solve_plurality
+    monkeypatch.setattr(
+        cli, "solve_plurality", lambda inst: calls.append(inst) or real(inst)
+    )
+    assert run(capsys, "solve", "--instance", plurality_path)[0] == 0
+    assert run(capsys, "dump-flow", "--instance", plurality_path)[0] == 0
+    assert len(calls) == 2
 
 
 def test_gen_gadget_determinism(tmp_path, cnf_path, capsys):

@@ -198,27 +198,102 @@ def test_shared_voter_types_match_exhaustive(
     assert agree_with_oracle(solver, insts) > 10
 
 
+def split_classes(inst, voters, end):
+    """How many classes of `voters`, keyed (alternative at position `end`,
+    its reach set, price), have two or more paid options: the classes that
+    get a node of their own in the move network."""
+    keys = set()
+    for i in voters:
+        order = inst.profile.prefs[i].order
+        w = top_window(inst.deltas[i], inst.metric)
+        if w > 2:
+            window = order[:w] if end == 0 else order[-w:]
+            keys.add((order[end], frozenset(window), inst.prices[i]))
+    return len(keys)
+
+
+def typed_instance(types, counts, rule, budget):
+    """Voters of a few (order, radius, price) types, interleaved."""
+    voters = [t for t, count in zip(types, counts) for _ in range(count)]
+    n = len(voters)
+    voters = [voters[(7 * i) % n] for i in range(n)]
+    return BriberyInstance(
+        make_profile([order for order, _, _ in voters]), 0,
+        tuple(d for _, d, _ in voters), tuple(p for _, _, p in voters),
+        budget, rule, SWAP,
+    )
+
+
 def test_plurality_networks_follow_voter_types():
     # 200 voters of three types: a, b, c, d scored 50, 80, 70, 0.  The
     # cheapest way for the target a to win lifts it in 21 of the b-first
     # voters at price 1; the c-first voters could lift b at price 2.
-    types = [(1, 0, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1)]
-    price = {types[0]: 1, types[1]: 2, types[2]: 1}
-    orders = [types[0]] * 80 + [types[1]] * 70 + [types[2]] * 50
-    orders = [orders[(7 * i) % 200] for i in range(200)]  # interleave types
-    n, m = len(orders), 4
-    inst = BriberyInstance(
-        make_profile(orders), 0, (1,) * n, tuple(price[o] for o in orders),
-        30, VotingRule("plurality"), SWAP,
-    )
+    types = [((1, 0, 2, 3), 1, 1), ((2, 1, 0, 3), 1, 2), ((0, 3, 2, 1), 1, 1)]
+    inst = typed_instance(types, (80, 70, 50), VotingRule("plurality"), 30)
+    n, m = inst.n, inst.m
     with capture_networks() as nets:
         first = solve_plurality(inst)
     assert first.decision and first.total_price == 21
-    assert nets and all(net.num_nodes <= 2 + m + 3 for net in nets)
+    # At radius 1 every class has one paid option: an edge, not a node.
+    assert nets and all(net.num_nodes == 2 + m for net in nets)
     assert solve_plurality(inst).witness == first.witness
     # The class's bribes go to its lowest-indexed voters.
-    b_first = [i for i in range(n) if orders[i] == types[0]]
+    b_first = [i for i in range(n) if inst.profile.prefs[i].order[0] == 1]
     assert sorted(first.bribed) == b_first[:21]
+
+    # At radius 2 a class may have two paid options, and then a node.
+    wide = [(order, 2, price) for order, _, price in types]
+    for rule, solver, movers, end in (
+        ("plurality", solve_plurality,
+         lambda inst: [i for i in range(n)
+                       if inst.profile.prefs[i].order[0] != 0], 0),
+        ("veto", solve_veto, lambda inst: range(n), -1),
+    ):
+        inst = typed_instance(wide, (80, 70, 50), VotingRule(rule), 60)
+        split = split_classes(inst, movers(inst), end)
+        assert split > 0
+        with capture_networks() as nets:
+            got = solver(inst)
+        assert got.decision
+        assert nets and all(net.num_nodes == 2 + m + split for net in nets)
+
+    # An exchange at the boundary has one paid option, so every network of
+    # the small-radius solvers has just the super nodes and alternatives.
+    for rule, solver in (
+        (VotingRule("kapproval", k=2), solve_kapproval_small_radius),
+        (VotingRule("sbucklin"), solve_sbucklin_small_radius),
+    ):
+        inst = typed_instance(types, (80, 70, 50), rule, 60)
+        with capture_networks() as nets:
+            got = solver(inst)
+        assert got.decision
+        assert nets and all(net.num_nodes == 2 + m for net in nets)
+
+
+@pytest.mark.parametrize(
+    "metric,radii",
+    [(SWAP, (0, 1)), (MAXDISP, (0, 1)), (FOOTRULE, (0, 1, 2, 3))],
+    ids=[SWAP, MAXDISP, FOOTRULE],
+)
+def test_kapproval_at_one_equals_plurality(metric, radii):
+    # At k = 1 an exchange at the boundary is a move to the top, so the
+    # two solvers build the same networks and return the same witness.
+    rng = random.Random(f"kapproval-one-{metric}")
+    yes = 0
+    for t in range(150):
+        inst = screened_instance(rng, VotingRule("plurality"), metric, radii,
+                                 unpriced=t % 4 == 0)
+        kapp = BriberyInstance(
+            inst.profile, inst.target, inst.deltas, inst.prices, inst.budget,
+            VotingRule("kapproval", k=1), metric,
+        )
+        want = solve_plurality(inst)
+        got = solve_kapproval_small_radius(kapp)
+        assert (got.decision, got.total_price, got.witness) == (
+            want.decision, want.total_price, want.witness
+        ), inst
+        yes += want.decision
+    assert 20 < yes < 130
 
 
 def test_plurality_bribes_lowest_index_of_a_class():
