@@ -239,6 +239,7 @@ def _parse_wmg_target(text: str) -> WmgTarget:
     index = {name: i for i, name in enumerate(core)}
     ell = len(core)
     margins = [[0] * ell for _ in range(ell)]
+    pair_line: dict[frozenset, int] = {}  # pair -> line it was set on
     for lineno, a, b, v in margin_lines:
         for name in (a, b):
             if name not in index:
@@ -246,6 +247,13 @@ def _parse_wmg_target(text: str) -> WmgTarget:
                     f"line {lineno}: margin references unknown core "
                     f"alternative {name!r}"
                 )
+        pair = frozenset((a, b))
+        if pair in pair_line:
+            raise CliError(
+                f"line {lineno}: repeated margin for {a!r} and {b!r} "
+                f"(first on line {pair_line[pair]})"
+            )
+        pair_line[pair] = lineno
         margins[index[a]][index[b]] = v
         margins[index[b]][index[a]] = -v
     try:

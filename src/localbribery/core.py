@@ -133,17 +133,6 @@ def borda_vector(m: int) -> ScoreVector:
     return ScoreVector(tuple(range(m - 1, -1, -1)))
 
 
-@dataclass(frozen=True)
-class WeightedMajorityGraph:
-    """Pairwise margin matrix D[x][y] = #(x above y) - #(y above x)."""
-
-    margins: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, xy: tuple[int, int]) -> int:
-        x, y = xy
-        return self.margins[x][y]
-
-
 PLURALITY = "plurality"
 VETO = "veto"
 KAPPROVAL = "kapproval"
@@ -275,7 +264,7 @@ def _copeland_row(win_w: int, tie_w: int, row: list[int]) -> int:
     return win_w * sum(map((0).__lt__, row)) + tie_w * row.count(0)
 
 
-def pair_row_score(rule: VotingRule):
+def _pair_row_score(rule: VotingRule):
     """The score of x under maximin or Copeland, from row x of the margins
     (flat [x*m + y]).  Maximin takes the row's minimum.  Copeland with
     alpha = p/q takes q*wins + p*ties, which orders the scores exactly.
@@ -284,7 +273,7 @@ def pair_row_score(rule: VotingRule):
     there is one more Copeland tie in every row, and it lowers a row's
     minimum only if every other entry is positive: x is then the Condorcet
     winner, and every rival's minimum is negative.  The oracle's bound
-    tables hold n + 1 there, one more Copeland win in every row and never
+    table holds n + 1 there, one more Copeland win in every row and never
     a minimum."""
     if rule.tag == MAXIMIN:
         return min
@@ -313,7 +302,7 @@ def tally(rule: VotingRule, n: int, m: int):
             partial(_levels_of, m),
             lambda levels: decide(map(levels.__getitem__, rows)),
         )
-    score = pair_row_score(rule)
+    score = _pair_row_score(rule)
     return (
         partial(_margins_of, m),
         lambda margins: _top(list(map(score, map(margins.__getitem__, rows)))),
@@ -340,12 +329,11 @@ def _level_rows(profile: Profile):
         yield counts
 
 
-def weighted_majority_graph(profile: Profile) -> WeightedMajorityGraph:
+def weighted_majority_graph(profile: Profile) -> tuple[tuple[int, ...], ...]:
+    """The pairwise margins as rows: [x][y] = #(x above y) - #(y above x)."""
     m = profile.m
     margins = _summed(profile, partial(_margins_of, m))
-    return WeightedMajorityGraph(
-        tuple(tuple(margins[x * m:(x + 1) * m]) for x in range(m))
-    )
+    return tuple(tuple(margins[x * m:(x + 1) * m]) for x in range(m))
 
 
 def winners(profile: Profile, rule: VotingRule) -> set[int]:

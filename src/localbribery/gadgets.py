@@ -125,6 +125,7 @@ def parse_and_validate_3b2(text: str) -> Sat3B2Instance:
     """Parse DIMACS CNF text and validate the occurrence balance."""
     num_vars = None
     num_clauses = None
+    header_line = None
     clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,6 +133,12 @@ def parse_and_validate_3b2(text: str) -> Sat3B2Instance:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if header_line is not None:
+                raise Sat3B2Error(
+                    f"line {lineno}: repeated 'p cnf' line "
+                    f"(first on line {header_line})"
+                )
+            header_line = lineno
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise Sat3B2Error(f"line {lineno}: malformed problem line")

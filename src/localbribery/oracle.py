@@ -23,15 +23,17 @@ entered.
   Copeland).  Every option's contribution is computed once, the bounds
   read the sum, and each leaf decides with core's decision, the one
   `core.winners` uses, so no leaf builds a profile.
-- **Bounds.**  The per-voter tables come from closed forms in `metrics`:
-  how far each alternative's rank can move, and which alternative can be
-  put above which.  Summed over the remaining voters they give the
-  target's best and each rival's worst score: positional scores, level
-  counts, maximin minima and Copeland wins and ties.  A branch is cut when
-  some rival's worst reaches the target's best, so no cut leaf could have
-  won.  The one exception is the level bound under Bucklin: it is exact
-  for simplified Bucklin but also cuts some Bucklin winners (see
-  `_Search._prune_level`).
+- **Bounds.**  One table per search, laid out as the carried tally:
+  `bound[i]` sums, over voters i.., the target's greatest contribution in
+  its own slots and every rival's least everywhere else, from the closed
+  forms in `metrics` (how far each alternative's rank can move, and which
+  alternative can be put above which).  The carried sum plus
+  `bound[depth]` is the best case of every leaf below, and a branch is
+  cut when the rule's own decision on it is not the target alone.  Every
+  rule but Bucklin only favours the target more as the target's entries
+  grow and the rivals' shrink, so no cut leaf could have won.  Bucklin's
+  bound is decided by simplified Bucklin, which also cuts some Bucklin
+  winners: those that share their level with a rival they out-approve.
 
 `OracleBudget.max_nodes` counts visited search nodes.  The score classes
 and the bounds leave fewer nodes to visit, so the same limit decides more
@@ -44,7 +46,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, and_, itemgetter, methodcaller, sub
+from operator import add, itemgetter, methodcaller
 
 from .core import (
     BUCKLIN,
@@ -53,8 +55,8 @@ from .core import (
     SBUCKLIN,
     Preference,
     Profile,
+    VotingRule,
     is_unique_winner,  # unused here; bench/tracing.py names it
-    pair_row_score,
     score_vector,
     tally,
 )
@@ -96,40 +98,30 @@ class _Search:
         self.instance = instance
         self.deadline = time.monotonic() + limits.time_limit_s
         n = self.n = instance.n
-        m = self.m = instance.m
-        c = self.c = instance.target
+        m, c = instance.m, instance.target
         self.nodes = 0
         self.max_nodes = limits.max_nodes
         self.best: tuple[int, tuple[tuple[int, ...], ...]] | None = None
         self.cap = instance.budget  # then one less than the incumbent's cost
         self.chosen: list[tuple[int, ...] | None] = [None] * n
-        # Row x of a flat m*m table, for C-level row minima and maxima.
-        self.rows = [slice(x * m, (x + 1) * m) for x in range(m)]
-        self.rival_rows = self.rows[:c] + self.rows[c + 1:]
 
-        # The rule's tally from core: plain functions with their parameters
-        # bound, and the bound test as a plain function that takes the
-        # search.  A bound method kept on the search would make it a
-        # reference cycle, which outlives the call until the cyclic
-        # collector runs.
+        # The rule's tally from core, as plain functions with their
+        # parameters bound: a bound method kept on the search would make it
+        # a reference cycle, which outlives the call until the cyclic
+        # collector runs.  Bounds are decided like leaves, but Bucklin's by
+        # simplified Bucklin (see the module docstring).
         rule = instance.rule
         self.contribution, self.decide = tally(rule, n, m)
+        self.bound_decide = self.decide
+        if rule.tag == BUCKLIN:
+            self.bound_decide = tally(VotingRule(SBUCKLIN), n, m)[1]
         self.goal = {c}
-        self.alpha = score_vector(rule, m)
-        self.level_rule = rule.tag in (SBUCKLIN, BUCKLIN)
-        self.pair_rule = rule.tag in (MAXIMIN, COPELAND)
-        class_key = None
-        if self.alpha is not None:
-            class_key = self.contribution
-            self.prune = _Search._prune_positional
-        elif self.level_rule:
-            self.prune = _Search._prune_level
-        else:
-            self.row_score = pair_row_score(rule)
-            self.prune = _Search._prune_pairs
+        alpha = score_vector(rule, m)
+        class_key = self.contribution if alpha is not None else None
+        pairs = rule.tag in (MAXIMIN, COPELAND)
 
         shapes = {}  # radius, even under footrule -> _shape(...)
-        best_c, worst, ahead = [], [], []
+        per_voter = []
         self.options: list[list[list]] = []
         # Options that cost nothing: the voter's own order, or every order
         # when the voter is free.
@@ -155,123 +147,26 @@ class _Search:
                 self.unbribed.append([own])
             else:
                 self.unbribed.append(opts)
-            # Voter i's best and worst rank of each alternative over its
-            # ball, and which alternative can rank above which.
-            place = [0] * m
-            for j, y in enumerate(o):
-                place[y] = j
-            reach = rank_reach(instance.metric, radius)
-            best_c.append(max(0, place[c] - reach))
-            worst.append([min(m - 1, j + reach) for j in place])
-            if self.pair_rule:
-                t = precedence_reach(instance.metric, radius)
-                ahead.append(
-                    [1 if px - py <= t else -1 for px in place for py in place]
-                )
-        if self.alpha is not None:
-            self._prep_positional_bounds(best_c, worst)
-        elif self.level_rule:
-            self._prep_level_bounds(best_c, worst)
-        else:
-            self._prep_pair_bounds(ahead)
-
-    # -- optimistic bounds ----------------------------------------------------
-
-    def _prep_positional_bounds(self, best_c, worst):
-        """Alpha is non-increasing, so over a ball the target's best score
-        is a[best_c] and a rival y's least is a[worst[y]]."""
-        a = self.alpha.alpha
-        n, m = self.n, self.m
-        self.cmax_suffix = [0] * (n + 1)
-        self.rmin_suffix = [[0] * m for _ in range(n + 1)]
-        for i in range(n - 1, -1, -1):
-            self.cmax_suffix[i] = self.cmax_suffix[i + 1] + a[best_c[i]]
-            nxt = self.rmin_suffix[i + 1]
-            self.rmin_suffix[i] = [nxt[y] + a[worst[i][y]] for y in range(m)]
-
-    def _prep_level_bounds(self, best_c, worst):
-        # For each 0-based level k: how high can the target's count in the
-        # first k+1 places still go, and how low can each rival's be forced,
-        # over the remaining voters.  The target is among some member's
-        # first k+1 iff best_c <= k, and y is among every member's iff
-        # worst[y] <= k.  lvl_rmin is laid out as the carried counts.
-        n, m = self.n, self.m
-        self.lvl_cmax = [[0] * m for _ in range(n + 1)]
-        self.lvl_rmin = [[0] * (m * m) for _ in range(n + 1)]
-        for i in range(n - 1, -1, -1):
-            cmax, rmin = self.lvl_cmax[i + 1], self.lvl_rmin[i + 1]
-            self.lvl_cmax[i] = [cmax[k] + (best_c[i] <= k) for k in range(m)]
-            self.lvl_rmin[i] = [
-                rmin[k * m + y] + (worst[i][y] <= k)
-                for k in range(m)
-                for y in range(m)
-            ]
-
-    def _prep_pair_bounds(self, ahead):
-        # Over the remaining voters, the greatest sum the target's margins
-        # [c*m + y] can still gain and the least sum each margin [x*m + y]
-        # can.  ahead[i][x*m + y] is +1 if some member of voter i's ball
-        # ranks x above y, and -1 if none does; the least a voter adds to
-        # [x*m + y] is minus what it can add to [y*m + x] at best.  The
-        # diagonal holds n + 1, above every margin, so that it is never a
-        # row's minimum and counts as the same win in every Copeland row.
-        n, m, c = self.n, self.m, self.c
-        own = self.rows[c]
-        flip = [y * m + x for x in range(m) for y in range(m)]
-        self.pair_cmax = [[0] * m for _ in range(n + 1)]
-        self.pair_rmin = [[0] * (m * m) for _ in range(n + 1)]
-        for i in range(n - 1, -1, -1):
-            up = ahead[i]
-            self.pair_cmax[i] = list(map(add, self.pair_cmax[i + 1], up[own]))
-            self.pair_rmin[i] = list(
-                map(sub, self.pair_rmin[i + 1], map(up.__getitem__, flip))
+            per_voter.append(
+                _optimistic(alpha, pairs, m, c, instance.metric, radius, o)
             )
-        for row in self.pair_cmax:
-            row[c] = n + 1
-        diagonal = [n + 1] * m
-        for table in self.pair_rmin:
-            table[::m + 1] = diagonal
 
-    # Each test prunes a branch when its optimistic bound shows that the
-    # target cannot be the unique winner at any of the branch's leaves.
-
-    def _prune_positional(self, depth: int, scores: list[int]) -> bool:
-        # Optimistic: target at its per-voter max, each rival at its min.
-        upper_c = scores[self.c] + self.cmax_suffix[depth]
-        rivals = list(map(add, scores, self.rmin_suffix[depth]))
-        del rivals[self.c]
-        return any(map(upper_c.__le__, rivals))
-
-    def _prune_level(self, depth: int, counts: list[int]) -> bool:
-        # Prune when no level is left at which the target can reach a
-        # strict majority while no rival does.  That is exact for simplified
-        # Bucklin.  A Bucklin winner may share its level with a rival it
-        # out-approves, so for Bucklin this also cuts some winning branches
-        # (tests/test_oracle.py, test_bucklin_winner_sharing_its_level).
-        maj = self.n // 2 + 1
-        m, c = self.m, self.c
-        rivals = list(map(add, counts, self.lvl_rmin[depth]))
-        rivals[c::m] = [0] * m  # the target is no rival of itself
-        reach = map(maj.__le__, map(add, counts[c::m], self.lvl_cmax[depth]))
-        clear = map(maj.__gt__, map(max, map(rivals.__getitem__, self.rows)))
-        return not any(map(and_, reach, clear))
-
-    def _prune_pairs(self, depth: int, margins: list[int]) -> bool:
-        # A row's score (its minimum for maximin, its weighted wins and
-        # ties for Copeland) only grows with the row's entries, so the
-        # target scores at most row_score of its greatest margins and a
-        # rival at least row_score of its least.
-        score = self.row_score
-        own = margins[self.rows[self.c]]
-        upper_c = score(list(map(add, own, self.pair_cmax[depth])))
-        least = list(map(add, margins, self.pair_rmin[depth]))
-        rivals = map(score, map(least.__getitem__, self.rival_rows))
-        return any(map(upper_c.__le__, rivals))
+        # bound[i] sums the optimistic contributions of voters i.., so
+        # state + bound[depth] is the best case of every leaf below.  The
+        # margins' diagonal holds n + 1, above every margin, so that it is
+        # never a row's minimum and counts as the same Copeland win in
+        # every row.
+        self.bound = [[0] * len(per_voter[0])]
+        for d in reversed(per_voter):
+            self.bound.insert(0, list(map(add, self.bound[0], d)))
+        if pairs:
+            for table in self.bound:
+                table[::m + 1] = [n + 1] * m
 
     # -- search ---------------------------------------------------------------
 
     def run(self) -> BriberyOutcome:
-        state = [0] * (self.m if self.alpha is not None else self.m * self.m)
+        state = [0] * len(self.bound[0])
         self._rec(0, 0, state)
         if self.best is None:
             return BriberyOutcome.no()
@@ -295,7 +190,8 @@ class _Search:
                 self.best = (price, tuple(self.chosen))
                 self.cap = price - 1
             return
-        if self.prune(self, depth, state):
+        best_case = list(map(add, state, self.bound[depth]))
+        if self.bound_decide(best_case) != self.goal:
             return
         opts = self.options[depth]
         if price + self.instance.prices[depth] > self.cap:
@@ -309,6 +205,37 @@ class _Search:
                 d = opt[2] = self.contribution(q)
             self.chosen[depth] = q
             self._rec(depth + 1, new_price, list(map(add, state, d)))
+
+
+def _optimistic(alpha, pairs, m, c, metric, radius, order) -> list[int]:
+    """One voter's optimistic contribution over its ball, laid out as the
+    carried tally: the most the target can get in its own slots ([c],
+    [k*m + c] or row c) and the least each rival can be held to everywhere
+    else.  From the closed forms in `metrics`, without the ball."""
+    place = [0] * m
+    for j, y in enumerate(order):
+        place[y] = j
+    if pairs:
+        # Some member ranks x above y iff place[x] - place[y] <= t.  The
+        # target gains +1 over y when it can be put above y; a rival x
+        # loses 1 to y when y can be put above x.
+        t = precedence_reach(metric, radius)
+        d = [1 if py - px > t else -1 for px in place for py in place]
+        d[c * m:(c + 1) * m] = [1 if place[c] - py <= t else -1 for py in place]
+        return d
+    r = rank_reach(metric, radius)
+    best_c = max(0, place[c] - r)
+    worst = [min(m - 1, j + r) for j in place]
+    if alpha is not None:
+        # Alpha is non-increasing, so the best place scores the most.
+        d = [alpha.alpha[j] for j in worst]
+        d[c] = alpha.alpha[best_c]
+        return d
+    # Level counts: y is within the first k+1 places of every member iff
+    # its worst place is at most k, of some member iff its best is.
+    d = [int(j <= k) for k in range(m) for j in worst]
+    d[c::m] = [int(best_c <= k) for k in range(m)]
+    return d
 
 
 def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):

@@ -302,17 +302,22 @@ def _end_classes(
     return _voter_classes((i for i in voters if width[i] > 1), key)
 
 
-def _toggle_classes(instance: BriberyInstance, k: int) -> list[VoterClass]:
-    """Voters that may exchange positions k and k+1, keyed (the alternative
-    at k, the pair, price).  Voters whose exchange would demote the target
-    are left out: that is never useful."""
-    prefs, c = instance.profile.prefs, instance.target
-    togglable = (
-        i
-        for i in range(instance.n)
+def _togglers(instance: BriberyInstance) -> list[int]:
+    """The voters whose radius lets them exchange two adjacent places."""
+    return [
+        i for i in range(instance.n)
         if top_window(instance.deltas[i], instance.metric) > 1
-        and prefs[i].order[k - 1] != c
-    )
+    ]
+
+
+def _toggle_classes(
+    instance: BriberyInstance, k: int, togglers: list[int]
+) -> list[VoterClass]:
+    """Voters of `togglers` that may exchange positions k and k+1, keyed
+    (the alternative at k, the pair, price).  Voters whose exchange would
+    demote the target are left out: that is never useful."""
+    prefs, c = instance.profile.prefs, instance.target
+    togglable = (i for i in togglers if prefs[i].order[k - 1] != c)
     return _voter_classes(
         togglable,
         lambda i: (prefs[i].order[k - 1], prefs[i].order[k - 1 : k + 1],
@@ -351,17 +356,17 @@ def _boundary_toggle_solve(
 
 def _boundary_guesses(
     instance: BriberyInstance,
-    k: int,
+    held: list[int],
     classes: list[VoterClass],
     floor: int,
     rival_cap: int | None = None,
 ) -> Iterator[tuple[int, list[Move]] | None]:
     """Lazily, `_boundary_toggle_solve` for every guess of the target's
-    final score at boundary k, from `floor` (or its score now, if higher)
-    up to what the budget can buy it.  Rivals are capped at `rival_cap`,
-    or one below the guess when it is None."""
+    final score at a boundary where the scores are `held` now, from `floor`
+    (or the target's score now, if higher) up to what the budget can buy
+    it.  Rivals are capped at `rival_cap`, or one below the guess when it
+    is None."""
     c, m = instance.target, instance.m
-    held = positional_scores(instance.profile, approval_vector(m, k))
     spends = _shed_spends(m, (
         (current, price, len(members))
         for (current, _, price), members in classes
@@ -382,7 +387,8 @@ def _approval_solve(
 ) -> BriberyOutcome:
     """Shared body of plurality (k = 1) and small-radius k-approval: guess
     the target's final score, at least 1, cap every rival one below it."""
-    best = _cheapest(_boundary_guesses(instance, k, classes, 1))
+    held = positional_scores(instance.profile, approval_vector(instance.m, k))
+    best = _cheapest(_boundary_guesses(instance, held, classes, 1))
     return _outcome(
         instance,
         None if best is None else _move_to(instance.profile, best[1], k - 1),
@@ -452,7 +458,8 @@ def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
         raise UnsupportedParameters("this solver requires the k-approval rule")
     _check_domain(instance, windowed=False)
     k = instance.rule.k
-    return _approval_solve(instance, k, _toggle_classes(instance, k))
+    classes = _toggle_classes(instance, k, _togglers(instance))
+    return _approval_solve(instance, k, classes)
 
 
 def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
@@ -470,12 +477,19 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     # every rival stays at or below half; counts are monotone in the level,
     # so capping rivals at the guessed level also covers all lower levels.
     # The target's exact final count is swept too, because a toggle that
-    # raises the target also lowers the rival at the boundary.
+    # raises the target also lowers the rival at the boundary.  The level-k
+    # counts are the level-(k-1) counts plus each voter's k-th alternative.
+    togglers = _togglers(instance)
+
     def attempts() -> Iterator[tuple[int, list[Move], int] | None]:
+        held = [0] * m
         for level in range(1, m):
+            held = held.copy()
+            for pref in instance.profile.prefs:
+                held[pref.order[level - 1]] += 1
             for got in _boundary_guesses(
-                instance, level, _toggle_classes(instance, level), majority,
-                majority - 1,
+                instance, held, _toggle_classes(instance, level, togglers),
+                majority, majority - 1,
             ):
                 yield None if got is None else (*got, level)
 

@@ -290,6 +290,25 @@ def test_dump_flow_refuses_hard_cell(borda_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("at,line", [(2, 3), (6, 7)])
+def test_gen_gadget_repeated_cnf_header_exit_2(tmp_path, capsys, at, line):
+    # The frozen formula's header is on line 2; a second identical header,
+    # right after it or after the clauses, would be read last-wins.
+    lines = FROZEN_SAT_DIMACS.splitlines(keepends=True)
+    lines.insert(at, "p cnf 3 4\n")
+    cnf = tmp_path / "twice.cnf"
+    cnf.write_text("".join(lines))
+    code, out, err = run(
+        capsys, "gen-gadget", "--reduction", "kapp-swap", "--cnf", str(cnf),
+        "--delta-pad", "5", "--out", str(tmp_path / "g.elb"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {cnf}: line {line}: repeated 'p cnf' line (first on line 2)\n"
+    )
+
+
 def test_gadget_pipeline(tmp_path, cnf_path, capsys):
     out_path = str(tmp_path / "g.elb")
     code, _, _ = run(
@@ -465,6 +484,21 @@ def test_realize_wmg_repeated_header_exit_2(tmp_path, capsys, text, line, key,
     assert out == ""
     assert err == (
         f"error: line {line}: repeated '{key}:' line (first on line {first})\n"
+    )
+
+
+@pytest.mark.parametrize("second", ["a b 4", "b a 4"])
+def test_realize_wmg_repeated_margin_exit_2(tmp_path, capsys, second):
+    # Last-wins would set b over a by 4 and drop the first line's value.
+    t = tmp_path / "t.wmg"
+    t.write_text(f"core: a b\nspacing: 4\nmargin: a b 2\nmargin: {second}\n")
+    code, out, err = run(capsys, "realize-wmg", "--target", str(t))
+    assert code == 2
+    assert out == ""
+    a, b = second.split()[:2]
+    assert err == (
+        f"error: line 4: repeated margin for {a!r} and {b!r} "
+        "(first on line 3)\n"
     )
 
 

@@ -174,7 +174,7 @@ def test_weighted_majority_graph_equals_reference():
         profile = make_profile([rng.sample(range(m), m) for _ in range(n)])
         flat = reference_tally(profile, VotingRule("maximin"))
         wmg = weighted_majority_graph(profile)
-        assert [wmg[x, y] for x in range(m) for y in range(m)] == flat
+        assert [wmg[x][y] for x in range(m) for y in range(m)] == flat
 
 
 @pytest.mark.parametrize("tag", ["bucklin", "sbucklin"])
@@ -292,10 +292,10 @@ def test_one_alternative_is_undefined(tag):
 def test_weighted_majority_graph():
     wmg = weighted_majority_graph(PROFILE)
     # a vs b: voters 0,2 prefer a -> margin +1; b vs c: voters 0,1 -> +1.
-    assert wmg[(0, 1)] == 1 and wmg[(1, 0)] == -1
-    assert wmg[(1, 2)] == 1
-    assert wmg[(0, 2)] == 1
-    assert wmg[(0, 0)] == 0
+    assert wmg[0][1] == 1 and wmg[1][0] == -1
+    assert wmg[1][2] == 1
+    assert wmg[0][2] == 1
+    assert wmg[0][0] == 0
 
 
 def test_maximin():

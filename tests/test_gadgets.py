@@ -133,11 +133,11 @@ def check_realization(target):
     # margins restricted to the core equal the target exactly
     for i in range(ell):
         for j in range(ell):
-            assert wmg[(i, j)] == target.margins[i][j]
+            assert wmg[i][j] == target.margins[i][j]
     # condition (i): every core alternative beats every filler
     for i in range(ell):
         for f in range(ell, m):
-            assert wmg[(i, f)] > 0
+            assert wmg[i][f] > 0
     # condition (ii): cores are separated by more than spacing/2 positions
     half = target.spacing // 2
     near_core_count = [0] * m
@@ -173,7 +173,7 @@ def test_realize_wmg_odd_cycle():
 def test_realize_wmg_zero_margins():
     t = WmgTarget(("a", "b"), ((0, 0), (0, 0)), spacing=4)
     profile = check_realization(t)
-    assert weighted_majority_graph(profile)[(0, 1)] == 0
+    assert weighted_majority_graph(profile)[0][1] == 0
 
 
 def test_realize_wmg_random_sample():
