@@ -247,6 +247,8 @@ def _parse_wmg_target(text: str) -> WmgTarget:
                     f"line {lineno}: margin references unknown core "
                     f"alternative {name!r}"
                 )
+        if a == b:
+            raise CliError(f"line {lineno}: margin pairs {a!r} with itself")
         pair = frozenset((a, b))
         if pair in pair_line:
             raise CliError(
@@ -483,7 +485,10 @@ def _add_gadget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filler-size", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The top-level parser, and each command's own sub-parser by name."""
     parser = argparse.ArgumentParser(
         prog="localbribery",
         description="Local distance-constrained bribery toolkit",
@@ -556,16 +561,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.set_defaults(func=_cmd_dump_flow)
 
-    return parser
+    return parser, sub.choices
 
 
-# Building the parser costs about as much as a small solve, so main()
-# builds it once per process, on first use rather than at import.
-_shared_parser = functools.cache(build_parser)
+# Building the parsers costs about as much as a small solve, so main()
+# builds them once per process, on first use rather than at import.
+_shared_parsers = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser, commands = _shared_parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # argv does not start with a command name (it is empty, `-h`, an
+        # unknown command or `--` first): parse it whole.
+        args = parser.parse_args(argv)
+    else:
+        # What the top-level parser would do with argv, without its own
+        # pass over the arguments: hand the rest to the command's parser,
+        # and report leftovers under the top-level usage.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except CliError as e:

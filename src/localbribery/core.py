@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import add
+from operator import add, attrgetter
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,9 @@ class Preference:
         return len(self.order)
 
 
+_ORDER = attrgetter("order")
+
+
 @dataclass(frozen=True)
 class Profile:
     alternatives: AlternativeSet
@@ -93,10 +96,8 @@ class Profile:
     def __post_init__(self):
         if len(self.prefs) < 1:
             raise ValueError("need at least one voter")
-        m = self.alternatives.m
-        for p in self.prefs:
-            if p.m != m:
-                raise ValueError("preference length differs from alternative count")
+        if set(map(len, map(_ORDER, self.prefs))) != {self.alternatives.m}:
+            raise ValueError("preference length differs from alternative count")
 
     @property
     def n(self) -> int:

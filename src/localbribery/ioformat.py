@@ -23,6 +23,11 @@ problem.  Within one call, a preference text is parsed once: `parse_instance`
 keeps a table from each stripped text to its `Preference`, which a caller
 may own and pass on, so that the `pref:` lines of a witness that repeat
 their voter's line cost one dict lookup and give the instance's own object.
+Likewise each distinct attribute text of a voter line (`delta=2 price=1`,
+before the line's second `:`) is read once per call.  Neither table keeps
+a text that failed, so every bad line reports its own line number.
+`parse_instance` reads voter lines inside its one loop over the lines,
+without a helper call per line: they are most of an instance.
 """
 
 from __future__ import annotations
@@ -163,30 +168,6 @@ def render_preference(pref: Preference, alts: AlternativeSet) -> str:
     return " > ".join([names[a] for a in pref.order])
 
 
-def _parse_voter_line(
-    body: str, alts: AlternativeSet, lineno: int, table: dict[str, Preference]
-) -> tuple[int, int, Preference]:
-    head, sep, order_text = body.partition(":")
-    if not sep:
-        raise FormatError(lineno, "voter line needs ': <preference>'")
-    attrs: dict[str, int] = {}
-    for tok in head.split():
-        key, eq, val = tok.partition("=")
-        if not eq or key not in ("delta", "price"):
-            raise FormatError(lineno, f"unexpected voter attribute {tok!r}")
-        if key in attrs:
-            raise FormatError(lineno, f"repeated voter attribute '{key}='")
-        try:
-            attrs[key] = int(val)
-        except ValueError:
-            raise FormatError(lineno, f"non-integer {key} {val!r}")
-    if "delta" not in attrs:
-        raise FormatError(lineno, "voter line missing delta=")
-    return attrs["delta"], attrs.get("price", 0), parse_preference_once(
-        order_text, alts, lineno, table
-    )
-
-
 def parse_instance(
     text: str, table: dict[str, Preference] | None = None
 ) -> BriberyInstance:
@@ -196,22 +177,64 @@ def parse_instance(
     if table is None:
         table = {}
     rule = metric = alts = target = budget = None
-    voters: list[tuple[int, int, Preference]] = []
+    deltas: list[int] = []
+    prices: list[int] = []
+    prefs: list[Preference] = []
+    # Voter attribute text -> (delta, price), for texts that parsed.
+    heads: dict[str, tuple[int, int]] = {}
     header_line: dict[str, int] = {}  # header key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         key, sep, body = line.partition(":")
-        key, body = key.strip(), body.strip()
         if not sep:
             raise FormatError(lineno, "expected 'key: value'")
+        key = key.strip()
+        if key == "voter":
+            if alts is None:
+                raise FormatError(lineno, "voter before alternatives")
+            head, sep, pref_text = body.partition(":")
+            if not sep:
+                raise FormatError(lineno, "voter line needs ': <preference>'")
+            delta_price = heads.get(head)
+            if delta_price is None:
+                attrs: dict[str, int] = {}
+                for tok in head.split():
+                    name, eq, val = tok.partition("=")
+                    if not eq or name not in ("delta", "price"):
+                        raise FormatError(
+                            lineno, f"unexpected voter attribute {tok!r}"
+                        )
+                    if name in attrs:
+                        raise FormatError(
+                            lineno, f"repeated voter attribute '{name}='"
+                        )
+                    try:
+                        attrs[name] = int(val)
+                    except ValueError:
+                        raise FormatError(lineno, f"non-integer {name} {val!r}")
+                if "delta" not in attrs:
+                    raise FormatError(lineno, "voter line missing delta=")
+                delta_price = heads[head] = (
+                    attrs["delta"], attrs.get("price", 0)
+                )
+            pref_text = pref_text.strip()
+            pref = table.get(pref_text)
+            if pref is None:
+                pref = table[pref_text] = parse_preference_text(
+                    pref_text, alts, lineno
+                )
+            deltas.append(delta_price[0])
+            prices.append(delta_price[1])
+            prefs.append(pref)
+            continue
+        body = body.strip()
         if key in header_line:
             raise FormatError(
                 lineno, f"repeated '{key}:' line (first on line {header_line[key]})"
             )
-        if key != "voter":
-            header_line[key] = lineno
+        header_line[key] = lineno
         if key == "rule":
             rule = parse_rule(body, lineno)
         elif key == "metric":
@@ -238,10 +261,6 @@ def parse_instance(
                 budget = int(body)
             except ValueError:
                 raise FormatError(lineno, f"non-integer budget {body!r}")
-        elif key == "voter":
-            if alts is None:
-                raise FormatError(lineno, "voter before alternatives")
-            voters.append(_parse_voter_line(body, alts, lineno, table))
         else:
             raise FormatError(lineno, f"unknown key {key!r}")
     for field, name in (
@@ -252,20 +271,20 @@ def parse_instance(
     ):
         if field is None:
             raise FormatError(None, f"missing {name}: line")
-    if not voters:
+    if not prefs:
         raise FormatError(None, "instance has no voters")
     unpriced = budget is None
-    if unpriced and any(p != 0 for _, p, _ in voters):
+    if unpriced and any(prices):
         raise FormatError(
             None, "voter prices given but no budget line (unpriced form)"
         )
-    profile = Profile(alts, tuple(p for _, _, p in voters))
+    profile = Profile(alts, tuple(prefs))
     try:
         return BriberyInstance(
             profile,
             target=target,
-            deltas=tuple(d for d, _, _ in voters),
-            prices=tuple(p for _, p, _ in voters),
+            deltas=tuple(deltas),
+            prices=tuple(prices),
             budget=0 if unpriced else budget,
             rule=rule,
             metric=metric,

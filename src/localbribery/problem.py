@@ -22,7 +22,7 @@ class BriberyInstance:
         n = self.profile.n
         if len(self.deltas) != n or len(self.prices) != n:
             raise ValueError("deltas and prices must have one entry per voter")
-        if any(d < 0 for d in self.deltas) or any(p < 0 for p in self.prices):
+        if min(self.deltas) < 0 or min(self.prices) < 0:
             raise ValueError("deltas and prices must be non-negative")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
@@ -45,7 +45,7 @@ class BriberyInstance:
         all prices zero, zero budget."""
         return (
             len(set(self.deltas)) == 1
-            and all(p == 0 for p in self.prices)
+            and not any(self.prices)
             and self.budget == 0
         )
 

@@ -502,6 +502,18 @@ def test_realize_wmg_repeated_margin_exit_2(tmp_path, capsys, second):
     )
 
 
+@pytest.mark.parametrize("value", ["2", "0"])
+def test_realize_wmg_self_margin_exit_2(tmp_path, capsys, value):
+    # A margin of an alternative over itself is meaningless whatever its
+    # value; it is reported at its own line, like every other target error.
+    t = tmp_path / "t.wmg"
+    t.write_text(f"core: a b\nspacing: 4\nmargin: a b 2\nmargin: a a {value}\n")
+    code, out, err = run(capsys, "realize-wmg", "--target", str(t))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: margin pairs 'a' with itself\n"
+
+
 def test_realize_wmg_core_name_clashing_with_filler_exit_2(tmp_path, capsys):
     # Fillers are named f0, f1, ...; this target needs 24 of them.
     t = tmp_path / "t.wmg"
@@ -580,6 +592,99 @@ def test_solve_calls_the_solver_bound_in_cli(plurality_path, capsys, monkeypatch
     assert run(capsys, "solve", "--instance", plurality_path)[0] == 0
     assert run(capsys, "dump-flow", "--instance", plurality_path)[0] == 0
     assert len(calls) == 2
+
+
+def test_instance_commands_call_the_parser_bound_in_cli(
+    tmp_path, plurality_path, capsys, monkeypatch
+):
+    # The bench's layer tracer wraps cli.parse_instance, so every command
+    # that reads an instance must parse it through that binding.
+    code, out, _ = run(capsys, "solve", "--instance", plurality_path)
+    assert code == 0
+    witness = tmp_path / "w.txt"
+    witness.write_text(out)
+    calls = []
+    real = cli.parse_instance
+    monkeypatch.setattr(
+        cli, "parse_instance",
+        lambda *a: calls.append(a[0]) or real(*a),
+    )
+    argvs = [
+        (["solve", "--instance", plurality_path], 0),
+        (["oracle", "--instance", plurality_path], 0),
+        (["verify", "--instance", plurality_path, "--witness", str(witness)],
+         0),
+        (["winner", "--instance", plurality_path], 1),  # a three-way tie
+        (["dump-flow", "--instance", plurality_path], 0),
+    ]
+    for argv, code in argvs:
+        assert run(capsys, *argv)[0] == code
+    assert calls == [PLURALITY_FILE] * len(argvs)
+
+
+def _exit_of(capsys, call):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as e:
+        call()
+    captured = capsys.readouterr()
+    return e.value.code, captured.out, captured.err
+
+
+USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["nope"],
+    ["nope", "--instance", "x"],
+    ["-h", "solve"],
+    ["solve"],
+    ["solve", "-h"],
+    ["solve", "--instance"],
+    ["solve", "--instance", "x", "--bogus", "y"],
+    ["solve", "--instance", "x", "--max-nodes", "many"],
+    ["distance", "--metric", "hamming", "--p1", "a>b", "--p2", "b>a"],
+    ["gen-gadget", "--cnf", "x"],
+    ["ball", "--help"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "empty"
+)
+def test_usage_paths_match_the_top_level_parser(capsys, argv):
+    # main() hands a named command straight to its own sub-parser; usage,
+    # help, errors and exit codes must be what parsing all of argv with the
+    # top-level parser gives.
+    parser, _ = cli.build_parser()
+    expected = _exit_of(capsys, lambda: parser.parse_args(argv))
+    assert _exit_of(capsys, lambda: main(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,fragment",
+    [
+        ([], 2, "err",
+         "localbribery: error: the following arguments are required: "
+         "command\n"),
+        (["-h"], 0, "out", "Local distance-constrained bribery toolkit"),
+        (["nope"], 2, "err",
+         "localbribery: error: argument command: invalid choice: 'nope'"),
+        (["solve"], 2, "err",
+         "localbribery solve: error: the following arguments are required: "
+         "--instance\n"),
+        (["solve", "-h"], 0, "out", "usage: localbribery solve [-h]"),
+        (["solve", "--instance", "x", "--bogus"], 2, "err",
+         "localbribery: error: unrecognized arguments: --bogus\n"),
+    ],
+    ids=["empty", "help", "unknown", "solve", "solve-help", "solve-extra"],
+)
+def test_usage_paths(capsys, argv, code, stream, fragment):
+    got_code, out, err = _exit_of(capsys, lambda: main(argv))
+    assert got_code == code
+    text = out if stream == "out" else err
+    assert fragment in text
+    assert text.startswith("usage: localbribery")
+    assert (err if stream == "out" else out) == ""
 
 
 def test_gen_gadget_determinism(tmp_path, cnf_path, capsys):

@@ -192,6 +192,96 @@ def test_shared_table_keeps_no_failed_text():
     assert parse_preference_once(" b > a", alts, 1, table) is table["b > a"]
 
 
+def _error_of(text):
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    return str(err.value), err.value.lineno
+
+
+# The voter lines below are appended to SWAP_FIXTURE, so the first is line 8.
+@pytest.mark.parametrize(
+    "voters,message,lineno",
+    [
+        ("voter\n", "expected 'key: value'", 8),
+        ("voter \t\n", "expected 'key: value'", 8),
+        ("voter:\n", "voter line needs ': <preference>'", 8),
+        ("voter: delta=1 a > b > c > x\n",
+         "voter line needs ': <preference>'", 8),
+        ("voter: delta=1 # price=2 : a > b > c > x\n",
+         "voter line needs ': <preference>'", 8),
+        ("voter: delta=1 : a > b # > c > x\n",
+         "preference is missing alternative 'c'", 8),
+        ("voter: delta=1 : #\n", "empty preference", 8),
+        ("voter: delta = 1 : a > b > c > x\n",
+         "unexpected voter attribute 'delta'", 8),
+        ("voter: delta=1 price : a > b > c > x\n",
+         "unexpected voter attribute 'price'", 8),
+        ("voter: Delta=1 : a > b > c > x\n",
+         "unexpected voter attribute 'Delta=1'", 8),
+        ("voter: price=1 : a > b > c > x\n", "voter line missing delta=", 8),
+        ("voter: : a > b > c > x\n", "voter line missing delta=", 8),
+        ("voter: delta=1 : a > b > c > x\nvoter: delta= : a > b > c > x\n",
+         "non-integer delta ''", 9),
+        ("voter: delta=1 price=x1 : a > b > c > x\n",
+         "non-integer price 'x1'", 8),
+    ],
+    ids=["bare", "bare-padded", "no-head", "no-second-colon",
+         "comment-hides-colon", "comment-cuts-preference", "comment-only",
+         "spaced-equals", "attribute-without-value", "capitalized-key",
+         "no-delta", "empty-head", "empty-delta-second-line",
+         "non-integer-price"],
+)
+def test_voter_line_diagnostics(voters, message, lineno):
+    assert _error_of(SWAP_FIXTURE + voters) == (f"line {lineno}: {message}",
+                                                 lineno)
+
+
+@pytest.mark.parametrize("bad_head", ["delta=x", "delta=1 delta=1", "x=1"])
+def test_repeated_bad_voter_head_reports_its_own_line(bad_head):
+    # A head that fails is not remembered: the same bad head on a later
+    # line fails there too, and a good line between them changes nothing.
+    good = "voter: delta=1 price=0 : a > b > c > x\n"
+    bad = f"voter: {bad_head} : a > b > c > x\n"
+    first = _error_of(SWAP_FIXTURE + bad + good + bad)
+    assert first[1] == 8
+    assert _error_of(SWAP_FIXTURE + good + bad + bad) == (
+        first[0].replace("line 8", "line 9"), 9
+    )
+    assert _error_of(SWAP_FIXTURE + good + good + bad) == (
+        first[0].replace("line 8", "line 10"), 10
+    )
+
+
+def test_tabs_and_spacing_around_separators():
+    spaced = SWAP_FIXTURE.replace(
+        "voter: delta=2 price=1 : a > b > c > x",
+        "voter\t:\tdelta=2   price=1\t:a>b >  c\t>x  ",
+    ).replace(
+        "voter: delta=1 price=0 : x > a > b > c",
+        "  voter :delta=1\tprice=0:  x >a> b > c",
+    ).replace("budget: 10", "budget\t:  10\t")
+    assert parse_instance(spaced) == parse_instance(SWAP_FIXTURE)
+
+
+def test_unpriced_and_priced_heads_mixed():
+    voters = (
+        "voter: delta=1 : a > b > c > x\n"
+        "voter: delta=1 price=0 : a > b > c > x\n"
+        "voter: price=0 delta=1 : b > a > c > x\n"
+        "voter: delta=1 : b > a > c > x\n"
+    )
+    head = SWAP_FIXTURE.split("voter:")[0]
+    priced = parse_instance(head + voters.replace("price=0", "price=3", 1))
+    assert priced.deltas == (1, 1, 1, 1)
+    assert priced.prices == (0, 3, 0, 0)
+    unpriced = parse_instance(head.replace("budget: 10\n", "") + voters)
+    assert unpriced.prices == (0, 0, 0, 0)
+    assert unpriced.budget == 0
+    assert _error_of(
+        head.replace("budget: 10\n", "") + voters.replace("price=0", "price=3")
+    ) == ("voter prices given but no budget line (unpriced form)", None)
+
+
 def test_missing_sections():
     with pytest.raises(FormatError, match="missing rule"):
         parse_instance("metric: swap\nalternatives: a b\ntarget: a\n"
