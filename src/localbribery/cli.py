@@ -581,8 +581,11 @@ def main(argv=None) -> int:
     else:
         # What the top-level parser would do with argv, without its own
         # pass over the arguments: hand the rest to the command's parser,
-        # and report leftovers under the top-level usage.
-        args, extras = command.parse_known_args(argv[1:])
+        # into a Namespace that already names the command, and report
+        # leftovers under the top-level usage.
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
         if extras:
             parser.error("unrecognized arguments: " + " ".join(extras))
     try:

@@ -26,8 +26,8 @@ their voter's line cost one dict lookup and give the instance's own object.
 Likewise each distinct attribute text of a voter line (`delta=2 price=1`,
 before the line's second `:`) is read once per call.  Neither table keeps
 a text that failed, so every bad line reports its own line number.
-`parse_instance` reads voter lines inside its one loop over the lines,
-without a helper call per line: they are most of an instance.
+`parse_instance` reads voter lines inside its one loop over the lines:
+they are most of an instance.
 """
 
 from __future__ import annotations
@@ -219,15 +219,9 @@ def parse_instance(
                 delta_price = heads[head] = (
                     attrs["delta"], attrs.get("price", 0)
                 )
-            pref_text = pref_text.strip()
-            pref = table.get(pref_text)
-            if pref is None:
-                pref = table[pref_text] = parse_preference_text(
-                    pref_text, alts, lineno
-                )
             deltas.append(delta_price[0])
             prices.append(delta_price[1])
-            prefs.append(pref)
+            prefs.append(parse_preference_once(pref_text, alts, lineno, table))
             continue
         body = body.strip()
         if key in header_line:

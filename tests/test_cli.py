@@ -630,13 +630,9 @@ def _exit_of(capsys, call):
     return e.value.code, captured.out, captured.err
 
 
+# argvs led by a command name, which main() hands straight to that
+# command's own sub-parser.
 USAGE_ARGVS = [
-    [],
-    ["-h"],
-    ["--help"],
-    ["nope"],
-    ["nope", "--instance", "x"],
-    ["-h", "solve"],
     ["solve"],
     ["solve", "-h"],
     ["solve", "--instance"],
@@ -648,18 +644,37 @@ USAGE_ARGVS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv", USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "empty"
-)
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
 def test_usage_paths_match_the_top_level_parser(capsys, argv):
-    # main() hands a named command straight to its own sub-parser; usage,
-    # help, errors and exit codes must be what parsing all of argv with the
-    # top-level parser gives.
+    # Usage, help, errors and exit codes must be what parsing all of argv
+    # with the top-level parser gives.
     parser, _ = cli.build_parser()
     expected = _exit_of(capsys, lambda: parser.parse_args(argv))
     assert _exit_of(capsys, lambda: main(argv)) == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "x", "--max-nodes", "9"],
+        ["distance", "--metric", "swap", "--p1", "a>b", "--p2", "b>a"],
+        ["realize-wmg", "--target", "t"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_led_namespace_matches_the_top_level_parser(
+    monkeypatch, argv
+):
+    parser, commands = cli.build_parser()
+    seen = []
+    for command in commands.values():
+        command.set_defaults(func=seen.append)
+    monkeypatch.setattr(cli, "_shared_parsers", lambda: (parser, commands))
+    main(argv)
+    assert vars(seen[0]) == vars(parser.parse_args(argv))
+
+
+# argvs that name no command go through the top-level parser itself.
 @pytest.mark.parametrize(
     "argv,code,stream,fragment",
     [
@@ -669,21 +684,15 @@ def test_usage_paths_match_the_top_level_parser(capsys, argv):
         (["-h"], 0, "out", "Local distance-constrained bribery toolkit"),
         (["nope"], 2, "err",
          "localbribery: error: argument command: invalid choice: 'nope'"),
-        (["solve"], 2, "err",
-         "localbribery solve: error: the following arguments are required: "
-         "--instance\n"),
-        (["solve", "-h"], 0, "out", "usage: localbribery solve [-h]"),
-        (["solve", "--instance", "x", "--bogus"], 2, "err",
-         "localbribery: error: unrecognized arguments: --bogus\n"),
     ],
-    ids=["empty", "help", "unknown", "solve", "solve-help", "solve-extra"],
+    ids=["empty", "help", "unknown"],
 )
 def test_usage_paths(capsys, argv, code, stream, fragment):
     got_code, out, err = _exit_of(capsys, lambda: main(argv))
     assert got_code == code
     text = out if stream == "out" else err
     assert fragment in text
-    assert text.startswith("usage: localbribery")
+    assert text.startswith("usage: localbribery [-h]")
     assert (err if stream == "out" else out) == ""
 
 
