@@ -14,31 +14,22 @@ import os
 import sys
 
 from . import flow
-from .core import (
-    AlternativeSet,
-    Preference,
-    Profile,
-    winners,
-)
+from .core import AlternativeSet, Preference, winners
 from .gadgets import (
     GadgetError,
-    KIND_BORDA,
-    KIND_KAPP_MAXDISP,
-    KIND_KAPP_SWAP,
-    Sat3B2Error,
-    WmgTarget,
     gen_borda_gadget,
     gen_kapproval_maxdisp_priced_gadget,
     gen_kapproval_swap_gadget,
-    parse_and_validate_3b2,
     realize_wmg,
     witness_from_assignment,
 )
 from .ioformat import (
     FormatError,
+    parse_and_validate_3b2,
     parse_instance,
-    parse_preference_once,
     parse_preference_text,
+    parse_witness,
+    parse_wmg_target,
     render_instance,
     render_preference,
 )
@@ -105,11 +96,11 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {e}")
 
 
-def _load_instance(
-    path: str, table: dict[str, Preference] | None = None
-) -> BriberyInstance:
+def _parse_file(path: str, parse, *args):
+    """`parse` of the text of the file at `path`, with `path` in front of
+    its `FormatError`s."""
     try:
-        return parse_instance(_read(path), table)
+        return parse(_read(path), *args)
     except FormatError as e:
         raise CliError(f"{path}: {e}")
 
@@ -119,13 +110,6 @@ def _adhoc_alts(text: str) -> AlternativeSet:
     if "" in names:
         raise CliError("empty alternative in preference")
     return AlternativeSet(tuple(names))
-
-
-def _parse_pref(text: str, alts: AlternativeSet) -> Preference:
-    try:
-        return parse_preference_text(text, alts)
-    except FormatError as e:
-        raise CliError(str(e))
 
 
 def _env_limit(name: str, convert, default):
@@ -166,10 +150,7 @@ def _print_outcome(instance: BriberyInstance, outcome: BriberyOutcome) -> int:
 
 
 def _make_gadget(args):
-    try:
-        sat = parse_and_validate_3b2(_read(args.cnf))
-    except Sat3B2Error as e:
-        raise CliError(f"{args.cnf}: {e}")
+    sat = _parse_file(args.cnf, parse_and_validate_3b2)
     try:
         if args.reduction == "kapp-swap":
             return gen_kapproval_swap_gadget(sat, args.delta_pad)
@@ -180,7 +161,7 @@ def _make_gadget(args):
         if args.metric is None:
             raise CliError("the borda reduction needs --metric")
         return gen_borda_gadget(sat, args.metric, args.filler_size)
-    except (GadgetError, Sat3B2Error) as e:
+    except GadgetError as e:
         raise CliError(str(e))
 
 
@@ -191,121 +172,13 @@ def _parse_assignment(text: str) -> tuple[int, ...]:
     return tuple(int(b) for b in bits)
 
 
-def _wmg_int(text: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"line {lineno}: expected an integer, got {text!r}")
-
-
-def _parse_wmg_target(text: str) -> WmgTarget:
-    core = None
-    spacing = None
-    fillers = None
-    margin_lines: list[tuple[int, str, str, int]] = []
-    header_line: dict[str, int] = {}  # header key -> line it was set on
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, body = line.partition(":")
-        key, body = key.strip(), body.strip()
-        if not sep:
-            raise CliError(f"line {lineno}: expected 'key: value'")
-        if key in header_line:
-            raise CliError(
-                f"line {lineno}: repeated '{key}:' line "
-                f"(first on line {header_line[key]})"
-            )
-        if key != "margin":
-            header_line[key] = lineno
-        if key == "core":
-            core = tuple(body.split())
-        elif key == "spacing":
-            spacing = _wmg_int(body, lineno)
-        elif key == "fillers":
-            fillers = _wmg_int(body, lineno)
-        elif key == "margin":
-            parts = body.split()
-            if len(parts) != 3:
-                raise CliError(f"line {lineno}: margin needs '<a> <b> <value>'")
-            margin_lines.append(
-                (lineno, parts[0], parts[1], _wmg_int(parts[2], lineno))
-            )
-        else:
-            raise CliError(f"line {lineno}: unknown key {key!r}")
-    if core is None or spacing is None:
-        raise CliError("target file needs core: and spacing: lines")
-    index = {name: i for i, name in enumerate(core)}
-    ell = len(core)
-    margins = [[0] * ell for _ in range(ell)]
-    pair_line: dict[frozenset, int] = {}  # pair -> line it was set on
-    for lineno, a, b, v in margin_lines:
-        for name in (a, b):
-            if name not in index:
-                raise CliError(
-                    f"line {lineno}: margin references unknown core "
-                    f"alternative {name!r}"
-                )
-        if a == b:
-            raise CliError(f"line {lineno}: margin pairs {a!r} with itself")
-        pair = frozenset((a, b))
-        if pair in pair_line:
-            raise CliError(
-                f"line {lineno}: repeated margin for {a!r} and {b!r} "
-                f"(first on line {pair_line[pair]})"
-            )
-        pair_line[pair] = lineno
-        margins[index[a]][index[b]] = v
-        margins[index[b]][index[a]] = -v
-    try:
-        return WmgTarget(
-            core, tuple(tuple(r) for r in margins), spacing, fillers
-        )
-    except GadgetError as e:
-        raise CliError(str(e))
-
-
-def _read_witness_profile(
-    path: str, instance: BriberyInstance, table: dict[str, Preference]
-) -> Profile:
-    """The `pref:` lines of a witness file, parsed through `table`, the
-    preference table the instance was parsed with.  The `decision:`,
-    `cost:` and `bribed:` lines of `solve` and `witness` output are
-    skipped."""
-    alts = instance.profile.alternatives
-    prefs = []
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, body = line.partition(":")
-        key = key.strip()
-        if not sep:
-            raise CliError(f"{path}: line {lineno}: expected 'key: value'")
-        if key in ("decision", "cost", "bribed"):
-            continue
-        if key != "pref":
-            raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
-        try:
-            prefs.append(parse_preference_once(body, alts, lineno, table))
-        except FormatError as e:
-            raise CliError(f"{path}: {e}")
-    if len(prefs) != instance.n:
-        raise CliError(
-            f"{path}: witness has {len(prefs)} preferences, instance has "
-            f"{instance.n} voters"
-        )
-    return Profile(alts, tuple(prefs))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_winner(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _parse_file(args.instance, parse_instance)
     won = winners(instance.profile, instance.rule)
     alts = instance.profile.alternatives
     print("winners: " + " ".join(alts.names[a] for a in sorted(won)))
@@ -316,15 +189,15 @@ def _cmd_winner(args) -> int:
 
 def _cmd_distance(args) -> int:
     alts = _adhoc_alts(args.p1)
-    p1 = _parse_pref(args.p1, alts)
-    p2 = _parse_pref(args.p2, alts)
+    p1 = parse_preference_text(args.p1, alts)
+    p2 = parse_preference_text(args.p2, alts)
     print(distance(args.metric, p1, p2))
     return EXIT_YES
 
 
 def _cmd_ball(args) -> int:
     alts = _adhoc_alts(args.pref)
-    pref = _parse_pref(args.pref, alts)
+    pref = parse_preference_text(args.pref, alts)
     if args.radius < 0:
         raise CliError("--radius must be non-negative")
     if args.cap < 0:
@@ -354,7 +227,7 @@ def _run_oracle(instance: BriberyInstance, args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _parse_file(args.instance, parse_instance)
     solver, reason = _routed(instance)
     if solver is None:
         if args.oracle:
@@ -371,7 +244,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    return _run_oracle(_load_instance(args.instance), args)
+    return _run_oracle(_parse_file(args.instance, parse_instance), args)
 
 
 def _cmd_gen_gadget(args) -> int:
@@ -407,8 +280,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     table: dict[str, Preference] = {}
-    instance = _load_instance(args.instance, table)
-    witness = _read_witness_profile(args.witness, instance, table)
+    instance = _parse_file(args.instance, parse_instance, table)
+    witness = _parse_file(args.witness, parse_witness, instance, table)
     ok, reason, bribed, price = check_witness(instance, witness)
     if ok:
         print("verified: yes")
@@ -421,7 +294,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_realize_wmg(args) -> int:
-    target = _parse_wmg_target(_read(args.target))
+    target = parse_wmg_target(_read(args.target))
     try:
         profile = realize_wmg(target)
     except GadgetError as e:
@@ -440,7 +313,7 @@ def _cmd_realize_wmg(args) -> int:
 
 
 def _cmd_dump_flow(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _parse_file(args.instance, parse_instance)
     solver, reason = _routed(instance)
     if solver is None:
         raise CliError(f"{reason}; no flow network to dump")
@@ -480,7 +353,12 @@ def _add_gadget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cnf", required=True, help="DIMACS CNF input file")
     p.add_argument("--metric", choices=list(METRICS), default=None,
                    help="metric for the borda reduction")
-    p.add_argument("--delta-pad", type=int, default=None)
+    p.add_argument(
+        "--delta-pad", type=int, default=None,
+        help="kapp-swap block padding, at least 4; the default is the "
+             "paper's 100*m^2*n^2 on the formula after doubling, at least "
+             "230,400, which makes millions of voters",
+    )
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--filler-size", type=int, default=None)
 
@@ -590,6 +468,11 @@ def main(argv=None) -> int:
             parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
+    except FormatError as e:
+        # Text read without a path in front: the distance and ball
+        # preferences, and the realize-wmg target.
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -14,7 +14,7 @@ checked by ``problem.check_witness``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 
 from .core import (
     KAPPROVAL,
@@ -35,10 +35,6 @@ from .problem import NOT_UNIQUE_WINNER, BriberyInstance, check_witness
 
 
 class GadgetError(ValueError):
-    pass
-
-
-class Sat3B2Error(ValueError):
     pass
 
 
@@ -65,21 +61,21 @@ class Sat3B2Instance:
     def __post_init__(self):
         n = self.num_vars
         if n <= 0:
-            raise Sat3B2Error("variable count must be positive")
+            raise GadgetError("variable count must be positive")
         counts: dict[int, int] = {}
         for ci, clause in enumerate(self.clauses):
             if len(clause) != 3:
-                raise Sat3B2Error(
+                raise GadgetError(
                     f"clause {ci + 1} has arity {len(clause)}, expected 3"
                 )
             seen_vars = set()
             for lit in clause:
                 if lit == 0 or abs(lit) > n:
-                    raise Sat3B2Error(
+                    raise GadgetError(
                         f"clause {ci + 1} references invalid literal {lit}"
                     )
                 if abs(lit) in seen_vars:
-                    raise Sat3B2Error(
+                    raise GadgetError(
                         f"clause {ci + 1} uses variable x{abs(lit)} twice "
                         "(duplicate or tautological)"
                     )
@@ -89,7 +85,7 @@ class Sat3B2Instance:
             for lit in (v, -v):
                 got = counts.get(lit, 0)
                 if got != 2:
-                    raise Sat3B2Error(
+                    raise GadgetError(
                         f"literal {_lit_name(lit)} occurs {got} times, "
                         "expected exactly 2"
                     )
@@ -107,7 +103,7 @@ class Sat3B2Instance:
     def satisfies(self, assignment) -> bool:
         a = tuple(assignment)
         if len(a) != self.num_vars or any(v not in (0, 1) for v in a):
-            raise Sat3B2Error("assignment must map every variable to 0/1")
+            raise GadgetError("assignment must map every variable to 0/1")
         return all(
             any((lit > 0) == bool(a[abs(lit) - 1]) for lit in cl)
             for cl in self.clauses
@@ -119,80 +115,6 @@ class Sat3B2Instance:
         shift = lambda lit: lit + n if lit > 0 else lit - n  # noqa: E731
         extra = tuple(tuple(shift(lit) for lit in cl) for cl in self.clauses)
         return Sat3B2Instance(2 * n, self.clauses + extra)
-
-
-def parse_and_validate_3b2(text: str) -> Sat3B2Instance:
-    """Parse DIMACS CNF text and validate the occurrence balance."""
-    num_vars = None
-    num_clauses = None
-    header_line = None
-    clauses: list[tuple[int, int, int]] = []
-    pending: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if header_line is not None:
-                raise Sat3B2Error(
-                    f"line {lineno}: repeated 'p cnf' line "
-                    f"(first on line {header_line})"
-                )
-            header_line = lineno
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise Sat3B2Error(f"line {lineno}: malformed problem line")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise Sat3B2Error(f"line {lineno}: malformed problem line")
-            continue
-        if num_vars is None:
-            raise Sat3B2Error(f"line {lineno}: clause before 'p cnf' header")
-        try:
-            lits = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise Sat3B2Error(f"line {lineno}: non-integer literal")
-        for lit in lits:
-            if lit == 0:
-                if len(pending) != 3:
-                    raise Sat3B2Error(
-                        f"line {lineno}: clause has arity {len(pending)}, "
-                        "expected 3"
-                    )
-                clauses.append(tuple(pending))
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise Sat3B2Error("unterminated clause at end of input")
-    if num_vars is None:
-        raise Sat3B2Error("missing 'p cnf' header")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise Sat3B2Error(
-            f"header announces {num_clauses} clauses, found {len(clauses)}"
-        )
-    return Sat3B2Instance(num_vars, tuple(clauses))
-
-
-def render_3b2(sat: Sat3B2Instance) -> str:
-    lines = [f"p cnf {sat.num_vars} {sat.num_clauses}"]
-    lines.extend(" ".join(str(lit) for lit in cl) + " 0" for cl in sat.clauses)
-    return "\n".join(lines) + "\n"
-
-
-_BRUTE_FORCE_LIMIT = 20
-
-
-def satisfying_assignments(sat: Sat3B2Instance) -> list[tuple[int, ...]]:
-    """All satisfying assignments, by brute force (small instances only)."""
-    if sat.num_vars > _BRUTE_FORCE_LIMIT:
-        raise GadgetError(
-            f"brute-force search limited to {_BRUTE_FORCE_LIMIT} variables"
-        )
-    return [
-        a for a in product((0, 1), repeat=sat.num_vars) if sat.satisfies(a)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +167,6 @@ class WmgTarget:
             )
         if self.spacing < 2:
             raise GadgetError("spacing must be at least 2")
-
-    @property
-    def total_margin_mass(self) -> int:
-        return sum(
-            abs(self.margins[i][j])
-            for i in range(len(self.core_names))
-            for j in range(len(self.core_names))
-            if i != j
-        )
-
-    def lemma_filler_bound(self) -> int:
-        """The (loose) sufficient filler count from the source analysis."""
-        ell = len(self.core_names)
-        return 10 * self.spacing**2 * ell**2 * self.total_margin_mass + 1
 
 
 def _wmg_core_sequences(
@@ -549,7 +457,9 @@ def gen_kapproval_swap_gadget(
     sat: Sat3B2Instance, delta_pad: int | None = None
 ) -> GadgetInstance:
     """Distance-2 swap bribery instance for 2-approval encoding the SAT
-    instance.  ``delta_pad`` overrides the block-size padding (floor 4).
+    instance.  The block-size padding defaults to the construction's
+    100·m²·n², on the formula after any doubling (n ≥ 6 and m ≥ 8, so at
+    least 230,400); ``delta_pad`` overrides it (floor 4).
     """
     source = sat
     if sat.num_vars % 2 or sat.num_clauses % 2:

@@ -1,19 +1,14 @@
-"""Line-oriented instance file format.
+"""The four text formats, each read with line diagnostics: an instance
+(`parse_instance`, whose canonical inverse is `render_instance`), a
+witness (`parse_witness`), a weighted-majority-graph target
+(`parse_wmg_target`) and a (3,B2)-SAT formula in DIMACS CNF
+(`parse_and_validate_3b2`).  README.md ("Text formats") gives their
+syntax.  Every reader raises only `FormatError`.
 
-```
-rule: kapproval 2
-metric: swap
-alternatives: a b c x
-target: x
-budget: 10
-voter: delta=2 price=1 : a > b > c > x
-```
-
-`#` starts a comment; blank lines are ignored.  A missing `budget:` line
-selects the unpriced form (all prices 0, budget 0).  Every key but
-`voter:` may appear at most once, and so may each voter attribute; a
-repeat is an error, not a silent override.  `render_instance` is
-the canonical inverse of `parse_instance`.
+The first three are `key: value` lines, read by one line reader,
+`key_lines`.  A key that may appear once is an error when repeated, not a
+silent override, and so is a repeated voter attribute.  The DIMACS reader
+has its own loop: its comment and clause lines are not `key: value`.
 
 A preference line in the canonical `a > b > c` form, which
 `render_preference` writes, is mapped through the set's name table by one
@@ -21,17 +16,18 @@ split on `" > "`; any other spacing falls back to a split on `>` with each
 name stripped, and only a line that fails both is scanned for its first
 problem.  Within one call, a preference text is parsed once: `parse_instance`
 keeps a table from each stripped text to its `Preference`, which a caller
-may own and pass on, so that the `pref:` lines of a witness that repeat
-their voter's line cost one dict lookup and give the instance's own object.
-Likewise each distinct attribute text of a voter line (`delta=2 price=1`,
-before the line's second `:`) is read once per call.  Neither table keeps
-a text that failed, so every bad line reports its own line number.
-`parse_instance` reads voter lines inside its one loop over the lines:
-they are most of an instance.
+may own and pass on to `parse_witness`, so that the `pref:` lines of a
+witness that repeat their voter's line cost one dict lookup and give the
+instance's own object.  Likewise each distinct attribute text of a voter
+line (`delta=2 price=1`, before the line's second `:`) is read once per
+call.  Neither table keeps a text that failed, so every bad line reports
+its own line number.  `parse_instance` reads voter lines inside its one
+loop over the lines: they are most of an instance.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterator
 from fractions import Fraction
 
 from .core import (
@@ -50,6 +46,7 @@ from .core import (
     ScoreVector,
     VotingRule,
 )
+from .gadgets import GadgetError, Sat3B2Instance, WmgTarget
 from .metrics import METRICS
 from .problem import BriberyInstance
 
@@ -59,6 +56,32 @@ class FormatError(ValueError):
         where = f"line {lineno}: " if lineno is not None else ""
         super().__init__(where + message)
         self.lineno = lineno
+
+
+def key_lines(
+    text: str, once: Container[str] = ()
+) -> Iterator[tuple[int, str, str]]:
+    """`(lineno, key, body)` of each `key: value` line of `text`, lazily, so
+    that an earlier line's error comes first.  `#` starts a comment, blank
+    lines are skipped, `key` is stripped and `body` is not.  A line with no
+    `:`, and a second line of a key in `once`, raise `FormatError`."""
+    first: dict[str, int] = {}  # once-only key -> line it was set on
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        key, sep, body = line.partition(":")
+        if not sep:
+            raise FormatError(lineno, "expected 'key: value'")
+        key = key.strip()
+        if key in once:
+            if key in first:
+                raise FormatError(
+                    lineno,
+                    f"repeated '{key}:' line (first on line {first[key]})",
+                )
+            first[key] = lineno
+        yield lineno, key, body
 
 
 _SIMPLE_RULES = (PLURALITY, VETO, BORDA, MAXIMIN, BUCKLIN, SBUCKLIN)
@@ -168,6 +191,11 @@ def render_preference(pref: Preference, alts: AlternativeSet) -> str:
     return " > ".join([names[a] for a in pref.order])
 
 
+_INSTANCE_HEADERS = frozenset(
+    ("rule", "metric", "alternatives", "target", "budget")
+)
+
+
 def parse_instance(
     text: str, table: dict[str, Preference] | None = None
 ) -> BriberyInstance:
@@ -182,15 +210,7 @@ def parse_instance(
     prefs: list[Preference] = []
     # Voter attribute text -> (delta, price), for texts that parsed.
     heads: dict[str, tuple[int, int]] = {}
-    header_line: dict[str, int] = {}  # header key -> line it was set on
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        key, sep, body = line.partition(":")
-        if not sep:
-            raise FormatError(lineno, "expected 'key: value'")
-        key = key.strip()
+    for lineno, key, body in key_lines(text, _INSTANCE_HEADERS):
         if key == "voter":
             if alts is None:
                 raise FormatError(lineno, "voter before alternatives")
@@ -224,11 +244,6 @@ def parse_instance(
             prefs.append(parse_preference_once(pref_text, alts, lineno, table))
             continue
         body = body.strip()
-        if key in header_line:
-            raise FormatError(
-                lineno, f"repeated '{key}:' line (first on line {header_line[key]})"
-            )
-        header_line[key] = lineno
         if key == "rule":
             rule = parse_rule(body, lineno)
         elif key == "metric":
@@ -302,3 +317,142 @@ def render_instance(instance: BriberyInstance) -> str:
             + render_preference(instance.profile.prefs[i], alts)
         )
     return "\n".join(lines) + "\n"
+
+
+def parse_witness(
+    text: str, instance: BriberyInstance, table: dict[str, Preference]
+) -> Profile:
+    """The bribed profile of witness `text`, whose `pref:` lines are parsed
+    through `table`, the preference table `instance` was parsed with."""
+    alts = instance.profile.alternatives
+    prefs = []
+    for lineno, key, body in key_lines(text):
+        if key == "pref":
+            prefs.append(parse_preference_once(body, alts, lineno, table))
+        elif key not in ("decision", "cost", "bribed"):
+            raise FormatError(lineno, f"unknown key {key!r}")
+    if len(prefs) != instance.n:
+        raise FormatError(
+            None,
+            f"witness has {len(prefs)} preferences, instance has "
+            f"{instance.n} voters",
+        )
+    return Profile(alts, tuple(prefs))
+
+
+def _integer(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(lineno, f"expected an integer, got {text!r}")
+
+
+def parse_wmg_target(text: str) -> WmgTarget:
+    """The weighted-majority-graph target of `text`.  The target's own
+    checks (`WmgTarget`) are reported without a line."""
+    core = spacing = fillers = None
+    margin_lines: list[tuple[int, str, str, int]] = []
+    for lineno, key, body in key_lines(text, ("core", "spacing", "fillers")):
+        body = body.strip()
+        if key == "core":
+            core = tuple(body.split())
+        elif key == "spacing":
+            spacing = _integer(body, lineno)
+        elif key == "fillers":
+            fillers = _integer(body, lineno)
+        elif key == "margin":
+            parts = body.split()
+            if len(parts) != 3:
+                raise FormatError(lineno, "margin needs '<a> <b> <value>'")
+            margin_lines.append(
+                (lineno, parts[0], parts[1], _integer(parts[2], lineno))
+            )
+        else:
+            raise FormatError(lineno, f"unknown key {key!r}")
+    if core is None or spacing is None:
+        raise FormatError(None, "target file needs core: and spacing: lines")
+    index = {name: i for i, name in enumerate(core)}
+    ell = len(core)
+    margins = [[0] * ell for _ in range(ell)]
+    pair_line: dict[frozenset, int] = {}  # pair -> line it was set on
+    for lineno, a, b, v in margin_lines:
+        for name in (a, b):
+            if name not in index:
+                raise FormatError(
+                    lineno,
+                    f"margin references unknown core alternative {name!r}",
+                )
+        if a == b:
+            raise FormatError(lineno, f"margin pairs {a!r} with itself")
+        pair = frozenset((a, b))
+        if pair in pair_line:
+            raise FormatError(
+                lineno,
+                f"repeated margin for {a!r} and {b!r} "
+                f"(first on line {pair_line[pair]})",
+            )
+        pair_line[pair] = lineno
+        margins[index[a]][index[b]] = v
+        margins[index[b]][index[a]] = -v
+    try:
+        return WmgTarget(
+            core, tuple(tuple(r) for r in margins), spacing, fillers
+        )
+    except GadgetError as e:
+        raise FormatError(None, str(e))
+
+
+def parse_and_validate_3b2(text: str) -> Sat3B2Instance:
+    """The (3,B2)-SAT formula of DIMACS CNF `text`.  The formula's own checks
+    (`Sat3B2Instance`) are reported without a line."""
+    num_vars = num_clauses = header_line = None
+    clauses: list[tuple[int, int, int]] = []
+    pending: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if header_line is not None:
+                raise FormatError(
+                    lineno,
+                    f"repeated 'p cnf' line (first on line {header_line})",
+                )
+            header_line = lineno
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise FormatError(lineno, "malformed problem line")
+            try:
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FormatError(lineno, "malformed problem line")
+            continue
+        if num_vars is None:
+            raise FormatError(lineno, "clause before 'p cnf' header")
+        try:
+            lits = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise FormatError(lineno, "non-integer literal")
+        for lit in lits:
+            if lit == 0:
+                if len(pending) != 3:
+                    raise FormatError(
+                        lineno, f"clause has arity {len(pending)}, expected 3"
+                    )
+                clauses.append(tuple(pending))
+                pending = []
+            else:
+                pending.append(lit)
+    if pending:
+        raise FormatError(None, "unterminated clause at end of input")
+    if num_vars is None:
+        raise FormatError(None, "missing 'p cnf' header")
+    if len(clauses) != num_clauses:
+        raise FormatError(
+            None,
+            f"header announces {num_clauses} clauses, found {len(clauses)}",
+        )
+    try:
+        return Sat3B2Instance(num_vars, tuple(clauses))
+    except GadgetError as e:
+        raise FormatError(None, str(e))

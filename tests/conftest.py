@@ -1,8 +1,10 @@
-"""Shared fixtures: random instance generation and the frozen SAT formula."""
+"""Shared fixtures and helpers: random instance generation, the frozen SAT
+formula, and brute-force and rendering helpers for the gadget tests."""
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +14,7 @@ from localbribery.core import (
     Profile,
     VotingRule,
 )
-from localbribery.gadgets import Sat3B2Instance
+from localbribery.gadgets import GadgetError, Sat3B2Instance, WmgTarget
 from localbribery.problem import BriberyInstance
 
 NAMES = "abcdefghij"
@@ -82,6 +84,43 @@ p cnf 3 4
 -1 2 -3 0
 -1 -2 3 0
 """
+
+
+def render_3b2(sat: Sat3B2Instance) -> str:
+    """DIMACS CNF text of `sat`, which `parse_and_validate_3b2` reads back."""
+    lines = [f"p cnf {sat.num_vars} {sat.num_clauses}"]
+    lines.extend(" ".join(str(lit) for lit in cl) + " 0" for cl in sat.clauses)
+    return "\n".join(lines) + "\n"
+
+
+_BRUTE_FORCE_LIMIT = 20
+
+
+def satisfying_assignments(sat: Sat3B2Instance) -> list[tuple[int, ...]]:
+    """All satisfying assignments, by brute force (small instances only)."""
+    if sat.num_vars > _BRUTE_FORCE_LIMIT:
+        raise GadgetError(
+            f"brute-force search limited to {_BRUTE_FORCE_LIMIT} variables"
+        )
+    return [
+        a for a in product((0, 1), repeat=sat.num_vars) if sat.satisfies(a)
+    ]
+
+
+def total_margin_mass(target: WmgTarget) -> int:
+    ell = len(target.core_names)
+    return sum(
+        abs(target.margins[i][j])
+        for i in range(ell)
+        for j in range(ell)
+        if i != j
+    )
+
+
+def lemma_filler_bound(target: WmgTarget) -> int:
+    """The (loose) sufficient filler count from the source analysis."""
+    ell = len(target.core_names)
+    return 10 * target.spacing**2 * ell**2 * total_margin_mass(target) + 1
 
 
 @pytest.fixture(scope="session")

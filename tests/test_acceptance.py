@@ -22,7 +22,7 @@ from localbribery.core import (
     borda_vector,
     positional_scores,
 )
-from localbribery.gadgets import satisfying_assignments, witness_from_assignment
+from localbribery.gadgets import witness_from_assignment
 from localbribery.ioformat import parse_instance, render_instance
 from localbribery.metrics import (
     FOOTRULE,
@@ -46,7 +46,7 @@ from localbribery.solvers import (
     top_window,
 )
 from localbribery.cli import route_poly_solver
-from conftest import FROZEN_SAT, random_instance
+from conftest import FROZEN_SAT, random_instance, satisfying_assignments
 from test_gadgets import check_realization, random_target
 
 

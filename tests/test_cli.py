@@ -454,6 +454,45 @@ def test_realize_wmg_bad_number_exit_2(tmp_path, capsys, text, line):
     assert err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (("realize-wmg", "--target", "{path}"),
+         "core: a b\nspacing: 4\nmargin: a b\n",
+         "line 3: margin needs '<a> <b> <value>'"),
+        (("realize-wmg", "--target", "{path}"), "core: a b\nfillers: 9\n",
+         "target file needs core: and spacing: lines"),
+        (("realize-wmg", "--target", "{path}"), "core: a b\nspacing 4\n",
+         "line 2: expected 'key: value'"),
+        (("realize-wmg", "--target", "{path}"),
+         "core: a b\nspacing: 4\nmargins: a b 2\n",
+         "line 3: unknown key 'margins'"),
+        (("verify", "--instance", "{plurality}", "--witness", "{path}"),
+         "decision: YES\npref: a > c > b\npref: c > b > a\n",
+         "{path}: witness has 2 preferences, instance has 3 voters"),
+        (("gen-gadget", "--reduction", "kapp-swap", "--cnf", "{path}"),
+         "c no header\n", "{path}: missing 'p cnf' header"),
+        (("gen-gadget", "--reduction", "kapp-swap", "--cnf", "{path}"),
+         "p dimacs 3 4\n1 2 3 0\n", "{path}: line 1: malformed problem line"),
+        (("gen-gadget", "--reduction", "kapp-swap", "--cnf", "{path}"),
+         "c comment\n1 2 3 0\n", "{path}: line 2: clause before 'p cnf' header"),
+        (("gen-gadget", "--reduction", "kapp-swap", "--cnf", "{path}"),
+         "p cnf 3 4\none 2 3 0\n", "{path}: line 2: non-integer literal"),
+    ],
+    ids=["wmg-margin-arity", "wmg-no-spacing", "wmg-no-colon",
+         "wmg-unknown-key", "witness-count", "cnf-no-header",
+         "cnf-malformed-header", "cnf-clause-first", "cnf-non-integer"],
+)
+def test_reader_error_exit_2(tmp_path, plurality_path, capsys, argv, text,
+                             message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    paths = {"path": str(path), "plurality": plurality_path}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(**paths)}\n"
+
+
 def test_realize_wmg_unknown_margin_alternative_exit_2(tmp_path, capsys):
     t = tmp_path / "t.wmg"
     t.write_text("core: a b\nspacing: 4\nmargin: a z 2\n")

@@ -17,21 +17,28 @@ from localbribery.core import (
 )
 from localbribery.gadgets import (
     GadgetError,
-    Sat3B2Error,
     Sat3B2Instance,
     WmgTarget,
     gen_borda_gadget,
     gen_kapproval_maxdisp_priced_gadget,
     gen_kapproval_swap_gadget,
-    parse_and_validate_3b2,
     realize_wmg,
-    render_3b2,
-    satisfying_assignments,
     witness_from_assignment,
 )
-from localbribery.ioformat import render_instance, render_rule
+from localbribery.ioformat import (
+    FormatError,
+    parse_and_validate_3b2,
+    render_instance,
+    render_rule,
+)
 from localbribery.problem import NOT_UNIQUE_WINNER, check_witness
-from conftest import FROZEN_SAT, FROZEN_SAT_DIMACS
+from conftest import (
+    FROZEN_SAT,
+    FROZEN_SAT_DIMACS,
+    lemma_filler_bound,
+    render_3b2,
+    satisfying_assignments,
+)
 
 # ---------------------------------------------------------------------------
 # (3,B2)-SAT
@@ -50,14 +57,14 @@ def test_parse_dimacs_round_trip():
 
 
 def test_arity_error():
-    with pytest.raises(Sat3B2Error, match="arity 2"):
+    with pytest.raises(GadgetError, match="arity 2"):
         Sat3B2Instance(2, ((1, 2),))
 
 
 def test_duplicate_and_tautological_literals():
-    with pytest.raises(Sat3B2Error, match="twice"):
+    with pytest.raises(GadgetError, match="twice"):
         Sat3B2Instance(3, ((1, 1, 2),) * 4)
-    with pytest.raises(Sat3B2Error, match="twice"):
+    with pytest.raises(GadgetError, match="twice"):
         Sat3B2Instance(3, ((1, -1, 2),) * 4)
 
 
@@ -65,20 +72,20 @@ def test_occurrence_count_diagnostic():
     # x1 positive three times, once negative: the error names the first
     # violated occurrence count.
     clauses = ((1, 2, 3), (1, 2, -3), (1, -2, 3), (-1, -2, -3))
-    with pytest.raises(Sat3B2Error, match=r"x1 occurs 3 times"):
+    with pytest.raises(GadgetError, match=r"x1 occurs 3 times"):
         Sat3B2Instance(3, clauses)
 
 
 def test_parse_errors():
-    with pytest.raises(Sat3B2Error, match="line 1"):
+    with pytest.raises(FormatError, match="line 1"):
         parse_and_validate_3b2("p dimacs 3 4\n1 2 3 0\n")
-    with pytest.raises(Sat3B2Error, match="before"):
+    with pytest.raises(FormatError, match="before"):
         parse_and_validate_3b2("1 2 3 0\n")
-    with pytest.raises(Sat3B2Error, match="announces"):
+    with pytest.raises(FormatError, match="announces"):
         parse_and_validate_3b2("p cnf 3 5\n" + FROZEN_SAT_DIMACS.split("\n", 2)[2])
-    with pytest.raises(Sat3B2Error, match="unterminated"):
+    with pytest.raises(FormatError, match="unterminated"):
         parse_and_validate_3b2("p cnf 3 4\n1 2 3\n")
-    with pytest.raises(Sat3B2Error, match="non-integer"):
+    with pytest.raises(FormatError, match="non-integer"):
         parse_and_validate_3b2("p cnf 3 4\none 2 3 0\n")
 
 
@@ -208,8 +215,8 @@ def test_lemma_filler_bound_documented():
     t = WmgTarget(("a", "b"), ((0, 2), (-2, 0)), 4)
     # The stated sufficient bound is loose; the construction enforces its
     # own exact floor instead, which must never exceed the stated bound.
-    assert t.lemma_filler_bound() == 10 * 16 * 4 * 4 + 1
-    assert realize_wmg(t).m - 2 < t.lemma_filler_bound()
+    assert lemma_filler_bound(t) == 10 * 16 * 4 * 4 + 1
+    assert realize_wmg(t).m - 2 < lemma_filler_bound(t)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,12 @@ voter: delta=1 price=3 : a > b
         (("budget: 10", "budget: lots"), "non-integer budget"),
         (("delta=2", "delta=two"), "non-integer delta"),
         (("voter: delta=1 price=0 :", "voter: delta=1 price=0"), "voter line"),
+        (("rule: kapproval 2", "voter: delta=1 : a > b > c > x"),
+         "line 1: voter before alternatives"),
+        (("rule: kapproval 2", "target: x"),
+         "line 1: target before alternatives"),
+        (("alternatives: a b c x", "alternatives:  # none"),
+         "line 3: empty alternative list"),
     ],
 )
 def test_line_diagnostics(mutation, fragment):
