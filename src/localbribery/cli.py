@@ -125,11 +125,11 @@ def _env_limit(name: str, convert, default):
 def _oracle_budget(args) -> OracleBudget:
     nodes = args.max_nodes
     if nodes is None:
-        nodes = _env_limit("ORACLE_MAX_NODES", int, 10**6)
+        nodes = _env_limit("ORACLE_MAX_NODES", int, OracleBudget.max_nodes)
     time_s = args.time_limit
     if time_s is None:
-        time_s = _env_limit("ORACLE_TIME_S", float, 60.0)
-    ball = args.max_ball if args.max_ball is not None else 10**5
+        time_s = _env_limit("ORACLE_TIME_S", float, OracleBudget.time_limit_s)
+    ball = args.max_ball if args.max_ball is not None else OracleBudget.max_ball
     try:
         return OracleBudget(nodes, ball, time_s)
     except ValueError as e:
@@ -476,6 +476,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except Exception as e:
         print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

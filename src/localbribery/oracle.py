@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add, itemgetter, methodcaller
 
@@ -166,8 +167,7 @@ class _Search:
     # -- search ---------------------------------------------------------------
 
     def run(self) -> BriberyOutcome:
-        state = [0] * len(self.bound[0])
-        self._rec(0, 0, state)
+        self._search()
         if self.best is None:
             return BriberyOutcome.no()
         cost, orders = self.best
@@ -179,32 +179,51 @@ class _Search:
         assert out.total_price == cost
         return out
 
-    def _rec(self, depth, price, state):
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise ResourceExceeded("max_nodes")
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise ResourceExceeded("time")
-        if depth == self.n:
-            if self.decide(state) == self.goal:
-                self.best = (price, tuple(self.chosen))
-                self.cap = price - 1
-            return
-        best_case = list(map(add, state, self.bound[depth]))
-        if self.bound_decide(best_case) != self.goal:
-            return
-        opts = self.options[depth]
-        if price + self.instance.prices[depth] > self.cap:
-            opts = self.unbribed[depth]
-        for opt in opts:
+    def _search(self) -> None:
+        """Depth first, without recursion, so that any number of voters
+        fits.  `opts`, `base` and `carried` are the options left on the
+        deepest open voter and the price and tally carried into it; `stack`
+        holds the same for the open voters above it, over an empty entry
+        for the root's parent.  Each pass enters one node, then takes the
+        next option left, going back up as voters run out of options."""
+        decide, bound_decide, goal = self.decide, self.bound_decide, self.goal
+        bound, options, unbribed = self.bound, self.options, self.unbribed
+        n, prices, chosen = self.n, self.instance.prices, self.chosen
+        stack: list[tuple[Iterator[list], int, list[int]]] = []
+        opts, base, carried = iter(()), 0, []
+        depth, price, state = 0, 0, [0] * len(bound[0])
+        while True:
+            self.nodes = nodes = self.nodes + 1
+            if nodes > self.max_nodes:
+                raise ResourceExceeded("max_nodes")
+            if nodes % 4096 == 0 and time.monotonic() > self.deadline:
+                raise ResourceExceeded("time")
+            if depth == n:
+                if decide(state) == goal:
+                    self.best = (price, tuple(chosen))
+                    self.cap = price - 1
+            elif bound_decide(list(map(add, state, bound[depth]))) == goal:
+                stack.append((opts, base, carried))
+                opts = options[depth]
+                if price + prices[depth] > self.cap:
+                    opts = unbribed[depth]
+                opts, base, carried = iter(opts), price, state
+            while True:
+                for opt in opts:
+                    if base + opt[1] <= self.cap:
+                        break
+                else:
+                    if not stack:
+                        return
+                    opts, base, carried = stack.pop()
+                    continue
+                break
             q, p, d = opt
-            new_price = price + p
-            if new_price > self.cap:
-                continue
             if d is None:
                 d = opt[2] = self.contribution(q)
-            self.chosen[depth] = q
-            self._rec(depth + 1, new_price, list(map(add, state, d)))
+            depth = len(stack)
+            chosen[depth - 1] = q
+            price, state = base + p, list(map(add, carried, d))
 
 
 def _optimistic(alpha, pairs, m, c, metric, radius, order) -> list[int]:

@@ -9,37 +9,36 @@ passes through the independent witness verifier before being returned.
 
 Plurality, veto and the two small-radius solvers all choose, for each
 voter, which reachable alternative sits at the scoring end of its order:
-first place, last place, or position k.  They share one network,
-`_move_flow`, a circulation on the alternatives that carries only the
+first place, last place, or position k.  Each guesses the target's final
+score (simplified Bucklin a level too) and tries every guess through one
+function, `_boundary_toggle_solve`, which solves one flow on one network,
+`_move_flow`: a circulation on the alternatives that carries only the
 moves.  Voters that the network cannot tell apart form one class, keyed
-(current, reach, price), so network size follows the number of voter
+(current, options, price), so network size follows the number of voter
 types rather than the number of voters.  A class with one paid option is
-one edge; only a class with two or more gets a node.  Each alternative's
-loss and gain edges take its score from what it holds now into the bounds
-of the guess.  A class's flow is dealt back to its voters in index order,
-which keeps witnesses deterministic.  Each solver guesses a score (and for
-simplified Bucklin a level), solves one flow per guess, and keeps the
-cheapest witness through `_cheapest`; the guesses run only over what cheap
-counts of the profile leave open, and a cost-0 guess ends the loop.  The
-two max-displacement solvers share a windowed flow with demands, in which
-a voter fills several top-k slots and the target competes for them like
-every other alternative.
+one edge; only a class with two or more gets a node.  A class's flow is
+dealt back to its voters in index order, which keeps witnesses
+deterministic.  `_cheapest` keeps the cheapest witness; the guesses run
+only over what cheap counts of the profile leave open, and a cost-0 guess
+ends the loop.  The two max-displacement solvers share a windowed flow
+with demands, in which a voter fills several top-k slots and the target
+competes for them like every other alternative.
 
 Before its network is built, each guess passes a count screen: a
-node-balance condition that every feasible flow within budget meets.  A
-rival over its cap must lose the excess through distinct voters able to
-take a point from it, whose least total price fits the budget
-(`_sheds_fit`: moves out of first place or position k, new vetoes under
-veto); under max displacement the target's demand must fit the
-preferences whose window holds it (`_window_fits`).  A screen drops only
-guesses whose flow is infeasible or over budget, so `_cheapest` sees the
-same successful guesses in the same order as a full scan, and returns the
-same witness.
+node-balance condition that every feasible flow within budget meets.
+Each point a rival must lose (plurality, small radius) or gain (veto) takes
+a distinct voter able to move it, and the least total price of those
+voters must fit the budget (`_sheds_fit`).  Under max displacement the
+target's demand must fit the preferences whose window holds it
+(`_window_fits`).  A screen drops only guesses whose flow is infeasible
+or over budget, so `_cheapest` sees the same successful guesses in the
+same order as a full scan, and returns the same witness.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from bisect import bisect_right
+from collections.abc import Hashable, Iterable, Iterator
 from itertools import accumulate
 
 from .core import (
@@ -58,7 +57,7 @@ from .flow import (
     max_flow_with_arcs,  # unused here; bench/tracing.py names it
     min_cost_flow_with_demands,
 )
-from .metrics import FOOTRULE, MAXDISP, SWAP
+from .metrics import FOOTRULE, MAXDISP, SWAP, rank_reach
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
 
 # A class of interchangeable voters: its key and its voters in index order.
@@ -121,27 +120,9 @@ def route_poly_solver(instance: BriberyInstance):
 
 
 def top_window(delta: int, metric: str) -> int:
-    """Number of leading positions whose alternative can reach position 1.
-
-    Swap and max-displacement: delta+1.  Footrule: moving up j places costs
-    2j, so floor(delta/2)+1.
-    """
-    if metric in (SWAP, MAXDISP):
-        return delta + 1
-    if metric == FOOTRULE:
-        return delta // 2 + 1
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def _voter_classes(
-    voters: Iterable[int], key: Callable[[int], Hashable]
-) -> list[VoterClass]:
-    """Group voters by `key`: classes in first-seen order, each class's
-    voters in the order given."""
-    classes: dict[Hashable, list[int]] = {}
-    for i in voters:
-        classes.setdefault(key(i), []).append(i)
-    return list(classes.items())
+    """Number of leading positions whose alternative can reach position 1:
+    one more than how far an alternative can move (`metrics.rank_reach`)."""
+    return rank_reach(metric, delta) + 1
 
 
 def _deal(
@@ -166,33 +147,29 @@ def _deal(
                 t += 1
 
 
-def _affordable(prices: Iterable[int], budget: int) -> int:
-    """How many of `prices` the budget pays for, cheapest first."""
-    count = 0
-    for price in sorted(prices):
-        budget -= price
-        if budget < 0:
-            break
-        count += 1
-    return count
-
-
-def _shed_spends(
-    m: int, sheds: Iterable[tuple[int, int, int]]
-) -> list[list[int]]:
-    """From (alternative, price, voters) triples, one list per alternative
-    y whose entry j is the least total price of j distinct voters able to
-    take a point from y."""
+def _shed_spends(m: int, classes: list[VoterClass]) -> list[list[int]]:
+    """One list per alternative y whose entry j is the least total price
+    of j distinct voters holding y now: those able to take a point from y."""
     prices: list[list[int]] = [[] for _ in range(m)]
-    for y, price, count in sheds:
-        prices[y] += [price] * count
+    for (current, _, price), members in classes:
+        prices[current] += [price] * len(members)
     return [list(accumulate(sorted(p), initial=0)) for p in prices]
 
 
+def _gain_spends(classes: list[VoterClass], wanted: set[int]) -> list[int]:
+    """Entry j is the least total price of j distinct voters able to bring
+    in an alternative of `wanted`."""
+    prices: list[int] = []
+    for (_, paid, price), members in classes:
+        if not wanted.isdisjoint(paid):
+            prices += [price] * len(members)
+    return list(accumulate(sorted(prices), initial=0))
+
+
 def _sheds_fit(spends: list[list[int]], needs: Iterable[int], budget: int) -> bool:
-    """Whether each alternative y can lose `needs[y]` points through
-    distinct voters of `spends[y]` (see `_shed_spends`) within `budget`.
-    No voter serves two alternatives, so the least totals add up."""
+    """Whether `needs[y]` distinct voters of each list `spends[y]` (see
+    `_shed_spends` and `_gain_spends`) fit `budget` together.  No voter is
+    in two of the lists, so the least totals add up."""
     total = 0
     for spend, need in zip(spends, needs):
         if need > 0:
@@ -246,25 +223,24 @@ def _move_flow(
     """The cheapest moves that take every alternative's score at the
     scoring end from `held` into `bounds`, within budget.
 
-    A class keyed (current, reach, price) moves up to one unit per voter
-    from `current` to an alternative of `reach` other than `current`, at
-    `price`: the alternative moved takes `current`'s place and its point.
-    Nodes are the super source 0, the super sink 1, the alternatives, and
-    one node per class with two or more paid options.  Alternative a's
-    gain edge a->1 and loss edge 0->a carry what it ends up with beyond
-    `held[a]` and short of it, bounded so that it ends within `bounds[a]`;
-    a closing edge 1->0 makes the flow a circulation.  Returns the cost and
-    the moves of the cheapest circulation, each class's moves on its
-    lowest-indexed voters, or None when none fits the budget.
+    A class keyed (current, options, price) moves up to one unit per voter
+    from `current` to an alternative of `options`, at `price`: the
+    alternative moved takes `current`'s place and its point.  Nodes are
+    the super source 0, the super sink 1, the alternatives, and one node
+    per class with two or more paid options.  Alternative a's gain edge
+    a->1 and loss edge 0->a carry what it ends up with beyond `held[a]`
+    and short of it, bounded so that it ends within `bounds[a]`; a closing
+    edge 1->0 makes the flow a circulation.  Returns the cost and the moves
+    of the cheapest circulation, each class's moves on its lowest-indexed
+    voters, or None when none fits the budget.
     """
     m = instance.m
-    options = [
-        [a for a in reach if a != current] for (current, reach, _), _ in classes
-    ]
-    net = FlowNetwork(2 + m + sum(len(paid) > 1 for paid in options), 0, 1)
+    net = FlowNetwork(
+        2 + m + sum(len(paid) > 1 for (_, paid, _), _ in classes), 0, 1
+    )
     node = 2 + m
     move_edges = []
-    for ((current, _, price), members), paid in zip(classes, options):
+    for (current, paid, price), members in classes:
         size = len(members)
         via, cost = 2 + current, price
         if len(paid) > 1:
@@ -285,72 +261,75 @@ def _move_flow(
     return res.total_cost, list(_deal(classes, move_edges, res.edge_flow))
 
 
+def _movers(instance: BriberyInstance) -> list[tuple[int, int]]:
+    """Each voter whose radius lets it exchange two adjacent places, with
+    its `top_window`."""
+    width = {d: top_window(d, instance.metric) for d in set(instance.deltas)}
+    return [(i, width[d]) for i, d in enumerate(instance.deltas) if width[d] > 1]
+
+
 def _end_classes(
-    instance: BriberyInstance, voters: Iterable[int], end: int
+    instance: BriberyInstance, pos: int, movers: list[tuple[int, int]]
 ) -> list[VoterClass]:
-    """Voters able to change what sits at position `end` (0 or -1), keyed
-    (alternative there now, the sorted alternatives that can reach it,
-    price)."""
-    prefs, prices = instance.profile.prefs, instance.prices
-    width = [top_window(d, instance.metric) for d in instance.deltas]
+    """The voters of `movers` (see `_movers`) able to change what sits at
+    position `pos`, keyed (alternative there now, the paid options, price).
 
-    def key(i: int) -> Hashable:
-        order, w = prefs[i].order, width[i]
-        window = order[:w] if end == 0 else order[-w:]
-        return order[end], tuple(sorted(window)), prices[i]
-
-    return _voter_classes((i for i in voters if width[i] > 1), key)
-
-
-def _togglers(instance: BriberyInstance) -> list[int]:
-    """The voters whose radius lets them exchange two adjacent places."""
-    return [
-        i for i in range(instance.n)
-        if top_window(instance.deltas[i], instance.metric) > 1
-    ]
-
-
-def _toggle_classes(
-    instance: BriberyInstance, k: int, togglers: list[int]
-) -> list[VoterClass]:
-    """Voters of `togglers` that may exchange positions k and k+1, keyed
-    (the alternative at k, the pair, price).  Voters whose exchange would
-    demote the target are left out: that is never useful."""
-    prefs, c = instance.profile.prefs, instance.target
-    togglable = (i for i in togglers if prefs[i].order[k - 1] != c)
-    return _voter_classes(
-        togglable,
-        lambda i: (prefs[i].order[k - 1], prefs[i].order[k - 1 : k + 1],
-                   instance.prices[i]),
-    )
+    The paid options are the rest of the voter's window: the places after
+    `pos` that can reach it, or before the last one when `pos` is -1;
+    sorted when there are two or more.  A voter that holds the target at
+    `pos` >= 0 never moves, since that could only cost the target a point.
+    """
+    prefs, prices, c = instance.profile.prefs, instance.prices, instance.target
+    classes: dict[Hashable, list[int]] = {}
+    for i, w in movers:
+        order = prefs[i].order
+        current = order[pos]
+        if pos < 0:
+            paid = order[-w:-1]
+        elif current == c:
+            continue
+        else:
+            paid = order[pos + 1 : pos + w]
+        if len(paid) > 1:
+            paid = tuple(sorted(paid))
+        classes.setdefault((current, paid, prices[i]), []).append(i)
+    return list(classes.items())
 
 
 def _boundary_toggle_solve(
     instance: BriberyInstance,
     held: list[int],
     classes: list[VoterClass],
-    spends: list[list[int]],
-    target: int,
-    rival_cap: int,
+    sheds: list[list[int]],
+    target: tuple[int, int],
+    rival: tuple[int, int],
 ) -> tuple[int, list[Move]] | None:
-    """One guess at boundary k, plurality being k = 1: the target ends
-    with exactly `target` of the top-k places that `held` counts now, and
-    every rival with at most `rival_cap`.
+    """One guess: `_move_flow` from `held` into the bounds `target` for
+    the target and `rival` for every other alternative, once the rivals
+    pass a count screen.
 
-    Small-radius k-approval and simplified Bucklin take this form because
-    at radius 1 the only change that moves level-k scores is exchanging
-    the alternatives at positions k and k+1; any other radius-1 change can
-    be dropped without raising cost or altering level-k scores.  Every
-    rival over the cap must shed the excess through moves out of its
-    place, one point per voter; when the cheapest such moves (`spends`)
-    overrun the budget, no network is built.
+    Rivals under their band gain the shortfall through distinct voters
+    able to bring one of them in, pooled.  Otherwise, every rival over its
+    band sheds the excess through distinct voters that hold it now, whose
+    least totals are `sheds` (see `_shed_spends`).  One voter may both
+    take a point from one rival and bring in another, so the two screens
+    do not add up; the bands in use never need both.  When the cheapest
+    such voters overrun the budget, no network is built.  The guess range
+    keeps the target within reach.
     """
     c = instance.target
-    excess = [0 if y == c else h - rival_cap for y, h in enumerate(held)]
-    if not _sheds_fit(spends, excess, instance.budget):
+    lo, hi = rival
+    short = {y for y, h in enumerate(held) if h < lo and y != c}
+    if short:
+        spends = [_gain_spends(classes, short)]
+        needs = [sum(lo - held[y] for y in short)]
+    else:
+        spends = sheds
+        needs = [0 if y == c else h - hi for y, h in enumerate(held)]
+    if not _sheds_fit(spends, needs, instance.budget):
         return None
-    bounds = [(0, rival_cap)] * instance.m
-    bounds[c] = (target, target)
+    bounds = [rival] * instance.m
+    bounds[c] = target
     return _move_flow(instance, held, classes, bounds)
 
 
@@ -365,29 +344,30 @@ def _boundary_guesses(
     final score at a boundary where the scores are `held` now, from `floor`
     (or the target's score now, if higher) up to what the budget can buy
     it.  Rivals are capped at `rival_cap`, or one below the guess when it
-    is None."""
-    c, m = instance.target, instance.m
-    spends = _shed_spends(m, (
-        (current, price, len(members))
-        for (current, _, price), members in classes
-    ))
+    is None.
+
+    Small-radius k-approval and simplified Bucklin take this form because
+    at radius 1 the only change that moves level-k scores is exchanging
+    the alternatives at positions k and k+1; any other radius-1 change can
+    be dropped without raising cost or altering level-k scores.
+    """
+    c = instance.target
+    sheds = _shed_spends(instance.m, classes)
     # The target gains only through voters that can bring it in, paid for.
-    gain = _affordable(
-        (price for (_, reach, price), members in classes if c in reach
-         for _ in members),
-        instance.budget,
-    )
-    for guess in range(max(floor, held[c]), held[c] + gain + 1):
+    gains = _gain_spends(classes, {c})
+    top = held[c] + bisect_right(gains, instance.budget) - 1
+    for guess in range(max(floor, held[c]), top + 1):
         cap = guess - 1 if rival_cap is None else rival_cap
-        yield _boundary_toggle_solve(instance, held, classes, spends, guess, cap)
+        yield _boundary_toggle_solve(
+            instance, held, classes, sheds, (guess, guess), (0, cap)
+        )
 
 
-def _approval_solve(
-    instance: BriberyInstance, k: int, classes: list[VoterClass]
-) -> BriberyOutcome:
+def _approval_solve(instance: BriberyInstance, k: int) -> BriberyOutcome:
     """Shared body of plurality (k = 1) and small-radius k-approval: guess
     the target's final score, at least 1, cap every rival one below it."""
     held = positional_scores(instance.profile, approval_vector(instance.m, k))
+    classes = _end_classes(instance, k - 1, _movers(instance))
     best = _cheapest(_boundary_guesses(instance, held, classes, 1))
     return _outcome(
         instance,
@@ -397,18 +377,10 @@ def _approval_solve(
 
 def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     """Guess the target's final plurality score, solve a min-cost flow.
-
-    A voter not ranking the target first may move any alternative of its
-    top window to the top; one ranking it first never moves, since that
-    could only cost the target a point.
-    """
+    A voter may move any alternative of its top window to the top."""
     if instance.rule.tag != PLURALITY:
         raise UnsupportedParameters("solve_plurality requires the plurality rule")
-    c = instance.target
-    voters = (
-        i for i, pref in enumerate(instance.profile.prefs) if pref.order[0] != c
-    )
-    return _approval_solve(instance, 1, _end_classes(instance, voters, 0))
+    return _approval_solve(instance, 1)
 
 
 def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
@@ -418,36 +390,19 @@ def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
         raise UnsupportedParameters("solve_veto requires the veto rule")
     profile, c = instance.profile, instance.target
     n, m = instance.n, instance.m
-    classes = _end_classes(instance, range(n), -1)
+    classes = _end_classes(instance, -1, _movers(instance))
     vetoes = [0] * m
     for pref in profile.prefs:
         vetoes[pref.order[-1]] += 1
+    sheds = _shed_spends(m, classes)
     # A voter vetoing the target keeps doing so unless it is paid to veto
     # another alternative.  Every rival needs more vetoes than the target,
     # so (m-1)(guess+1) <= n caps the guess.
-    forced = vetoes[c] - _affordable(
-        (price for (current, _, price), members in classes if current == c
-         for _ in members),
-        instance.budget,
+    forced = vetoes[c] + 1 - bisect_right(sheds[c], instance.budget)
+    best = _cheapest(
+        _boundary_toggle_solve(instance, vetoes, classes, sheds, (0, g), (g + 1, n))
+        for g in range(forced, n // (m - 1))
     )
-
-    def attempt(guess: int) -> tuple[int, list[Move]] | None:
-        # Each veto a rival lacks is a distinct voter that can veto it
-        # instead of what it vetoes now, paid for.
-        short = {y for y in range(m) if y != c and vetoes[y] <= guess}
-        spends = _shed_spends(1, (
-            (0, price, len(members))
-            for (current, reach, price), members in classes
-            if any(a in short for a in reach if a != current)
-        ))
-        need = sum(guess + 1 - vetoes[y] for y in short)
-        if not _sheds_fit(spends, [need], instance.budget):
-            return None
-        bounds = [(guess + 1, n)] * m
-        bounds[c] = (0, guess)
-        return _move_flow(instance, vetoes, classes, bounds)
-
-    best = _cheapest(attempt(guess) for guess in range(forced, n // (m - 1)))
     return _outcome(
         instance, None if best is None else _move_to(profile, best[1], m - 1)
     )
@@ -457,9 +412,7 @@ def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     if instance.rule.tag != KAPPROVAL:
         raise UnsupportedParameters("this solver requires the k-approval rule")
     _check_domain(instance, windowed=False)
-    k = instance.rule.k
-    classes = _toggle_classes(instance, k, _togglers(instance))
-    return _approval_solve(instance, k, classes)
+    return _approval_solve(instance, instance.rule.k)
 
 
 def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
@@ -479,7 +432,7 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     # The target's exact final count is swept too, because a toggle that
     # raises the target also lowers the rival at the boundary.  The level-k
     # counts are the level-(k-1) counts plus each voter's k-th alternative.
-    togglers = _togglers(instance)
+    movers = _movers(instance)
 
     def attempts() -> Iterator[tuple[int, list[Move], int] | None]:
         held = [0] * m
@@ -488,7 +441,7 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
             for pref in instance.profile.prefs:
                 held[pref.order[level - 1]] += 1
             for got in _boundary_guesses(
-                instance, held, _toggle_classes(instance, level, togglers),
+                instance, held, _end_classes(instance, level - 1, movers),
                 majority, majority - 1,
             ):
                 yield None if got is None else (*got, level)
@@ -574,9 +527,10 @@ def _windowed_maxdisp_solve(
     if not _window_fits(prefs, c, stuck, k + delta, c_floor - ell[c]):
         return None
 
-    classes = _voter_classes(
-        range(n), lambda i: tuple(sorted(prefs[i].order[stuck : k + delta]))
-    )
+    windows: dict[tuple[int, ...], list[int]] = {}
+    for i, pref in enumerate(prefs):
+        windows.setdefault(tuple(sorted(pref.order[stuck : k + delta])), []).append(i)
+    classes = list(windows.items())
     # Nodes: 0 source, 1 sink, 2..m+1 alternatives, then one per class.
     net = FlowNetwork(2 + m + len(classes), 0, 1)
     pick_edges = []
@@ -620,8 +574,7 @@ def _assemble_maxdisp_pref(pref: Preference, top_set: list[int]) -> Preference:
     members from below position k-delta this stays within displacement
     delta of the original.
     """
-    home = {a: i for i, a in enumerate(pref.order)}
     chosen = set(top_set)
-    top = sorted(top_set, key=home.get)
-    rest = sorted((a for a in pref.order if a not in chosen), key=home.get)
+    top = [a for a in pref.order if a in chosen]
+    rest = [a for a in pref.order if a not in chosen]
     return Preference(tuple(top + rest))

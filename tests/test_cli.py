@@ -610,6 +610,37 @@ def test_unexpected_exception_exit_4(plurality_path, capsys, monkeypatch):
     assert err == "error: internal error: RuntimeError: boom\n"
 
 
+def test_out_of_memory_exit_3(cnf_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gen_kapproval_swap_gadget", exhausted)
+    code, out, err = run(
+        capsys, "gen-gadget", "--reduction", "kapp-swap", "--cnf", cnf_path
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("delta,target", [(0, "a"), (1, "b")])
+def test_oracle_searches_past_the_recursion_limit(tmp_path, capsys, delta,
+                                                  target):
+    # 1,200 voters: one search level per voter, deeper than Python's
+    # default recursion limit.  Every voter is free, and the target wins
+    # as is (a), or once most voters put b above a (b).
+    p = tmp_path / "deep.elb"
+    p.write_text(
+        f"rule: borda\nmetric: swap\nalternatives: a b c\ntarget: {target}\n"
+        "budget: 0\n"
+        + f"voter: delta={delta} price=0 : a > b > c\n" * 1200
+    )
+    code, out, err = run(capsys, "oracle", "--instance", str(p))
+    assert code == 0
+    assert out.splitlines()[:2] == ["decision: YES", "cost: 0"]
+    assert err == ""
+
+
 def test_routing_error_exit_4(plurality_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "route_poly_solver", lambda instance: (cli.solve_veto, None)

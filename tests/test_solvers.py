@@ -7,6 +7,7 @@ screens that drop guesses before their networks are built, plus
 domain-boundary behavior.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -482,6 +483,61 @@ def test_sbucklin_screen_builds_no_network_for_a_stuck_majority():
         got = solve_sbucklin_small_radius(inst)
     assert not got.decision
     assert nets == []
+
+
+# sha256 digests of the six polynomial solvers on the seeded instances
+# below: one of the (decision, cost, witness orders) lines, one of the
+# `dump()` of every network they build, in build order.  Both were recorded
+# before plurality, veto and the small-radius solvers shared one per-guess
+# function, so they do not come from the code they check.  A guess search
+# that builds fewer networks (ROADMAP item 1) is expected to move the
+# network digest only; another flow algorithm (item 6) may deal other
+# optimal flows, and so move the outcome digest through the witnesses.
+POLY_OUTCOME_DIGEST = (
+    "712d4a131e07c1f256c18a167bc1ce8c233259c80fcb0bf1aa301efecca25247"
+)
+POLY_NETWORK_DIGEST = (
+    "da2c8c23c399cf95853e0b3ae45a6a00e1f6c224b7e788959165699fa6a7dc0c"
+)
+# (solver, rule or None for k-approval at a drawn k, windowed, radii).
+DIGEST_CELLS = [
+    (solve_plurality, VotingRule("plurality"), False, (0, 1, 2, 3)),
+    (solve_veto, VotingRule("veto"), False, (0, 1, 2, 3)),
+    (solve_kapproval_small_radius, None, False, None),
+    (solve_sbucklin_small_radius, VotingRule("sbucklin"), False, None),
+    (solve_kapproval_maxdisp, None, True, (0, 1, 2, 3)),
+    (solve_sbucklin_maxdisp, VotingRule("sbucklin"), True, (0, 1, 2, 3)),
+]
+
+
+def test_poly_solvers_match_golden_digests():
+    rng = random.Random("poly-digest")
+    outcomes, networks = hashlib.sha256(), hashlib.sha256()
+    solves = yes = built = 0
+    for solver, rule, windowed, radii in DIGEST_CELLS:
+        for t in range(168):
+            metric = MAXDISP if windowed else METRICS[t % len(METRICS)]
+            inst = screened_instance(
+                rng, rule or VotingRule("kapproval", k=rng.randint(1, 3)),
+                metric, radii or SMALL_RADII[metric],
+                unpriced=windowed or t % 4 == 0,
+            )
+            with capture_networks() as nets:
+                out = solver(inst)
+            orders = (
+                tuple(p.order for p in out.witness.prefs)
+                if out.decision else None
+            )
+            line = repr((out.decision, out.total_price, orders))
+            outcomes.update(line.encode() + b"\n")
+            for net in nets:
+                networks.update(net.dump().encode() + b"\n\n")
+            solves += 1
+            yes += out.decision
+            built += len(nets)
+    assert solves == 1008 and 300 < yes < 700 and built > 1000
+    assert outcomes.hexdigest() == POLY_OUTCOME_DIGEST
+    assert networks.hexdigest() == POLY_NETWORK_DIGEST
 
 
 def test_top_window_values():
