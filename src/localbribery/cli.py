@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 = YES/success, 1 = NO/failed check, 2 = usage or parse
-error, 3 = resource limit exceeded, 4 = internal error (a bug: any other
+error, 3 = resource limit exceeded, out of memory, or stdout closed by its
+reader (`error: output closed`), 4 = internal error (a bug: any other
 exception, reported as `error: internal error: <type>: <message>`, so a
 crash never reads as NO).
 """
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import flow
-from .core import AlternativeSet, Preference, winners
+from .core import AlternativeSet, Preference, Profile, map_distinct, winners
 from .gadgets import (
     GadgetError,
     gen_borda_gadget,
@@ -136,17 +137,27 @@ def _oracle_budget(args) -> OracleBudget:
         raise CliError(str(e))
 
 
-def _print_outcome(instance: BriberyInstance, outcome: BriberyOutcome) -> int:
+def _print_outcome(outcome: BriberyOutcome) -> int:
     if not outcome.decision:
         print("decision: NO")
         return EXIT_NO
     print("decision: YES")
     print(f"cost: {outcome.total_price}")
     print("bribed: " + " ".join(str(i) for i in sorted(outcome.bribed)))
-    alts = instance.profile.alternatives
-    for pref in outcome.witness.prefs:
-        print("pref: " + render_preference(pref, alts))
+    _print_prefs(outcome.witness)
     return EXIT_YES
+
+
+def _print_prefs(profile: Profile) -> None:
+    """One `pref:` line per voter, with each distinct preference object
+    rendered once, through this module's `render_preference` binding (so
+    that a wrapper installed on it, as bench/tracing.py does, sees the
+    calls)."""
+    alts = profile.alternatives
+    for text in map_distinct(
+        lambda p: render_preference(p, alts), profile.prefs
+    ):
+        print("pref: " + text)
 
 
 def _make_gadget(args):
@@ -223,7 +234,7 @@ def _run_oracle(instance: BriberyInstance, args) -> int:
         raise CliError(str(e), EXIT_RESOURCE)
     except BallTooLarge as e:
         raise CliError(str(e), EXIT_RESOURCE)
-    return _print_outcome(instance, outcome)
+    return _print_outcome(outcome)
 
 
 def _cmd_solve(args) -> int:
@@ -240,7 +251,7 @@ def _cmd_solve(args) -> int:
         outcome = solver(instance)
     except UnsupportedParameters as e:  # routing bug; fail loudly
         raise CliError(f"internal routing error: {e}", EXIT_INTERNAL)
-    return _print_outcome(instance, outcome)
+    return _print_outcome(outcome)
 
 
 def _cmd_oracle(args) -> int:
@@ -272,9 +283,7 @@ def _cmd_witness(args) -> int:
         print("# assignment does not satisfy the formula; "
               "no winner guarantee")
     print("bribed: " + " ".join(str(i) for i in sorted(witness.bribed)))
-    alts = gadget.instance.profile.alternatives
-    for pref in witness.profile.prefs:
-        print("pref: " + render_preference(pref, alts))
+    _print_prefs(witness.profile)
     return EXIT_YES
 
 
@@ -447,9 +456,24 @@ def build_parser() -> tuple[
 _shared_parsers = functools.cache(build_parser)
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, when it has one."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
+    """Run one command; `argv=None` runs the program on `sys.argv`."""
     parser, commands = _shared_parsers()
-    if argv is None:
+    program = argv is None
+    if program:
         argv = sys.argv[1:]
     command = commands.get(argv[0]) if argv else None
     if command is None:
@@ -467,7 +491,20 @@ def main(argv=None) -> int:
         if extras:
             parser.error("unrecognized arguments: " + " ".join(extras))
     try:
-        return args.func(args)
+        code = args.func(args)
+        if program:
+            # The program's stdout lives until exit: flush it here, so that
+            # a reader that has gone shows below, not at the exit flush.
+            # A caller that passes argv owns its stdout and its flushes.
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`| head`): not a bug.  Send the
+        # output still buffered to the null device, or the interpreter's
+        # flush at exit fails on it again.
+        _discard_stdout()
+        print("error: output closed", file=sys.stderr)
+        return EXIT_RESOURCE
     except FormatError as e:
         # Text read without a path in front: the distance and ball
         # preferences, and the realize-wmg target.

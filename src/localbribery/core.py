@@ -73,8 +73,10 @@ class Preference:
     def trusted(cls, order: tuple[int, ...]) -> "Preference":
         """A preference over `order` without the permutation check, for
         callers that have already proved it: the parser, which checked the
-        length and index set, and the ball generators, which place every
-        alternative exactly once.  Equal to, and hashes like, the checked
+        length and index set, the ball generators, which place every
+        alternative exactly once, and the gadgets' filler-preference
+        builder, whose construction makes the order a permutation exactly
+        when it has m entries.  Equal to, and hashes like, the checked
         form."""
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
@@ -106,6 +108,23 @@ class Profile:
     @property
     def m(self) -> int:
         return self.alternatives.m
+
+
+def map_distinct(fn, prefs) -> list:
+    """`[fn(p) for p in prefs]`, calling `fn` once per distinct object.
+
+    The gadget generators and the instance parser hand out one preference
+    object per distinct order, so a profile repeats a few objects many
+    times.  Objects are told apart by identity: no order is hashed, and
+    equal orders held in different objects are each mapped once."""
+    done: dict[int, object] = {}
+    out = []
+    for p in prefs:
+        key = id(p)
+        if key not in done:
+            done[key] = fn(p)
+        out.append(done[key])
+    return out
 
 
 @dataclass(frozen=True)

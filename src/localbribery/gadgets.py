@@ -9,6 +9,15 @@ All constructions are deterministic: identical inputs produce identical
 instances byte for byte.  Every generator asserts its intended score
 pattern on the emitted instance before returning, and every witness is
 checked by ``problem.check_witness``.
+
+The gadgets repeat a few orders many times: the k-approval swap blocks
+repeat a head under a rotation that cycles, and the Borda equalizers
+repeat a pair of orders whenever the filler rotation comes round.  Their
+generators hand out one ``Preference`` object per distinct order, keyed by
+what the order is built from (head and rotation; rival and rotation
+point), never by the order itself, and the witness builders map each
+distinct object once (``core.map_distinct``).  The verifier and the
+renderers then work once per object too.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .core import (
     approval_vector,
     borda_vector,
     is_unique_winner,
+    map_distinct,
     positional_scores,
     weighted_majority_graph,  # unused here; bench/tracing.py names it
 )
@@ -322,10 +332,16 @@ def _filler_preference(
     """A preference over the named alternatives 0..num_named-1 and the
     pool's fillers, which follow them.
 
-    First ``head``, where ``"F"`` is a fresh filler; then ten fillers before
-    each named alternative not in the head, fresh ones within the first
-    ``fresh_until`` positions and rotated from the pool below; then every
-    filler not yet placed.
+    First ``head``, where ``"F"`` is a fresh filler and every other entry a
+    named alternative; then ten fillers before each named alternative not
+    in the head, fresh ones within the first ``fresh_until`` positions and
+    rotated from the pool below; then every filler not yet placed.
+
+    Every filler lands once (fresh ones are new to the pool, rotated ones
+    skip those placed, and the tail is the rest), and so does every named
+    alternative outside the head.  The order is therefore a permutation
+    exactly when the head names no alternative twice, which is when it
+    holds m entries: that length is checked instead of the order.
     """
     used: set[int] = set()
     order: list[int] = []
@@ -339,29 +355,29 @@ def _filler_preference(
     for a in range(num_named):
         if a in placed:
             continue
-        for _ in range(10):
-            if len(order) < fresh_until:
-                f = pool.fresh()
-                used.add(f)
-            else:
-                f = pool.deep(1, used)[0]
-            order.append(num_named + f)
+        fresh = min(max(fresh_until - len(order), 0), 10)
+        fillers = [pool.fresh() for _ in range(fresh)]
+        used.update(fillers)
+        fillers += pool.deep(10 - fresh, used)
+        order.extend([num_named + f for f in fillers])
         order.append(a)
     free = bytearray(b"\x01") * pool.size
     for f in used:
         free[f] = 0
     order.extend(compress(range(num_named, num_named + pool.size), free))
-    return Preference(tuple(order))
+    if len(order) != num_named + pool.size:
+        raise ValueError("order must be a permutation of 0..m-1")
+    return Preference.trusted(tuple(order))
 
 
-def _rearrange(
-    prefs: list[Preference], i: int, pattern: tuple[int, ...], at: int
-) -> None:
-    """Permute ``len(pattern)`` positions of ``prefs[i]`` from ``at`` on:
+def _rearranged(
+    pref: Preference, pattern: tuple[int, ...], at: int
+) -> Preference:
+    """``pref`` with ``len(pattern)`` positions permuted from ``at`` on:
     position at + r receives the alternative at position at + pattern[r]."""
-    o = prefs[i].order
+    o = pref.order
     moved = tuple(o[at + p] for p in pattern)
-    prefs[i] = Preference(o[:at] + moved + o[at + len(pattern):])
+    return Preference(o[:at] + moved + o[at + len(pattern):])
 
 
 def _shift_named_right(order: list[int], is_named, skip=None) -> list[int]:
@@ -488,12 +504,21 @@ def gen_kapproval_swap_gadget(
         dp_alt[j] = names.add(f"d'{j}", f"dp_{j}")
     alts = AlternativeSet(tuple(names.names))
     total = len(names.names)
+    built: dict[tuple[int, ...], Preference] = {}
 
     def build(head: list[int], rot: int) -> Preference:
-        head_set = set(head)
-        rest = [a for a in range(total) if a not in head_set]
-        rot %= len(rest)
-        return Preference(tuple(head + rest[rot:] + rest[:rot]))
+        # The blocks repeat a head, and the rotation repeats every
+        # total - 4 voters: each distinct order is built once and shared.
+        key = (*head, rot % (total - len(head)))
+        pref = built.get(key)
+        if pref is None:
+            head_set = set(head)
+            rest = [a for a in range(total) if a not in head_set]
+            rot %= len(rest)
+            pref = built[key] = Preference(
+                tuple(head + rest[rot:] + rest[:rot])
+            )
+        return pref
 
     prefs: list[Preference] = []
     for i in range(1, n + 1):  # variable voters, two per variable
@@ -573,21 +598,25 @@ def _witness_kapp_swap(gadget: GadgetInstance, assignment) -> Profile:
         changed_side = 1 if assignment[i] else 0  # push w out on this side
         kept_side = 1 - changed_side
         # z climbs, literals drop; on the other side the pair overtakes w
-        _rearrange(prefs, 2 * i + kept_side, pull_fourth, 0)
-        _rearrange(prefs, 2 * i + changed_side, to_back, 0)
+        kept, changed = 2 * i + kept_side, 2 * i + changed_side
+        prefs[kept] = _rearranged(prefs[kept], pull_fourth, 0)
+        prefs[changed] = _rearranged(prefs[changed], to_back, 0)
     base_cl = 2 * n
     for j in range(m):
         slot = _chosen_slot(sat, assignment, j)
         if slot >= 0:
             # y drops out of the top 2
-            _rearrange(prefs, base_cl + 3 * j + slot, to_back, 0)
-    i = base_cl + 3 * m + 1  # skip the unchanged c-voter
-    for _ in range(pad + 2):  # u-block: c climbs to second place
-        _rearrange(prefs, i, pull_fourth, 0)
-        i += 1
-    while i < len(prefs):  # pairing blocks: u drops to third place
-        _rearrange(prefs, i, to_back, 0)
-        i += 1
+            i = base_cl + 3 * j + slot
+            prefs[i] = _rearranged(prefs[i], to_back, 0)
+    u = base_cl + 3 * m + 1  # skip the unchanged c-voter
+    pairing = u + pad + 2
+    # u-block: c climbs to second place; pairing blocks: u drops to third
+    prefs[u:pairing] = map_distinct(
+        lambda p: _rearranged(p, pull_fourth, 0), prefs[u:pairing]
+    )
+    prefs[pairing:] = map_distinct(
+        lambda p: _rearranged(p, to_back, 0), prefs[pairing:]
+    )
     return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
 
@@ -695,14 +724,15 @@ def _witness_kapp_maxdisp(gadget: GadgetInstance, assignment) -> Profile:
         # Promote the literal pair on the side set FALSE by the assignment
         # (w w' a b becomes a b w w'); the w-pair stays approved only on the
         # TRUE side's preference.
-        changed_side = 1 if assignment[i] else 0
-        _rearrange(prefs, 2 * i + changed_side, (2, 3, 0, 1), k - 2)
+        changed = 2 * i + (1 if assignment[i] else 0)
+        prefs[changed] = _rearranged(prefs[changed], (2, 3, 0, 1), k - 2)
     base_cl = 2 * n
     for j in range(m):
         slot = _chosen_slot(sat, assignment, j)
         if slot >= 0:
             # Swap y (position k) with the satisfied literal's alternative.
-            _rearrange(prefs, base_cl + 3 * j + slot, (1, 0), k - 1)
+            i = base_cl + 3 * j + slot
+            prefs[i] = _rearranged(prefs[i], (1, 0), k - 1)
     return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
 
@@ -788,22 +818,34 @@ def gen_borda_gadget(
         )
         return first, second
 
+    def equalizer(head: list[int]) -> Preference:
+        used = {a - num_named for a in head if a >= num_named}
+        full = list(head)
+        full.extend(num_named + f for f in range(fsize) if f not in used)
+        if shifted:
+            full = _shift_named_right(full, is_named, skip=0)
+        return Preference(tuple(full))
+
     is_named = lambda a: 0 < a < num_named  # noqa: E731
     for t in rivals:
         count = s1[0] - s1[t] + 2 * n1 - gap[t]
         if count <= 0:
             raise GadgetError("equalizer count must be positive")
+        # A pair's rotated fillers, and how far it moves the deep cursor,
+        # depend only on where the cursor stands in the pool, so each
+        # distinct pair is built once and its preferences are shared.
+        pairs: dict[int, tuple[int, list[Preference]]] = {}
         for _ in range(count):
-            first, second = equalizer_pair(t)
-            for head in (first, second):
-                used = {a - num_named for a in head if a >= num_named}
-                full = list(head)
-                full.extend(
-                    num_named + f for f in range(fsize) if f not in used
+            start = pool.deep_cursor
+            pair = pairs.get(start % fsize)
+            if pair is None:
+                heads = equalizer_pair(t)
+                pair = pairs[start % fsize] = (
+                    pool.deep_cursor - start, [equalizer(h) for h in heads]
                 )
-                if shifted:
-                    full = _shift_named_right(full, is_named, skip=0)
-                prefs.append(Preference(tuple(full)))
+            else:
+                pool.deep_cursor += pair[0]
+            prefs.extend(pair[1])
 
     profile = Profile(alts, tuple(prefs))
     nv = len(prefs)
@@ -842,7 +884,9 @@ def _witness_borda(gadget: GadgetInstance, assignment) -> Profile:
     if gadget.instance.metric != MAXDISP:
         # One adjacent transposition per voter: the target climbs past the
         # filler directly before it, in every preference.
-        new = [Preference(tuple(_swap_left(list(p.order), 0))) for p in prefs]
+        new = map_distinct(
+            lambda p: Preference(tuple(_swap_left(p.order, 0))), prefs
+        )
         return Profile(gadget.instance.profile.alternatives, tuple(new))
 
     def retop(i: int, pattern: tuple[int, ...]) -> None:
@@ -867,11 +911,13 @@ def _witness_borda(gadget: GadgetInstance, assignment) -> Profile:
                 retop(idx, (1, 0, 3, 2))  # a y c d
             else:
                 retop(idx, (0, 1, 3, 2))  # y a c d
-    for i in range(n1, len(prefs)):
-        o = list(prefs[i].order)
-        o = _shift_named_right(o, is_named, skip=0)
-        o = _swap_left(o, 0)
-        prefs[i] = Preference(tuple(o))
+    # Equalizers: the rivals slide right, then the target climbs one place.
+    prefs[n1:] = map_distinct(
+        lambda p: Preference(
+            tuple(_swap_left(_shift_named_right(p.order, is_named, skip=0), 0))
+        ),
+        prefs[n1:],
+    )
     return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
 

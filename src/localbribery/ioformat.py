@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Container, Iterator
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import (
     BUCKLIN,
@@ -187,8 +188,10 @@ def _preference_problem(text: str, alts: AlternativeSet) -> str:
 
 
 def render_preference(pref: Preference, alts: AlternativeSet) -> str:
-    names = alts.names
-    return " > ".join([names[a] for a in pref.order])
+    order = pref.order
+    if len(order) == 1:  # one index makes itemgetter return a bare name
+        return alts.names[order[0]]
+    return " > ".join(itemgetter(*order)(alts.names))
 
 
 _INSTANCE_HEADERS = frozenset(
@@ -311,11 +314,21 @@ def render_instance(instance: BriberyInstance) -> str:
         f"target: {alts.names[instance.target]}",
         f"budget: {instance.budget}",
     ]
-    for i in range(instance.n):
-        lines.append(
-            f"voter: delta={instance.deltas[i]} price={instance.prices[i]} : "
-            + render_preference(instance.profile.prefs[i], alts)
-        )
+    # One line per distinct (preference object, delta, price): a gadget's
+    # repeated voters then share one line object, and a line is never held
+    # twice, as a preference's text and inside its line.
+    voter_lines: dict[tuple[int, int, int], str] = {}
+    for pref, d, p in zip(
+        instance.profile.prefs, instance.deltas, instance.prices
+    ):
+        key = (id(pref), d, p)
+        line = voter_lines.get(key)
+        if line is None:
+            line = voter_lines[key] = (
+                f"voter: delta={d} price={p} : "
+                + render_preference(pref, alts)
+            )
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, ne
 
 from .core import Profile, VotingRule, is_unique_winner, score_vector
 from .metrics import METRICS, distance
@@ -63,6 +65,7 @@ class BriberyOutcome:
 
 
 NOT_UNIQUE_WINNER = "target is not the unique winner"
+_ORDER = attrgetter("order")
 
 
 class WitnessError(Exception):
@@ -75,17 +78,23 @@ def check_witness(
     """Verify a proposed bribed profile against all four conditions.
 
     Returns (ok, reason, bribed set, total price).  The bribed set is taken
-    to be exactly the voters whose preference changed.
+    to be exactly the voters whose preference changed.  One distance is
+    taken per distinct (original, witness) pair of preference objects, told
+    apart by identity, while the voters are still checked one by one.
     """
     if witness.n != instance.n or witness.m != instance.m:
         return False, "witness has the wrong shape", frozenset(), 0
-    bribed = frozenset(
-        i
-        for i in range(instance.n)
-        if witness.prefs[i] != instance.profile.prefs[i]
-    )
+    before, after = instance.profile.prefs, witness.prefs
+    # Preferences are equal exactly when their orders are; comparing the
+    # orders directly keeps the scan over the voters in C.
+    changed = map(ne, map(_ORDER, after), map(_ORDER, before))
+    bribed = frozenset(compress(range(instance.n), changed))
+    moved: dict[tuple[int, int], int] = {}  # (id, id) -> distance
     for i in bribed:
-        d = distance(instance.metric, instance.profile.prefs[i], witness.prefs[i])
+        key = (id(before[i]), id(after[i]))
+        d = moved.get(key)
+        if d is None:
+            d = moved[key] = distance(instance.metric, before[i], after[i])
         if d > instance.deltas[i]:
             return (
                 False,

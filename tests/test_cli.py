@@ -1,5 +1,8 @@
 """Command-line surface: subcommands, exit codes, routing, pipelines."""
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -639,6 +642,63 @@ def test_oracle_searches_past_the_recursion_limit(tmp_path, capsys, delta,
     assert code == 0
     assert out.splitlines()[:2] == ["decision: YES", "cost: 0"]
     assert err == ""
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone, as a pipe's after `head` exits: the
+    named method raises `BrokenPipeError`.  It has no file descriptor."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_stdout_exit_3(plurality_path, capsys, monkeypatch, failing):
+    # Run as the program (argv from sys.argv), which flushes its stdout
+    # before it returns.
+    monkeypatch.setattr(
+        sys, "argv", ["localbribery", "solve", "--instance", plurality_path]
+    )
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(failing))
+    code = main()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: output closed\n"
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_closed_pipe_exit_3_without_noise(lines_read):
+    # A real pipe whose reader leaves, as `| head -1` does, after one line
+    # (the ball's lines fill more than the pipe's buffer, so the writer
+    # meets the closed pipe while it runs) or before the first (the writer
+    # meets it when it flushes).  Nothing may be reported at exit, with
+    # stdout buffered as it is by default.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    pref = "a > b > c > d > e > f > g > h" if lines_read else "a > b > c"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localbribery.cli", "ball", "--metric", "swap",
+         "--radius", "10", "--pref", pref],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": src},
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == (pref + "\n").encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err == b"error: output closed\n"
 
 
 def test_routing_error_exit_4(plurality_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from itertools import chain
 import pytest
 
 from localbribery.core import (
+    Preference,
     approval_vector,
     borda_vector,
     is_unique_winner,
@@ -17,6 +18,8 @@ from localbribery.core import (
 )
 from localbribery.gadgets import (
     GadgetError,
+    _FillerPool,
+    _filler_preference,
     Sat3B2Instance,
     WmgTarget,
     gen_borda_gadget,
@@ -590,3 +593,42 @@ def _golden_digests(g) -> tuple[str, str]:
 def test_gadgets_match_golden_digests(request, fixture):
     g = request.getfixturevalue(fixture)
     assert _golden_digests(g) == GOLDEN[fixture]
+
+
+# ---------------------------------------------------------------------------
+# One object per distinct order
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN) + ["kapp_swap_pad_100"])
+def test_gadgets_share_one_object_per_distinct_order(request, fixture):
+    # The generators and witness builders hand out one preference object
+    # per distinct order, and the verifier and the renderers work once per
+    # object: two objects with equal orders would undo that silently.  At
+    # the fixture's padding of 5 no k-approval swap order repeats; at 100,
+    # 1,197 of its 2,054 orders are distinct.
+    if fixture == "kapp_swap_pad_100":
+        g = gen_kapproval_swap_gadget(FROZEN_SAT, delta_pad=100)
+    else:
+        g = request.getfixturevalue(fixture)
+    w = witness_from_assignment(g, satisfying_assignments(FROZEN_SAT)[0])
+    for prefs in (g.instance.profile.prefs, w.profile.prefs):
+        assert len(set(map(id, prefs))) == len(set(prefs))
+
+
+def test_filler_preference_is_a_permutation():
+    pool = _FillerPool(60, "test")
+    for head in ([1, "F", 0], ["F", 2, "F"], []):
+        pref = _filler_preference(pool, 4, head, 12)
+        assert pref == Preference(pref.order)  # the checked constructor
+        assert pref.m == 4 + 60
+
+
+def test_filler_preference_rejects_a_repeated_head_alternative():
+    # The builder checks its order's length, not the order: its
+    # construction makes the two the same.  A head that names an
+    # alternative twice fails as the checked constructor fails.
+    with pytest.raises(ValueError) as e:
+        _filler_preference(_FillerPool(50, "test"), 3, [1, "F", 1], 0)
+    assert type(e.value) is ValueError
+    assert str(e.value) == "order must be a permutation of 0..m-1"
