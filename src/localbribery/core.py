@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import add, attrgetter
+from operator import add, attrgetter, lt
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,11 @@ class Preference:
         """A preference over `order` without the permutation check, for
         callers that have already proved it: the parser, which checked the
         length and index set, the ball generators, which place every
-        alternative exactly once, and the gadgets' filler-preference
-        builder, whose construction makes the order a permutation exactly
-        when it has m entries.  Equal to, and hashes like, the checked
-        form."""
+        alternative exactly once, the gadgets' filler-preference builder,
+        whose construction makes the order a permutation exactly when it
+        has m entries, the k-approval swap builder, which checks each head
+        for repeats, and the gadget witness builders, which only permute
+        positions.  Equal to, and hashes like, the checked form."""
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
         return self
@@ -135,9 +136,9 @@ class ScoreVector:
 
     def __post_init__(self):
         a = self.alpha
-        if any(x < 0 for x in a):
+        if a and min(a) < 0:
             raise ValueError("scores must be non-negative")
-        if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
+        if any(map(lt, a, a[1:])):
             raise ValueError("score vector must be non-increasing")
         if a[0] <= a[-1]:
             raise ValueError("score vector must distinguish top from bottom")

@@ -18,12 +18,21 @@ what the order is built from (head and rotation; rival and rotation
 point), never by the order itself, and the witness builders map each
 distinct object once (``core.map_distinct``).  The verifier and the
 renderers then work once per object too.
+
+The generators build whole orders, not single entries.  A filler
+preference takes its fresh fillers in one draw and its rotated fillers in
+one turn of the pool, and every order reads its filler entries from the
+pool's one tuple of labels, so a max-displacement gadget of 200 orders over
+3,023 alternatives holds 3,023 int objects.  The k-approval swap generator
+finds each head's remaining alternatives once and slices each distinct
+order out of them.  The witness builders only permute positions, so the
+orders they build skip the permutation check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, filterfalse, islice
 
 from .core import (
     KAPPROVAL,
@@ -274,40 +283,51 @@ class _FillerPool:
 
     ``fresh`` draws fillers that may never be reused in a once-only window
     again; ``deep`` rotates through the whole pool, skipping fillers
-    already placed in the current preference.
+    already placed in the current preference.  ``labels[f]`` is the
+    alternative index of filler f (the fillers follow the ``offset`` named
+    alternatives); every order reads its filler entries from this one
+    tuple, so a gadget's orders share one int object per filler.
     """
 
-    def __init__(self, size: int, what: str):
+    def __init__(self, size: int, what: str, offset: int):
         self.size = size
         self.what = what
+        self.labels = tuple(range(offset, offset + size))
         self.fresh_cursor = 0
         self.deep_cursor = 0
 
-    def fresh(self) -> int:
-        if self.fresh_cursor >= self.size:
+    def fresh(self, count: int) -> range:
+        """The next ``count`` once-only fillers."""
+        start = self.fresh_cursor
+        if start + count > self.size:
             raise GadgetError(
-                f"{self.what}: filler pool exhausted after "
-                f"{self.fresh_cursor} once-only placements; increase "
-                "filler_size"
+                f"{self.what}: filler pool exhausted after {self.size} "
+                "once-only placements; increase filler_size"
             )
-        self.fresh_cursor += 1
-        return self.fresh_cursor - 1
+        self.fresh_cursor += count
+        return range(start, start + count)
 
     def deep(self, count: int, used: set[int]) -> list[int]:
-        out: list[int] = []
-        scanned = 0
-        while len(out) < count:
-            if scanned > self.size:
-                raise GadgetError(
-                    f"{self.what}: not enough fillers for one preference; "
-                    "increase filler_size"
-                )
-            idx = self.deep_cursor % self.size
-            self.deep_cursor += 1
-            scanned += 1
-            if idx not in used:
-                used.add(idx)
-                out.append(idx)
+        """The first ``count`` fillers not in ``used`` from the cursor on,
+        in one turn of the pool; they join ``used``, and the cursor moves
+        past the last of them."""
+        c = self.deep_cursor
+        out = list(
+            islice(
+                filterfalse(
+                    used.__contains__, chain(range(c, self.size), range(c))
+                ),
+                count,
+            )
+        )
+        if len(out) < count:
+            raise GadgetError(
+                f"{self.what}: not enough fillers for one preference; "
+                "increase filler_size"
+            )
+        if out:
+            self.deep_cursor = (out[-1] + 1) % self.size
+        used.update(out)
         return out
 
 
@@ -335,7 +355,10 @@ def _filler_preference(
     First ``head``, where ``"F"`` is a fresh filler and every other entry a
     named alternative; then ten fillers before each named alternative not
     in the head, fresh ones within the first ``fresh_until`` positions and
-    rotated from the pool below; then every filler not yet placed.
+    rotated from the pool below; then every filler not yet placed.  The
+    fresh fillers come from one draw and the rotated ones from one
+    ``deep`` draw after it, which is what drawing them alternative by
+    alternative gives, since no fresh filler follows a rotated one.
 
     Every filler lands once (fresh ones are new to the pool, rotated ones
     skip those placed, and the tail is the rest), and so does every named
@@ -343,41 +366,50 @@ def _filler_preference(
     exactly when the head names no alternative twice, which is when it
     holds m entries: that length is checked instead of the order.
     """
-    used: set[int] = set()
-    order: list[int] = []
-    for s in head:
-        if s == "F":
-            f = pool.fresh()
-            used.add(f)
-            s = num_named + f
-        order.append(s)
-    placed = set(order)
-    for a in range(num_named):
-        if a in placed:
-            continue
-        fresh = min(max(fresh_until - len(order), 0), 10)
-        fillers = [pool.fresh() for _ in range(fresh)]
-        used.update(fillers)
-        fillers += pool.deep(10 - fresh, used)
-        order.extend([num_named + f for f in fillers])
+    labels = pool.labels
+    placed = set(head)
+    rest = [a for a in range(num_named) if a not in placed]
+    # Fresh fillers take the positions before ``fresh_until``: the ten
+    # before each of the first ``full`` alternatives of ``rest``, then
+    # ``part`` of the ten before the next one.
+    full, part = divmod(max(fresh_until - len(head), 0), 11)
+    num_fresh = min(10 * full + part, 10 * len(rest))
+    fresh = pool.fresh(head.count("F") + num_fresh)
+    used = set(fresh)
+    fillers = list(fresh)
+    fillers += pool.deep(10 * len(rest) - num_fresh, used)
+    drawn = map(labels.__getitem__, fillers)
+    order = [next(drawn) if s == "F" else s for s in head]
+    for a in rest:
+        order += islice(drawn, 10)
         order.append(a)
     free = bytearray(b"\x01") * pool.size
     for f in used:
         free[f] = 0
-    order.extend(compress(range(num_named, num_named + pool.size), free))
+    order += compress(labels, free)
     if len(order) != num_named + pool.size:
         raise ValueError("order must be a permutation of 0..m-1")
     return Preference.trusted(tuple(order))
+
+
+def _pattern(*moves: int) -> tuple[int, ...]:
+    """A fixed rearrangement of the first ``len(moves)`` positions (see
+    ``_rearranged``), checked once to be a permutation of them, so that
+    the preferences it rearranges need no check."""
+    if sorted(moves) != list(range(len(moves))):
+        raise ValueError(f"pattern {moves} is not a permutation")
+    return moves
 
 
 def _rearranged(
     pref: Preference, pattern: tuple[int, ...], at: int
 ) -> Preference:
     """``pref`` with ``len(pattern)`` positions permuted from ``at`` on:
-    position at + r receives the alternative at position at + pattern[r]."""
+    position at + r receives the alternative at position at + pattern[r].
+    ``pattern`` comes from ``_pattern``."""
     o = pref.order
     moved = tuple(o[at + p] for p in pattern)
-    return Preference(o[:at] + moved + o[at + len(pattern):])
+    return Preference.trusted(o[:at] + moved + o[at + len(pattern):])
 
 
 def _shift_named_right(order: list[int], is_named, skip=None) -> list[int]:
@@ -505,17 +537,25 @@ def gen_kapproval_swap_gadget(
     alts = AlternativeSet(tuple(names.names))
     total = len(names.names)
     built: dict[tuple[int, ...], Preference] = {}
+    rests: dict[tuple[int, ...], list[int]] = {}
 
     def build(head: list[int], rot: int) -> Preference:
         # The blocks repeat a head, and the rotation repeats every
         # total - 4 voters: each distinct order is built once and shared.
+        # Each head's remaining alternatives are found once; with the head
+        # free of repeats, head + any rotation of them is a permutation.
         key = (*head, rot % (total - len(head)))
         pref = built.get(key)
         if pref is None:
-            head_set = set(head)
-            rest = [a for a in range(total) if a not in head_set]
-            rot %= len(rest)
-            pref = built[key] = Preference(
+            rest = rests.get(key[:-1])
+            if rest is None:
+                if len(set(head)) != len(head):
+                    raise ValueError("order must be a permutation of 0..m-1")
+                rest = rests[key[:-1]] = [
+                    a for a in range(total) if a not in head
+                ]
+            rot = key[-1]
+            pref = built[key] = Preference.trusted(
                 tuple(head + rest[rot:] + rest[:rot])
             )
         return pref
@@ -586,36 +626,38 @@ def gen_kapproval_swap_gadget(
     )
 
 
+_TO_BACK = _pattern(1, 2, 0, 3)  # first alternative drops to third place
+_PULL_FOURTH = _pattern(0, 3, 1, 2)  # fourth alternative climbs to second
+
+
 def _witness_kapp_swap(gadget: GadgetInstance, assignment) -> Profile:
     sat = gadget.sat
     n, m = sat.num_vars, sat.num_clauses
     pad = gadget.padding
     prefs = list(gadget.instance.profile.prefs)
-    to_back = (1, 2, 0, 3)  # first alternative drops to third place
-    pull_fourth = (0, 3, 1, 2)  # fourth alternative climbs to second
 
     for i in range(n):
         changed_side = 1 if assignment[i] else 0  # push w out on this side
         kept_side = 1 - changed_side
         # z climbs, literals drop; on the other side the pair overtakes w
         kept, changed = 2 * i + kept_side, 2 * i + changed_side
-        prefs[kept] = _rearranged(prefs[kept], pull_fourth, 0)
-        prefs[changed] = _rearranged(prefs[changed], to_back, 0)
+        prefs[kept] = _rearranged(prefs[kept], _PULL_FOURTH, 0)
+        prefs[changed] = _rearranged(prefs[changed], _TO_BACK, 0)
     base_cl = 2 * n
     for j in range(m):
         slot = _chosen_slot(sat, assignment, j)
         if slot >= 0:
             # y drops out of the top 2
             i = base_cl + 3 * j + slot
-            prefs[i] = _rearranged(prefs[i], to_back, 0)
+            prefs[i] = _rearranged(prefs[i], _TO_BACK, 0)
     u = base_cl + 3 * m + 1  # skip the unchanged c-voter
     pairing = u + pad + 2
     # u-block: c climbs to second place; pairing blocks: u drops to third
     prefs[u:pairing] = map_distinct(
-        lambda p: _rearranged(p, pull_fourth, 0), prefs[u:pairing]
+        lambda p: _rearranged(p, _PULL_FOURTH, 0), prefs[u:pairing]
     )
     prefs[pairing:] = map_distinct(
-        lambda p: _rearranged(p, to_back, 0), prefs[pairing:]
+        lambda p: _rearranged(p, _TO_BACK, 0), prefs[pairing:]
     )
     return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
@@ -651,7 +693,7 @@ def gen_kapproval_maxdisp_priced_gadget(
         tuple(names.names) + tuple(f"f{i}" for i in range(fsize))
     )
     total = alts.m
-    pool = _FillerPool(fsize, KIND_KAPP_MAXDISP)
+    pool = _FillerPool(fsize, KIND_KAPP_MAXDISP, num_named)
 
     def h_alt(j: int, lit: int) -> int:
         # First occurrence maps to the a-alternative, second to b.
@@ -715,6 +757,10 @@ def gen_kapproval_maxdisp_priced_gadget(
     )
 
 
+_PAIRS_SWAPPED = _pattern(2, 3, 0, 1)
+_ADJACENT_SWAPPED = _pattern(1, 0)
+
+
 def _witness_kapp_maxdisp(gadget: GadgetInstance, assignment) -> Profile:
     sat = gadget.sat
     n, m = sat.num_vars, sat.num_clauses
@@ -725,14 +771,14 @@ def _witness_kapp_maxdisp(gadget: GadgetInstance, assignment) -> Profile:
         # (w w' a b becomes a b w w'); the w-pair stays approved only on the
         # TRUE side's preference.
         changed = 2 * i + (1 if assignment[i] else 0)
-        prefs[changed] = _rearranged(prefs[changed], (2, 3, 0, 1), k - 2)
+        prefs[changed] = _rearranged(prefs[changed], _PAIRS_SWAPPED, k - 2)
     base_cl = 2 * n
     for j in range(m):
         slot = _chosen_slot(sat, assignment, j)
         if slot >= 0:
             # Swap y (position k) with the satisfied literal's alternative.
             i = base_cl + 3 * j + slot
-            prefs[i] = _rearranged(prefs[i], (1, 0), k - 1)
+            prefs[i] = _rearranged(prefs[i], _ADJACENT_SWAPPED, k - 1)
     return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
 
@@ -776,7 +822,7 @@ def gen_borda_gadget(
         tuple(names.names) + tuple(f"f{i}" for i in range(fsize))
     )
     total = alts.m
-    pool = _FillerPool(fsize, KIND_BORDA)
+    pool = _FillerPool(fsize, KIND_BORDA, num_named)
 
     def build_p1(head: list) -> Preference:
         # The head's fillers are once-only in P1; the rest rotate.
@@ -802,26 +848,28 @@ def gen_borda_gadget(
     for j in range(1, m + 1):
         gap[y_alt[j]] = _BORDA_EQ_GAP["y"]
 
+    labels = pool.labels
+
     def equalizer_pair(t: int) -> tuple[list[int], list[int]]:
         others = [a for a in rivals if a != t]
-        slots_a = pool.deep(len(others) + 2, set())
-        first = [num_named + slots_a[0], num_named + slots_a[1], 0]
-        for pos, b in enumerate(others):
-            first.extend([b, num_named + slots_a[pos + 2]])
+        slots_a = [labels[f] for f in pool.deep(len(others) + 2, set())]
+        first = [slots_a[0], slots_a[1], 0]
+        for b, f in zip(others, slots_a[2:]):
+            first += (b, f)
         first.append(t)
-        slots_b = pool.deep(len(others) + 4, set())
-        second = [t, num_named + slots_b[0], num_named + slots_b[1]]
-        for pos, b in enumerate(reversed(others)):
-            second.extend([b, num_named + slots_b[pos + 2]])
-        second.extend(
-            [num_named + slots_b[-2], num_named + slots_b[-1], 0]
-        )
+        slots_b = [labels[f] for f in pool.deep(len(others) + 4, set())]
+        second = [t, slots_b[0], slots_b[1]]
+        for b, f in zip(reversed(others), slots_b[2:]):
+            second += (b, f)
+        second += (slots_b[-2], slots_b[-1], 0)
         return first, second
 
     def equalizer(head: list[int]) -> Preference:
-        used = {a - num_named for a in head if a >= num_named}
-        full = list(head)
-        full.extend(num_named + f for f in range(fsize) if f not in used)
+        free = bytearray(b"\x01") * fsize
+        for a in head:
+            if a >= num_named:
+                free[a - num_named] = 0
+        full = head + list(compress(labels, free))
         if shifted:
             full = _shift_named_right(full, is_named, skip=0)
         return Preference(tuple(full))
@@ -831,20 +879,20 @@ def gen_borda_gadget(
         count = s1[0] - s1[t] + 2 * n1 - gap[t]
         if count <= 0:
             raise GadgetError("equalizer count must be positive")
-        # A pair's rotated fillers, and how far it moves the deep cursor,
+        # A pair's rotated fillers, and where it leaves the deep cursor,
         # depend only on where the cursor stands in the pool, so each
         # distinct pair is built once and its preferences are shared.
         pairs: dict[int, tuple[int, list[Preference]]] = {}
         for _ in range(count):
             start = pool.deep_cursor
-            pair = pairs.get(start % fsize)
+            pair = pairs.get(start)
             if pair is None:
                 heads = equalizer_pair(t)
-                pair = pairs[start % fsize] = (
-                    pool.deep_cursor - start, [equalizer(h) for h in heads]
+                pair = pairs[start] = (
+                    pool.deep_cursor, [equalizer(h) for h in heads]
                 )
             else:
-                pool.deep_cursor += pair[0]
+                pool.deep_cursor = pair[0]
             prefs.extend(pair[1])
 
     profile = Profile(alts, tuple(prefs))
@@ -874,6 +922,12 @@ def gen_borda_gadget(
     )
 
 
+_Z_KEPT = _pattern(0, 2, 1, 4, 3)  # z d a c d'
+_Z_OVERTAKEN = _pattern(1, 0, 2, 4, 3)  # a z d c d'
+_Y_OVERTAKEN = _pattern(1, 0, 3, 2)  # a y c d
+_Y_KEPT = _pattern(0, 1, 3, 2)  # y a c d
+
+
 def _witness_borda(gadget: GadgetInstance, assignment) -> Profile:
     sat = gadget.sat
     n, m = sat.num_vars, sat.num_clauses
@@ -885,35 +939,33 @@ def _witness_borda(gadget: GadgetInstance, assignment) -> Profile:
         # One adjacent transposition per voter: the target climbs past the
         # filler directly before it, in every preference.
         new = map_distinct(
-            lambda p: Preference(tuple(_swap_left(p.order, 0))), prefs
+            lambda p: Preference.trusted(tuple(_swap_left(p.order, 0))), prefs
         )
         return Profile(gadget.instance.profile.alternatives, tuple(new))
 
     def retop(i: int, pattern: tuple[int, ...]) -> None:
-        o = list(prefs[i].order)
+        # A fixed pattern on top and a shift below: a permutation.
+        o = prefs[i].order
         head = [o[p] for p in pattern]
         tail = _shift_named_right(o[len(pattern):], is_named)
-        prefs[i] = Preference(tuple(head + tail))
+        prefs[i] = Preference.trusted(tuple(head + tail))
 
     for i in range(n):
         changed_side = 1 if assignment[i] else 0
         kept = 2 * i + (1 - changed_side)
         # Kept side: z stays on top, its literal alternative slides right.
-        retop(kept, (0, 2, 1, 4, 3))  # z d a c d'
+        retop(kept, _Z_KEPT)
         # Changed side: the literal alternative overtakes z.
-        retop(2 * i + changed_side, (1, 0, 2, 4, 3))  # a z d c d'
+        retop(2 * i + changed_side, _Z_OVERTAKEN)
     base_cl = 2 * n
     for j in range(m):
         slot = _chosen_slot(sat, assignment, j)
         for r in range(3):
             idx = base_cl + 3 * j + r
-            if r == slot:
-                retop(idx, (1, 0, 3, 2))  # a y c d
-            else:
-                retop(idx, (0, 1, 3, 2))  # y a c d
+            retop(idx, _Y_OVERTAKEN if r == slot else _Y_KEPT)
     # Equalizers: the rivals slide right, then the target climbs one place.
     prefs[n1:] = map_distinct(
-        lambda p: Preference(
+        lambda p: Preference.trusted(
             tuple(_swap_left(_shift_named_right(p.order, is_named, skip=0), 0))
         ),
         prefs[n1:],

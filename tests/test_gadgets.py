@@ -595,6 +595,40 @@ def test_gadgets_match_golden_digests(request, fixture):
     assert _golden_digests(g) == GOLDEN[fixture]
 
 
+# Taken from the generators before the rotated fillers were drawn once per
+# order and the swap orders built from one rest per head.  At k = 3 and
+# k = 6 the max-displacement orders open with fresh fillers and the fresh
+# window ends inside a run of ten; at padding 100 the swap blocks repeat
+# their heads.
+GOLDEN_WIDE = {
+    "kapp_maxdisp_k3": (
+        lambda: gen_kapproval_maxdisp_priced_gadget(
+            FROZEN_SAT, k=3, filler_size=3000
+        ),
+        "51a10fe56ec94388857e5ed92cebe995c902d0766480291fb6c18e3b4d461f48",
+        "d4a4b222bac92d959f44cfcc8a74eae6035cf3b47e75b803d3ed7f514bd36635",
+    ),
+    "kapp_maxdisp_k6": (
+        lambda: gen_kapproval_maxdisp_priced_gadget(
+            FROZEN_SAT, k=6, filler_size=3000
+        ),
+        "1312596a11aba764a04eb3fc38b8bc98798c3fcc4f5b072698af2ce3af319efb",
+        "e55eb4f669b34fc0dacfd1ad28ad7ec8b69a1c481292970894c3ed61089752e8",
+    ),
+    "kapp_swap_pad_100": (
+        lambda: gen_kapproval_swap_gadget(FROZEN_SAT, delta_pad=100),
+        "c53443789c4e34545285ff9f0eef7ea24e0d94f11591628859e5e2d0e07300cb",
+        "72a384c8323df567ef75f37d3509b520f81770a97bebc2ededc79021a115ce19",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WIDE))
+def test_wider_gadgets_match_golden_digests(case):
+    build, *digests = GOLDEN_WIDE[case]
+    assert _golden_digests(build()) == tuple(digests)
+
+
 # ---------------------------------------------------------------------------
 # One object per distinct order
 # ---------------------------------------------------------------------------
@@ -617,7 +651,7 @@ def test_gadgets_share_one_object_per_distinct_order(request, fixture):
 
 
 def test_filler_preference_is_a_permutation():
-    pool = _FillerPool(60, "test")
+    pool = _FillerPool(60, "test", 4)
     for head in ([1, "F", 0], ["F", 2, "F"], []):
         pref = _filler_preference(pool, 4, head, 12)
         assert pref == Preference(pref.order)  # the checked constructor
@@ -629,6 +663,82 @@ def test_filler_preference_rejects_a_repeated_head_alternative():
     # construction makes the two the same.  A head that names an
     # alternative twice fails as the checked constructor fails.
     with pytest.raises(ValueError) as e:
-        _filler_preference(_FillerPool(50, "test"), 3, [1, "F", 1], 0)
+        _filler_preference(_FillerPool(50, "test", 3), 3, [1, "F", 1], 0)
     assert type(e.value) is ValueError
     assert str(e.value) == "order must be a permutation of 0..m-1"
+
+
+def test_max_displacement_orders_share_one_int_per_alternative(
+    gadget_kapp_maxdisp,
+):
+    # Every order reads its filler entries from the pool's one label tuple,
+    # so the 200 orders of 3,023 entries hold 3,023 int objects in all.
+    profile = gadget_kapp_maxdisp.instance.profile
+    ids = {id(a) for p in profile.prefs for a in p.order}
+    assert len(ids) == profile.m
+
+
+# ---------------------------------------------------------------------------
+# Rotated-filler draws
+# ---------------------------------------------------------------------------
+
+
+def _deep_one_by_one(size, cursor, count, used):
+    """The rotated draw as a loop over the pool, one filler at a time: the
+    reference for ``_FillerPool.deep``.  Returns the drawn fillers and the
+    cursor, which counts every filler looked at."""
+    out = []
+    scanned = 0
+    while len(out) < count:
+        if scanned > size:
+            raise GadgetError(
+                "test: not enough fillers for one preference; "
+                "increase filler_size"
+            )
+        idx = cursor % size
+        cursor += 1
+        scanned += 1
+        if idx not in used:
+            used.add(idx)
+            out.append(idx)
+    return out, cursor
+
+
+def test_deep_draw_matches_the_one_by_one_loop():
+    seen = {"wrapped": 0, "zero": 0, "boundary_ok": 0, "boundary_err": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        size = rng.randint(1, 40)
+        pool = _FillerPool(size, "test", 0)
+        pool.deep_cursor = cursor = rng.randrange(size)
+        used = set()
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:  # a new preference
+                used = set(rng.sample(range(size), rng.randint(0, size)))
+            free = size - len(used)
+            count = rng.choice(
+                [0, free, free + 1, rng.randint(0, free), rng.randint(0, size)]
+            )
+            ref_used = set(used)
+            if count > free:
+                with pytest.raises(GadgetError) as want:
+                    _deep_one_by_one(size, cursor, count, ref_used)
+                with pytest.raises(GadgetError) as got:
+                    pool.deep(count, used)
+                assert str(got.value) == str(want.value)
+                # A failed draw ends the generator; carry on from a fresh
+                # preference at the pool's cursor.
+                seen["boundary_err"] += count == free + 1
+                cursor = pool.deep_cursor
+                used = set()
+                continue
+            want, new_cursor = _deep_one_by_one(size, cursor, count, ref_used)
+            got = pool.deep(count, used)
+            assert got == want
+            assert used == ref_used
+            assert pool.deep_cursor == new_cursor % size
+            seen["wrapped"] += new_cursor > size
+            seen["zero"] += count == 0
+            seen["boundary_ok"] += count == free > 0
+            cursor = pool.deep_cursor
+    assert all(seen.values()), seen
