@@ -4,7 +4,7 @@ import hashlib
 import random
 import sys
 from array import array
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -567,12 +567,17 @@ GOLDEN = {
 }
 
 
-def _golden_digests(g) -> tuple[str, str]:
+def _witness_digest(g, assignment) -> str:
     inst = g.instance
-    w = witness_from_assignment(g, (1, 1, 1))
+    w = witness_from_assignment(g, assignment)
     bribed = sorted(
         i for i in range(inst.n) if w.profile.prefs[i] != inst.profile.prefs[i]
     )
+    return _digest(w.profile, w.satisfies, bribed)
+
+
+def _golden_digests(g) -> tuple[str, str]:
+    inst = g.instance
     return (
         _digest(
             inst.profile,
@@ -585,7 +590,7 @@ def _golden_digests(g) -> tuple[str, str]:
             inst.metric,
             g.render_name_map(),
         ),
-        _digest(w.profile, w.satisfies, bribed),
+        _witness_digest(g, (1, 1, 1)),
     )
 
 
@@ -627,6 +632,78 @@ GOLDEN_WIDE = {
 def test_wider_gadgets_match_golden_digests(case):
     build, *digests = GOLDEN_WIDE[case]
     assert _golden_digests(build()) == tuple(digests)
+
+
+# Taken before the three witness builders shared one pass over the P1
+# voters.  The digests above use only the assignment (1, 1, 1); these cover
+# all eight, so the variable voters on both sides and the clauses that no
+# literal satisfies are pinned too.
+GOLDEN_ALL_ASSIGNMENTS = {
+    "gadget_kapp_swap": (
+        "2441de56eaab1f565c8ec44d1ede05154448bdc8a5436f91b21d5f84e02261bc"
+    ),
+    "gadget_kapp_maxdisp": (
+        "7ef804900f89a5e9a51e275ffee881630026ebb6609ec4a4e48a6d4408accdab"
+    ),
+    "gadget_borda_maxdisp": (
+        "741a6c0ec3b1925f21b29a82de62cc956a14b1b342e04b4ce8b75db6b6325da2"
+    ),
+    "kapp_swap_pad_100": (
+        "2a135faebe4cdb0ea212306019d221520a552352fa2a53c44fbd5ea3ccf48bc9"
+    ),
+    "kapp_maxdisp_k3": (
+        "f752215569cec836af8ed1fa691e944d1af5d521b4cb3be9686bb257781c24ba"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ALL_ASSIGNMENTS))
+def test_witnesses_of_every_assignment_match_golden_digests(request, case):
+    if case in GOLDEN_WIDE:
+        g = GOLDEN_WIDE[case][0]()
+    else:
+        g = request.getfixturevalue(case)
+    h = hashlib.sha256()
+    for assignment in product((0, 1), repeat=FROZEN_SAT.num_vars):
+        h.update(_witness_digest(g, assignment).encode())
+    assert h.hexdigest() == GOLDEN_ALL_ASSIGNMENTS[case]
+
+
+def _wmg_targets():
+    """240 seeded targets on one to four core alternatives: odd and even
+    margins in turn, spacing 2 to 7, and every fourth one with more fillers
+    than it needs."""
+    for seed in range(240):
+        rng = random.Random(seed)
+        ell = rng.randint(1, 4)
+        parity = seed % 2
+        margins = [[0] * ell for _ in range(ell)]
+        for i in range(ell):
+            for j in range(i + 1, ell):
+                v = (rng.randint(0, 3) * 2 + parity) * rng.choice([1, -1])
+                margins[i][j], margins[j][i] = v, -v
+        names = tuple(f"b{i}" for i in range(ell))
+        target = WmgTarget(names, tuple(map(tuple, margins)), rng.randint(2, 7))
+        if seed % 4 == 3:
+            need = realize_wmg(target).m - ell
+            target = WmgTarget(
+                names, target.margins, target.spacing, need + rng.randint(1, 9)
+            )
+        yield target
+
+
+# Taken before ``realize_wmg`` drew its fillers from the gadgets' filler pool.
+GOLDEN_WMG = (
+    "4761d19d4daeff1b1763e1801c67c468c6408cec3fbdde043b104b4f3d2ae351"
+)
+
+
+def test_realize_wmg_matches_golden_digest():
+    h = hashlib.sha256()
+    for target in _wmg_targets():
+        profile = realize_wmg(target)
+        h.update(_digest(profile, profile.alternatives.names).encode())
+    assert h.hexdigest() == GOLDEN_WMG
 
 
 # ---------------------------------------------------------------------------
