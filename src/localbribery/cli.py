@@ -160,14 +160,31 @@ def _print_prefs(profile: Profile) -> None:
         print("pref: " + text)
 
 
+# The flags each reduction reads besides --cnf.
+_REDUCTION_FLAGS = {
+    "kapp-swap": ("delta_pad",),
+    "kapp-maxdisp-priced": ("k", "filler_size"),
+    "borda": ("metric", "filler_size"),
+}
+
+
 def _make_gadget(args):
+    for flag in ("metric", "delta_pad", "k", "filler_size"):
+        if (
+            getattr(args, flag) is not None
+            and flag not in _REDUCTION_FLAGS[args.reduction]
+        ):
+            raise CliError(
+                f"--{flag.replace('_', '-')} does not apply to the "
+                f"{args.reduction} reduction"
+            )
     sat = _parse_file(args.cnf, parse_and_validate_3b2)
     try:
         if args.reduction == "kapp-swap":
             return gen_kapproval_swap_gadget(sat, args.delta_pad)
         if args.reduction == "kapp-maxdisp-priced":
             return gen_kapproval_maxdisp_priced_gadget(
-                sat, args.k, args.filler_size
+                sat, 2 if args.k is None else args.k, args.filler_size
             )
         if args.metric is None:
             raise CliError("the borda reduction needs --metric")
@@ -313,7 +330,8 @@ def _cmd_realize_wmg(args) -> int:
         "pref: " + render_preference(p, profile.alternatives)
         for p in profile.prefs
     )
-    text = "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the text
+    text = "\n".join(lines)
     if args.out:
         _write(args.out, text)
     else:
@@ -368,8 +386,10 @@ def _add_gadget_flags(p: argparse.ArgumentParser) -> None:
              "paper's 100*m^2*n^2 on the formula after doubling, at least "
              "230,400, which makes millions of voters",
     )
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--filler-size", type=int, default=None)
+    p.add_argument("--k", type=int, default=None,
+                   help="kapp-maxdisp-priced approval count (default 2)")
+    p.add_argument("--filler-size", type=int, default=None,
+                   help="kapp-maxdisp-priced and borda filler pool size")
 
 
 def build_parser() -> tuple[

@@ -10,6 +10,14 @@ instances byte for byte.  Every generator asserts its intended score
 pattern on the emitted instance before returning, and every witness is
 checked by ``problem.check_witness``.
 
+The three reductions open alike: two P1 voters per variable (one per
+literal) and three per clause (one per literal).  ``_p1_heads`` lays out
+their heads in that voter order for every generator, ``_gadget`` builds
+and checks the instance they end in, and ``_rewrite_p1`` turns those
+voters into a witness: per variable it rewrites the voter of the false
+literal one way and the other voter another, and per clause it rewrites
+the voter of the first true literal one way and the rest another.
+
 The gadgets repeat a few orders many times: the k-approval swap blocks
 repeat a head under a rotation that cycles, and the Borda equalizers
 repeat a pair of orders whenever the filler rotation comes round.  Their
@@ -23,7 +31,9 @@ The generators build whole orders, not single entries.  A filler
 preference takes its fresh fillers in one draw and its rotated fillers in
 one turn of the pool, and every order reads its filler entries from the
 pool's one tuple of labels, so a max-displacement gadget of 200 orders over
-3,023 alternatives holds 3,023 int objects.  The k-approval swap generator
+3,023 alternatives holds 3,023 int objects.  Every padded order, the
+margin realizer's included, ends with the fillers it has not placed, in
+pool order (``_FillerPool.unplaced``).  The k-approval swap generator
 finds each head's remaining alternatives once and slices each distinct
 order out of them.  The witness builders only permute positions, so the
 orders they build skip the permutation check.
@@ -32,6 +42,7 @@ orders they build skip the permutation check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, filterfalse, islice
 
 from .core import (
@@ -256,19 +267,18 @@ def realize_wmg(target: WmgTarget) -> Profile:
             f"f0..f{num_fillers - 1}"
         )
     alts = AlternativeSet(target.core_names + fillers)
-    cursor = 0
+    pool = _FillerPool(num_fillers, "realize_wmg", ell)
     prefs = []
     for seq in seqs:
+        # Each core alternative is followed by its own window of fresh
+        # fillers; the fillers outside this order's windows follow.
+        windows = pool.fresh(len(seq) * wsize)
+        drawn = pool.labels[windows.start:windows.stop]
         order: list[int] = []
-        used_low = cursor
-        for core in seq:
+        for w, core in enumerate(seq):
             order.append(core)
-            order.extend(ell + cursor + w for w in range(wsize))
-            cursor += wsize
-        used = set(range(used_low, cursor))
-        order.extend(
-            ell + f for f in range(num_fillers) if f not in used
-        )
+            order += drawn[w * wsize:(w + 1) * wsize]
+        order += pool.unplaced(windows)
         prefs.append(Preference(tuple(order)))
     return Profile(alts, tuple(prefs))
 
@@ -330,6 +340,13 @@ class _FillerPool:
         used.update(out)
         return out
 
+    def unplaced(self, placed) -> compress:
+        """The labels of the fillers not in ``placed``, in pool order."""
+        free = bytearray(b"\x01") * self.size
+        for f in placed:
+            free[f] = 0
+        return compress(self.labels, free)
+
 
 class _Names:
     """Alternative names in index order, and the construction symbol of
@@ -383,10 +400,7 @@ def _filler_preference(
     for a in rest:
         order += islice(drawn, 10)
         order.append(a)
-    free = bytearray(b"\x01") * pool.size
-    for f in used:
-        free[f] = 0
-    order += compress(labels, free)
+    order += pool.unplaced(used)
     if len(order) != num_named + pool.size:
         raise ValueError("order must be a permutation of 0..m-1")
     return Preference.trusted(tuple(order))
@@ -490,12 +504,68 @@ KIND_KAPP_MAXDISP = "kapproval-maxdisp-priced"
 KIND_BORDA = "borda"
 
 
-def _chosen_slot(sat: Sat3B2Instance, assignment, clause_index: int) -> int:
-    """Index (0..2) of the first true literal of the clause, or -1."""
-    for r, lit in enumerate(sat.clauses[clause_index]):
-        if (lit > 0) == bool(assignment[abs(lit) - 1]):
-            return r
-    return -1
+def _p1_heads(sat: Sat3B2Instance, variable_head, clause_head) -> list:
+    """The heads of the P1 voters in voter order: for each variable i,
+    ``variable_head(i, lit)`` for lit = i and then -i; then for each clause
+    j (from 1), ``clause_head(j, lit, occ)`` for each of its literals, where
+    ``occ`` is 0 in the literal's first clause and 1 in its second."""
+    heads = [
+        variable_head(i, lit)
+        for i in range(1, sat.num_vars + 1)
+        for lit in (i, -i)
+    ]
+    heads += (
+        clause_head(j, lit, sat.occurrence_index(lit, j - 1))
+        for j, clause in enumerate(sat.clauses, 1)
+        for lit in clause
+    )
+    return heads
+
+
+def _rewrite_p1(
+    prefs: list, sat: Sat3B2Instance, assignment, kept, changed, chosen,
+    other=None,
+) -> None:
+    """Rewrite the P1 voters of ``prefs`` (laid out by ``_p1_heads``) in
+    place.  Of a variable's two voters, ``changed`` rewrites the one whose
+    literal the assignment makes false and ``kept`` the other; of a
+    clause's three, ``chosen`` rewrites the one of its first true literal
+    and ``other`` the rest.  A rewrite of ``None`` leaves its voters be."""
+
+    def is_true(lit: int) -> bool:
+        return (lit > 0) == bool(assignment[abs(lit) - 1])
+
+    plan = []
+    for value in assignment:  # the voters of literals i and -i
+        plan += (kept, changed) if value else (changed, kept)
+    for clause in sat.clauses:
+        first = next((r for r, lit in enumerate(clause) if is_true(lit)), -1)
+        plan += (chosen if r == first else other for r in range(3))
+    for v, rewrite in enumerate(plan):
+        if rewrite is not None:
+            prefs[v] = rewrite(prefs[v])
+
+
+def _gadget(
+    kind: str, sat: Sat3B2Instance, source: Sat3B2Instance, names: _Names,
+    alts: AlternativeSet, prefs: list[Preference], rule: VotingRule,
+    metric: str, delta: int, padding: int,
+    prices: tuple[int, ...] | None = None, budget: int = 0,
+) -> GadgetInstance:
+    """The gadget over ``prefs`` with target c (alternative 0), radius
+    ``delta`` for every voter, and price 0 unless ``prices`` are given;
+    the target must not already win alone."""
+    profile = Profile(alts, tuple(prefs))
+    nv = len(prefs)
+    instance = BriberyInstance(
+        profile, target=0, deltas=(delta,) * nv,
+        prices=(0,) * nv if prices is None else prices, budget=budget,
+        rule=rule, metric=metric,
+    )
+    assert not is_unique_winner(profile, rule, 0)
+    return GadgetInstance(
+        kind, instance, sat, source, tuple(names.symbols), padding
+    )
 
 
 # --- k-approval / swap -----------------------------------------------------
@@ -538,128 +608,82 @@ def gen_kapproval_swap_gadget(
     total = len(names.names)
     built: dict[tuple[int, ...], Preference] = {}
     rests: dict[tuple[int, ...], list[int]] = {}
+    prefs: list[Preference] = []
 
-    def build(head: list[int], rot: int) -> Preference:
-        # The blocks repeat a head, and the rotation repeats every
+    def block(head: list[int], count: int = 1) -> None:
+        # ``count`` voters over ``head``, voter v with the rest rotated by
+        # v.  The blocks repeat a head, and the rotation repeats every
         # total - 4 voters: each distinct order is built once and shared.
         # Each head's remaining alternatives are found once; with the head
         # free of repeats, head + any rotation of them is a permutation.
-        key = (*head, rot % (total - len(head)))
-        pref = built.get(key)
-        if pref is None:
-            rest = rests.get(key[:-1])
-            if rest is None:
-                if len(set(head)) != len(head):
-                    raise ValueError("order must be a permutation of 0..m-1")
-                rest = rests[key[:-1]] = [
-                    a for a in range(total) if a not in head
-                ]
-            rot = key[-1]
-            pref = built[key] = Preference.trusted(
-                tuple(head + rest[rot:] + rest[:rot])
-            )
-        return pref
+        for _ in range(count):
+            key = (*head, len(prefs) % (total - len(head)))
+            pref = built.get(key)
+            if pref is None:
+                rest = rests.get(key[:-1])
+                if rest is None:
+                    if len(set(head)) != len(head):
+                        raise ValueError(
+                            "order must be a permutation of 0..m-1"
+                        )
+                    rest = rests[key[:-1]] = [
+                        a for a in range(total) if a not in head
+                    ]
+                rot = key[-1]
+                pref = built[key] = Preference.trusted(
+                    tuple(head + rest[rot:] + rest[:rot])
+                )
+            prefs.append(pref)
 
-    prefs: list[Preference] = []
-    for i in range(1, n + 1):  # variable voters, two per variable
-        for lit in (i, -i):
-            prefs.append(
-                build(
-                    [
-                        w_alt[i],
-                        lit_alt[(lit, 0)],
-                        lit_alt[(lit, 1)],
-                        z_alt[i],
-                    ],
-                    len(prefs),
-                )
-            )
-    for j in range(1, m + 1):  # clause voters, three per clause
-        for lit in sat.clauses[j - 1]:
-            occ = sat.occurrence_index(lit, j - 1)
-            prefs.append(
-                build(
-                    [y_alt[j], d_alt[j], lit_alt[(lit, occ)], dp_alt[j]],
-                    len(prefs),
-                )
-            )
-    prefs.append(build([C, d_alt[1], d_alt[2], d_alt[3]], len(prefs)))
-    for _ in range(pad + 2):  # u-block
-        prefs.append(build([U, d_alt[1], d_alt[2], C], len(prefs)))
+    heads = _p1_heads(
+        sat,
+        lambda i, lit: [
+            w_alt[i], lit_alt[(lit, 0)], lit_alt[(lit, 1)], z_alt[i]
+        ],
+        lambda j, lit, occ: [
+            y_alt[j], d_alt[j], lit_alt[(lit, occ)], dp_alt[j]
+        ],
+    )
+    for head in heads:
+        block(head)
+    block([C, d_alt[1], d_alt[2], d_alt[3]])
+    block([U, d_alt[1], d_alt[2], C], pad + 2)  # u-block
     for i in range(1, n // 2 + 1):  # w-pairing block
-        for _ in range(pad + 1):
-            prefs.append(
-                build([U, w_alt[2 * i - 1], w_alt[2 * i], d_alt[1]], len(prefs))
-            )
+        block([U, w_alt[2 * i - 1], w_alt[2 * i], d_alt[1]], pad + 1)
     for i in range(1, n + 1):  # literal-pairing blocks
         for bit in (1, 0):
-            for _ in range(pad + 1):
-                prefs.append(
-                    build(
-                        [U, lit_alt[(i, bit)], lit_alt[(-i, bit)], d_alt[1]],
-                        len(prefs),
-                    )
-                )
+            pair = [lit_alt[(i, bit)], lit_alt[(-i, bit)]]
+            block([U, *pair, d_alt[1]], pad + 1)
     for j in range(1, m // 2 + 1):  # y-pairing block
-        for _ in range(pad):
-            prefs.append(
-                build([U, y_alt[2 * j - 1], y_alt[2 * j], d_alt[1]], len(prefs))
-            )
+        block([U, y_alt[2 * j - 1], y_alt[2 * j], d_alt[1]], pad)
 
-    profile = Profile(alts, tuple(prefs))
-    nv = len(prefs)
-    instance = BriberyInstance(
-        profile,
-        target=C,
-        deltas=(2,) * nv,
-        prices=(0,) * nv,
-        budget=0,
-        rule=VotingRule(KAPPROVAL, k=2),
-        metric=SWAP,
+    g = _gadget(
+        KIND_KAPP_SWAP, sat, source, names, alts, prefs,
+        VotingRule(KAPPROVAL, k=2), SWAP, delta=2, padding=pad,
     )
     # Before bribery the pairing-block alternative dominates everything.
-    scores = positional_scores(profile, approval_vector(total, 2))
+    scores = positional_scores(g.instance.profile, approval_vector(total, 2))
     assert scores[U] == max(scores) and scores[C] < scores[U]
-    assert not is_unique_winner(profile, instance.rule, C)
-    return GadgetInstance(
-        KIND_KAPP_SWAP, instance, sat, source, tuple(names.symbols), pad
-    )
+    return g
 
 
 _TO_BACK = _pattern(1, 2, 0, 3)  # first alternative drops to third place
 _PULL_FOURTH = _pattern(0, 3, 1, 2)  # fourth alternative climbs to second
 
 
-def _witness_kapp_swap(gadget: GadgetInstance, assignment) -> Profile:
+def _witness_kapp_swap(gadget: GadgetInstance, assignment, prefs) -> None:
     sat = gadget.sat
-    n, m = sat.num_vars, sat.num_clauses
-    pad = gadget.padding
-    prefs = list(gadget.instance.profile.prefs)
-
-    for i in range(n):
-        changed_side = 1 if assignment[i] else 0  # push w out on this side
-        kept_side = 1 - changed_side
-        # z climbs, literals drop; on the other side the pair overtakes w
-        kept, changed = 2 * i + kept_side, 2 * i + changed_side
-        prefs[kept] = _rearranged(prefs[kept], _PULL_FOURTH, 0)
-        prefs[changed] = _rearranged(prefs[changed], _TO_BACK, 0)
-    base_cl = 2 * n
-    for j in range(m):
-        slot = _chosen_slot(sat, assignment, j)
-        if slot >= 0:
-            # y drops out of the top 2
-            i = base_cl + 3 * j + slot
-            prefs[i] = _rearranged(prefs[i], _TO_BACK, 0)
-    u = base_cl + 3 * m + 1  # skip the unchanged c-voter
-    pairing = u + pad + 2
+    to_back = partial(_rearranged, pattern=_TO_BACK, at=0)
+    pull_fourth = partial(_rearranged, pattern=_PULL_FOURTH, at=0)
+    # Variable voters: on the false literal's side w is pushed out as the
+    # literal pair overtakes it; on the other side z climbs and the pair
+    # drops.  Clause voters: y drops out of the top 2 on the chosen one.
+    _rewrite_p1(prefs, sat, assignment, pull_fourth, to_back, to_back)
+    u = 2 * sat.num_vars + 3 * sat.num_clauses + 1  # skip the c-voter
+    pairing = u + gadget.padding + 2
     # u-block: c climbs to second place; pairing blocks: u drops to third
-    prefs[u:pairing] = map_distinct(
-        lambda p: _rearranged(p, _PULL_FOURTH, 0), prefs[u:pairing]
-    )
-    prefs[pairing:] = map_distinct(
-        lambda p: _rearranged(p, _TO_BACK, 0), prefs[pairing:]
-    )
-    return Profile(gadget.instance.profile.alternatives, tuple(prefs))
+    prefs[u:pairing] = map_distinct(pull_fourth, prefs[u:pairing])
+    prefs[pairing:] = map_distinct(to_back, prefs[pairing:])
 
 
 # --- k-approval / max-displacement, priced ---------------------------------
@@ -695,54 +719,35 @@ def gen_kapproval_maxdisp_priced_gadget(
     total = alts.m
     pool = _FillerPool(fsize, KIND_KAPP_MAXDISP, num_named)
 
-    def h_alt(j: int, lit: int) -> int:
-        # First occurrence maps to the a-alternative, second to b.
-        return (a_alt if sat.occurrence_index(lit, j - 1) == 0 else b_alt)[lit]
-
     def build(head: list) -> Preference:
         # k-2 leading fresh fillers; fillers in the first k+10 positions are
         # used once, globally.
         head = ["F"] * (k - 2) + head
         return _filler_preference(pool, num_named, head, k + 10)
 
-    prefs: list[Preference] = []
-    prices: list[int] = []
-    for i in range(1, n + 1):  # P1 variable voters
-        for lit in (i, -i):
-            prefs.append(build([w_alt[i], wp_alt[i], a_alt[lit], b_alt[lit]]))
-            prices.append(1)
-    for j in range(1, m + 1):  # P1 clause voters
-        for lit in sat.clauses[j - 1]:
-            prefs.append(build(["F", y_alt[j], h_alt(j, lit), "F"]))
-            prices.append(1)
-    p2_price = 10 * m * n
-    for _ in range(10):  # P2: target score block
-        prefs.append(build([0, "F"]))
-        prices.append(p2_price)
+    # P1: a literal's first clause names its a-alternative, its second b.
+    heads = _p1_heads(
+        sat,
+        lambda i, lit: [w_alt[i], wp_alt[i], a_alt[lit], b_alt[lit]],
+        lambda j, lit, occ: ["F", y_alt[j], (a_alt, b_alt)[occ][lit], "F"],
+    )
+    prefs = [build(head) for head in heads]
+    n1 = len(prefs)
+    prefs += (build([0, "F"]) for _ in range(10))  # P2: target score block
     for i in range(1, n + 1):  # P2: eight copies per variable alternative
         for x in (
             a_alt[i], a_alt[-i], b_alt[i], b_alt[-i], w_alt[i], wp_alt[i]
         ):
-            for _ in range(8):
-                prefs.append(build([x, "F"]))
-                prices.append(p2_price)
+            prefs += (build([x, "F"]) for _ in range(8))
     for j in range(1, m + 1):  # P2: seven copies per clause alternative
-        for _ in range(7):
-            prefs.append(build([y_alt[j], "F"]))
-            prices.append(p2_price)
+        prefs += (build([y_alt[j], "F"]) for _ in range(7))
 
-    profile = Profile(alts, tuple(prefs))
-    nv = len(prefs)
-    instance = BriberyInstance(
-        profile,
-        target=0,
-        deltas=(2,) * nv,
-        prices=tuple(prices),
-        budget=n + m,
-        rule=VotingRule(KAPPROVAL, k=k),
-        metric=MAXDISP,
+    g = _gadget(
+        KIND_KAPP_MAXDISP, sat, source, names, alts, prefs,
+        VotingRule(KAPPROVAL, k=k), MAXDISP, delta=2, padding=fsize,
+        prices=(1,) * n1 + (10 * m * n,) * (len(prefs) - n1), budget=n + m,
     )
-    scores = positional_scores(profile, approval_vector(total, k))
+    scores = positional_scores(g.instance.profile, approval_vector(total, k))
     assert scores[0] == 10
     for i in range(1, n + 1):
         for lit in (i, -i):
@@ -751,35 +756,24 @@ def gen_kapproval_maxdisp_priced_gadget(
     for j in range(1, m + 1):
         assert scores[y_alt[j]] == 10
     assert max(scores[num_named:]) <= 1
-    assert not is_unique_winner(profile, instance.rule, 0)
-    return GadgetInstance(
-        KIND_KAPP_MAXDISP, instance, sat, source, tuple(names.symbols), fsize
-    )
+    return g
 
 
 _PAIRS_SWAPPED = _pattern(2, 3, 0, 1)
 _ADJACENT_SWAPPED = _pattern(1, 0)
 
 
-def _witness_kapp_maxdisp(gadget: GadgetInstance, assignment) -> Profile:
-    sat = gadget.sat
-    n, m = sat.num_vars, sat.num_clauses
+def _witness_kapp_maxdisp(gadget: GadgetInstance, assignment, prefs) -> None:
     k = gadget.instance.rule.k
-    prefs = list(gadget.instance.profile.prefs)
-    for i in range(n):
-        # Promote the literal pair on the side set FALSE by the assignment
-        # (w w' a b becomes a b w w'); the w-pair stays approved only on the
-        # TRUE side's preference.
-        changed = 2 * i + (1 if assignment[i] else 0)
-        prefs[changed] = _rearranged(prefs[changed], _PAIRS_SWAPPED, k - 2)
-    base_cl = 2 * n
-    for j in range(m):
-        slot = _chosen_slot(sat, assignment, j)
-        if slot >= 0:
-            # Swap y (position k) with the satisfied literal's alternative.
-            i = base_cl + 3 * j + slot
-            prefs[i] = _rearranged(prefs[i], _ADJACENT_SWAPPED, k - 1)
-    return Profile(gadget.instance.profile.alternatives, tuple(prefs))
+    # Variable voters: the literal pair on the false literal's side climbs
+    # (w w' a b becomes a b w w'), so the w-pair stays approved only on the
+    # true side.  Clause voters: y (position k) swaps with the chosen
+    # literal's alternative.
+    _rewrite_p1(
+        prefs, gadget.sat, assignment, None,
+        partial(_rearranged, pattern=_PAIRS_SWAPPED, at=k - 2),
+        partial(_rearranged, pattern=_ADJACENT_SWAPPED, at=k - 1),
+    )
 
 
 # --- Borda -----------------------------------------------------------------
@@ -799,7 +793,6 @@ def gen_borda_gadget(
     n, m = sat.num_vars, sat.num_clauses
     fsize = 10 * m**7 * n**7 if filler_size is None else filler_size
     shifted = metric in (SWAP, FOOTRULE)  # equalizers pre-demote rivals
-    delta = 2 if metric == FOOTRULE else 1
 
     names = _Names()
     names.add("c", "c")
@@ -824,29 +817,19 @@ def gen_borda_gadget(
     total = alts.m
     pool = _FillerPool(fsize, KIND_BORDA, num_named)
 
-    def build_p1(head: list) -> Preference:
-        # The head's fillers are once-only in P1; the rest rotate.
-        return _filler_preference(pool, num_named, head, 0)
-
-    prefs: list[Preference] = []
-    for i in range(1, n + 1):  # P1 variable voters
-        for lit in (i, -i):
-            prefs.append(build_p1([z_alt[i], a_alt[lit], "F", "F", 0]))
-    for j in range(1, m + 1):  # P1 clause voters
-        for lit in sat.clauses[j - 1]:
-            prefs.append(build_p1([y_alt[j], a_alt[lit], "F", 0]))
+    # P1: the head's fillers are once-only; the rest rotate.
+    heads = _p1_heads(
+        sat,
+        lambda i, lit: [z_alt[i], a_alt[lit], "F", "F", 0],
+        lambda j, lit, occ: [y_alt[j], a_alt[lit], "F", 0],
+    )
+    prefs = [_filler_preference(pool, num_named, h, 0) for h in heads]
     n1 = len(prefs)
-    p1_profile = Profile(alts, tuple(prefs))
-    s1 = positional_scores(p1_profile, borda_vector(total))
+    s1 = positional_scores(Profile(alts, tuple(prefs)), borda_vector(total))
 
     rivals = list(range(1, num_named))
-    gap = {}
-    for i in range(1, n + 1):
-        gap[z_alt[i]] = _BORDA_EQ_GAP["z"]
-        gap[a_alt[i]] = _BORDA_EQ_GAP["a"]
-        gap[a_alt[-i]] = _BORDA_EQ_GAP["a"]
-    for j in range(1, m + 1):
-        gap[y_alt[j]] = _BORDA_EQ_GAP["y"]
+    # A rival's gap goes by its kind, the first letter of its symbol.
+    gap = {a: _BORDA_EQ_GAP[sym[0]] for sym, a in names.symbols[1:]}
 
     labels = pool.labels
 
@@ -865,11 +848,8 @@ def gen_borda_gadget(
         return first, second
 
     def equalizer(head: list[int]) -> Preference:
-        free = bytearray(b"\x01") * fsize
-        for a in head:
-            if a >= num_named:
-                free[a - num_named] = 0
-        full = head + list(compress(labels, free))
+        placed = [a - num_named for a in head if a >= num_named]
+        full = head + list(pool.unplaced(placed))
         if shifted:
             full = _shift_named_right(full, is_named, skip=0)
         return Preference(tuple(full))
@@ -895,31 +875,20 @@ def gen_borda_gadget(
                 pool.deep_cursor = pair[0]
             prefs.extend(pair[1])
 
-    profile = Profile(alts, tuple(prefs))
-    nv = len(prefs)
-    instance = BriberyInstance(
-        profile,
-        target=0,
-        deltas=(delta,) * nv,
-        prices=(0,) * nv,
-        budget=0,
-        rule=VotingRule(BORDA),
-        metric=metric,
+    g = _gadget(
+        KIND_BORDA, sat, source, names, alts, prefs,
+        VotingRule(BORDA), metric, delta=2 if metric == FOOTRULE else 1,
+        padding=fsize,
     )
-    scores = positional_scores(profile, borda_vector(total))
-    z_scores = {scores[z_alt[i]] for i in range(1, n + 1)}
-    y_scores = {scores[y_alt[j]] for j in range(1, m + 1)}
-    a_scores = {
-        scores[a_alt[lit]] for i in range(1, n + 1) for lit in (i, -i)
-    }
+    scores = positional_scores(g.instance.profile, borda_vector(total))
+    z_scores = {scores[a] for a in z_alt.values()}
+    y_scores = {scores[a] for a in y_alt.values()}
+    a_scores = {scores[a] for a in a_alt.values()}
     assert len(z_scores) == len(y_scores) == len(a_scores) == 1
     assert z_scores == y_scores
     assert next(iter(z_scores)) - next(iter(a_scores)) == 3
     assert min(z_scores | a_scores) > scores[0] > max(scores[num_named:])
-    assert not is_unique_winner(profile, instance.rule, 0)
-    return GadgetInstance(
-        KIND_BORDA, instance, sat, source, tuple(names.symbols), fsize
-    )
+    return g
 
 
 _Z_KEPT = _pattern(0, 2, 1, 4, 3)  # z d a c d'
@@ -928,41 +897,38 @@ _Y_OVERTAKEN = _pattern(1, 0, 3, 2)  # a y c d
 _Y_KEPT = _pattern(0, 1, 3, 2)  # y a c d
 
 
-def _witness_borda(gadget: GadgetInstance, assignment) -> Profile:
+def _witness_borda(gadget: GadgetInstance, assignment, prefs) -> None:
     sat = gadget.sat
     n, m = sat.num_vars, sat.num_clauses
     n1 = 2 * n + 3 * m
     num_named = 1 + 3 * n + m
     is_named = lambda a: 0 < a < num_named  # noqa: E731
-    prefs = list(gadget.instance.profile.prefs)
     if gadget.instance.metric != MAXDISP:
         # One adjacent transposition per voter: the target climbs past the
         # filler directly before it, in every preference.
-        new = map_distinct(
+        prefs[:] = map_distinct(
             lambda p: Preference.trusted(tuple(_swap_left(p.order, 0))), prefs
         )
-        return Profile(gadget.instance.profile.alternatives, tuple(new))
+        return
 
-    def retop(i: int, pattern: tuple[int, ...]) -> None:
+    def retop(pattern: tuple[int, ...]):
         # A fixed pattern on top and a shift below: a permutation.
-        o = prefs[i].order
-        head = [o[p] for p in pattern]
-        tail = _shift_named_right(o[len(pattern):], is_named)
-        prefs[i] = Preference.trusted(tuple(head + tail))
+        def rewrite(pref: Preference) -> Preference:
+            o = pref.order
+            head = [o[p] for p in pattern]
+            tail = _shift_named_right(o[len(pattern):], is_named)
+            return Preference.trusted(tuple(head + tail))
 
-    for i in range(n):
-        changed_side = 1 if assignment[i] else 0
-        kept = 2 * i + (1 - changed_side)
-        # Kept side: z stays on top, its literal alternative slides right.
-        retop(kept, _Z_KEPT)
-        # Changed side: the literal alternative overtakes z.
-        retop(2 * i + changed_side, _Z_OVERTAKEN)
-    base_cl = 2 * n
-    for j in range(m):
-        slot = _chosen_slot(sat, assignment, j)
-        for r in range(3):
-            idx = base_cl + 3 * j + r
-            retop(idx, _Y_OVERTAKEN if r == slot else _Y_KEPT)
+        return rewrite
+
+    # Variable voters: on the true literal's side z stays on top and its
+    # literal alternative slides right; on the false side the literal
+    # alternative overtakes z.  Clause voters: the chosen literal's
+    # alternative overtakes y.
+    _rewrite_p1(
+        prefs, sat, assignment, retop(_Z_KEPT), retop(_Z_OVERTAKEN),
+        retop(_Y_OVERTAKEN), retop(_Y_KEPT),
+    )
     # Equalizers: the rivals slide right, then the target climbs one place.
     prefs[n1:] = map_distinct(
         lambda p: Preference.trusted(
@@ -970,7 +936,6 @@ def _witness_borda(gadget: GadgetInstance, assignment) -> Profile:
         ),
         prefs[n1:],
     )
-    return Profile(gadget.instance.profile.alternatives, tuple(prefs))
 
 
 # --- shared witness entry point --------------------------------------------
@@ -993,7 +958,10 @@ def witness_from_assignment(
         KIND_KAPP_MAXDISP: _witness_kapp_maxdisp,
         KIND_BORDA: _witness_borda,
     }[gadget.kind]
-    witness = builder(gadget, full)
+    profile = gadget.instance.profile
+    prefs = list(profile.prefs)
+    builder(gadget, full, prefs)  # rewrites the bribed voters in place
+    witness = Profile(profile.alternatives, tuple(prefs))
     ok, reason, bribed, _ = check_witness(gadget.instance, witness)
     if not ok and (sat_ok or reason != NOT_UNIQUE_WINNER):
         raise GadgetError(f"internal error: witness fails: {reason}")

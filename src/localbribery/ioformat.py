@@ -329,7 +329,8 @@ def render_instance(instance: BriberyInstance) -> str:
                 + render_preference(pref, alts)
             )
         lines.append(line)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def parse_witness(

@@ -338,6 +338,45 @@ def test_gadget_pipeline(tmp_path, cnf_path, capsys):
     assert "verified: yes" in vout
 
 
+@pytest.mark.parametrize("command", ["gen-gadget", "witness"])
+@pytest.mark.parametrize(
+    "reduction,flags,refused",
+    [
+        ("kapp-swap", ["--delta-pad", "4", "--k", "5"], "--k"),
+        ("kapp-maxdisp-priced", ["--metric", "swap"], "--metric"),
+        ("borda", ["--k", "7", "--delta-pad", "5"], "--delta-pad"),
+    ],
+    ids=["kapp-swap", "kapp-maxdisp-priced", "borda"],
+)
+def test_gadget_flag_its_reduction_does_not_read_exit_2(
+    tmp_path, cnf_path, capsys, command, reduction, flags, refused
+):
+    # A flag the reduction would ignore is refused, not dropped silently:
+    # a --k given to kapp-swap used to write `rule: kapproval 2`.
+    argv = [command, "--reduction", reduction, "--cnf", cnf_path, *flags]
+    if command == "witness":
+        argv += ["--assignment", "111"]
+    else:
+        argv += ["--out", str(tmp_path / "g.elb")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {refused} does not apply to the {reduction} reduction\n"
+    )
+    assert not (tmp_path / "g.elb").exists()
+
+
+def test_gadget_k_defaults_to_2(tmp_path, cnf_path, capsys):
+    path = tmp_path / "g.elb"
+    code, _, _ = run(
+        capsys, "gen-gadget", "--reduction", "kapp-maxdisp-priced",
+        "--cnf", cnf_path, "--filler-size", "2170", "--out", str(path),
+    )
+    assert code == 0
+    assert path.read_text().startswith("rule: kapproval 2\n")
+
+
 def test_witness_nonsatisfying_flagged(cnf_path, capsys):
     code, out, _ = run(
         capsys, "witness", "--reduction", "kapp-swap", "--cnf", cnf_path,
