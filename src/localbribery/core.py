@@ -2,6 +2,9 @@
 
 Alternatives are identified by index everywhere; names only matter at the
 I/O boundary.  All types are immutable values and all operations are pure.
+The package's value types are plain classes on one base, `Record`, which
+compares, hashes and shows them by their fields, so importing the package
+builds no class at run time.
 
 Each rule is scored by one additive tally (`tally`): one voter's order
 contributes a flat list, and a decision maps the sum over n voters to the
@@ -14,21 +17,69 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
 from operator import add, attrgetter, lt
 
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
-class AlternativeSet:
+
+class Record:
+    """A value made of the fields named in ``_fields``, in order.
+
+    Two records are equal when they are of the same class and their fields
+    are; a record hashes as the tuple of its fields and shows as
+    ``Name(field=value, ...)``.  Records are frozen: a constructor sets its
+    fields with ``_assign``, and any other assignment or deletion raises
+    AttributeError.  A mutable record class sets ``__setattr__``,
+    ``__delattr__`` and ``__hash__`` back to ``object``'s and ``None``.
+    A record class lists its fields in ``__slots__`` too, unless it keeps
+    defaults as class attributes or needs a ``__dict__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # Copies and pickles carry the fields and set them without the checks.
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, state):
+        self._assign(*state)
+
+
+class AlternativeSet(Record):
     """An ordered set of distinct, non-empty names without ``>`` and
     without leading or trailing whitespace, which the preference parser
     strips."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)  # no slots: ``lookup`` is cached in the __dict__
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...]):
+        self._assign(names)
         if len(self.names) < 1:
             raise ValueError("need at least one alternative")
         if len(self.lookup) != len(self.names):
@@ -57,13 +108,13 @@ class AlternativeSet:
         return self.lookup[name]
 
 
-@dataclass(frozen=True)
-class Preference:
+class Preference(Record):
     """A total order over 0..m-1, best first."""
 
-    order: tuple[int, ...]
+    __slots__ = _fields = ("order",)
 
-    def __post_init__(self):
+    def __init__(self, order: tuple[int, ...]):
+        _setattr(self, "order", order)
         if not self.order:
             raise ValueError("need at least one alternative")
         if sorted(self.order) != list(range(len(self.order))):
@@ -80,7 +131,7 @@ class Preference:
         for repeats, and the gadget witness builders, which only permute
         positions.  Equal to, and hashes like, the checked form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
+        _setattr(self, "order", order)
         return self
 
     @property
@@ -91,12 +142,13 @@ class Preference:
 _ORDER = attrgetter("order")
 
 
-@dataclass(frozen=True)
-class Profile:
-    alternatives: AlternativeSet
-    prefs: tuple[Preference, ...]
+class Profile(Record):
+    __slots__ = _fields = ("alternatives", "prefs")
 
-    def __post_init__(self):
+    def __init__(
+        self, alternatives: AlternativeSet, prefs: tuple[Preference, ...]
+    ):
+        self._assign(alternatives, prefs)
         if len(self.prefs) < 1:
             raise ValueError("need at least one voter")
         if set(map(len, map(_ORDER, self.prefs))) != {self.alternatives.m}:
@@ -128,13 +180,13 @@ def map_distinct(fn, prefs) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ScoreVector:
+class ScoreVector(Record):
     """Non-increasing positional score vector with alpha_1 > alpha_m."""
 
-    alpha: tuple[int, ...]
+    __slots__ = _fields = ("alpha",)
 
-    def __post_init__(self):
+    def __init__(self, alpha: tuple[int, ...]):
+        _setattr(self, "alpha", alpha)
         a = self.alpha
         if a and min(a) < 0:
             raise ValueError("scores must be non-negative")
@@ -165,21 +217,39 @@ BUCKLIN = "bucklin"
 SBUCKLIN = "sbucklin"
 
 
-@dataclass(frozen=True)
-class VotingRule:
+class _Half:
+    """The default Copeland tie value, ``Fraction(1, 2)``, made when first
+    read: only Copeland reads it, so no other rule imports ``fractions``."""
+
+    def __get__(self, rule, cls):
+        from fractions import Fraction
+
+        return Fraction(1, 2)
+
+
+class VotingRule(Record):
     """One of the eight supported rules plus generic positional vectors.
 
     ``k`` is the approval prefix length for k-approval, ``alpha`` the
     explicit vector for positional, ``copeland_alpha`` the tie value for
-    Copeland (kept as an exact rational; no floats anywhere).
+    Copeland (kept as an exact rational; no floats anywhere), 1/2 when
+    None is given.
     """
 
-    tag: str
-    k: int | None = None
-    alpha: ScoreVector | None = None
-    copeland_alpha: Fraction = field(default=Fraction(1, 2))
+    _fields = ("tag", "k", "alpha", "copeland_alpha")
+    k = alpha = None
+    copeland_alpha = _Half()
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        tag: str,
+        k: int | None = None,
+        alpha: ScoreVector | None = None,
+        copeland_alpha: Fraction | None = None,
+    ):
+        self._assign(tag, k, alpha)
+        if copeland_alpha is not None:
+            _setattr(self, "copeland_alpha", copeland_alpha)
         if self.tag == KAPPROVAL and self.k is None:
             raise ValueError("kapproval requires k")
         if self.tag == POSITIONAL and self.alpha is None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+
+from .core import Record, _setattr
 
 INF = 10**18
 
@@ -28,23 +29,35 @@ def capture_networks():
         _capture = prev
 
 
-@dataclass(frozen=True)
-class FlowEdge:
-    src: int
-    dst: int
-    lb: int
-    cap: int
-    cost: int
+class FlowEdge(Record):
+    __slots__ = _fields = ("src", "dst", "lb", "cap", "cost")
+
+    def __init__(self, src: int, dst: int, lb: int, cap: int, cost: int):
+        # One per edge of every network: set directly, not by `_assign`.
+        _setattr(self, "src", src)
+        _setattr(self, "dst", dst)
+        _setattr(self, "lb", lb)
+        _setattr(self, "cap", cap)
+        _setattr(self, "cost", cost)
 
 
-@dataclass
-class FlowNetwork:
-    num_nodes: int
-    source: int
-    sink: int
-    edges: list[FlowEdge] = field(default_factory=list)
+class _Mutable(Record):
+    """A record whose fields can be reassigned; it has no hash."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class FlowNetwork(_Mutable):
+    __slots__ = _fields = ("num_nodes", "source", "sink", "edges")
+
+    def __init__(
+        self, num_nodes: int, source: int, sink: int,
+        edges: list[FlowEdge] | None = None,
+    ):
+        self._assign(num_nodes, source, sink, [] if edges is None else edges)
         if _capture is not None:
             _capture.append(self)
 
@@ -67,11 +80,11 @@ class FlowNetwork:
         )
 
 
-@dataclass
-class FlowResult:
-    feasible: bool
-    total_cost: int
-    edge_flow: list[int]
+class FlowResult(_Mutable):
+    __slots__ = _fields = ("feasible", "total_cost", "edge_flow")
+
+    def __init__(self, feasible: bool, total_cost: int, edge_flow: list[int]):
+        self._assign(feasible, total_cost, edge_flow)
 
 
 class _Residual:

@@ -41,7 +41,6 @@ orders they build skip the permutation check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, filterfalse, islice
 
@@ -51,6 +50,7 @@ from .core import (
     AlternativeSet,
     Preference,
     Profile,
+    Record,
     VotingRule,
     approval_vector,
     borda_vector,
@@ -77,18 +77,19 @@ def _lit_name(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
 
-@dataclass(frozen=True)
-class Sat3B2Instance:
+class Sat3B2Instance(Record):
     """3-CNF with every literal occurring in exactly two clauses.
 
     Literals use DIMACS convention: variable i is ``i`` positive, ``-i``
     negated.  The occurrence balance forces 3m = 4n.
     """
 
-    num_vars: int
-    clauses: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("num_vars", "clauses")
 
-    def __post_init__(self):
+    def __init__(
+        self, num_vars: int, clauses: tuple[tuple[int, int, int], ...]
+    ):
+        self._assign(num_vars, clauses)
         n = self.num_vars
         if n <= 0:
             raise GadgetError("variable count must be positive")
@@ -152,8 +153,7 @@ class Sat3B2Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WmgTarget:
+class WmgTarget(Record):
     """Desired pairwise margins on a core set, padded by filler alternatives.
 
     ``margins[i][j]`` is the target margin of core alternative i over j;
@@ -162,12 +162,15 @@ class WmgTarget:
     alternatives in every emitted preference.
     """
 
-    core_names: tuple[str, ...]
-    margins: tuple[tuple[int, ...], ...]
-    spacing: int
-    num_fillers: int | None = None
+    _fields = ("core_names", "margins", "spacing", "num_fillers")
+    num_fillers = None
 
-    def __post_init__(self):
+    def __init__(
+        self, core_names: tuple[str, ...],
+        margins: tuple[tuple[int, ...], ...], spacing: int,
+        num_fillers: int | None = None,
+    ):
+        self._assign(core_names, margins, spacing, num_fillers)
         ell = len(self.core_names)
         if ell == 0 or len(set(self.core_names)) != ell:
             raise GadgetError("core names must be distinct and non-empty")
@@ -457,8 +460,7 @@ def _swap_left(order: list[int], alt: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(Record):
     """A bribery instance built from a SAT instance, plus bookkeeping.
 
     ``sat`` is the instance actually encoded (after any automatic
@@ -466,12 +468,16 @@ class GadgetInstance:
     map ties construction symbols to alternative indices.
     """
 
-    kind: str
-    instance: BriberyInstance
-    sat: Sat3B2Instance
-    source_sat: Sat3B2Instance
-    name_map: tuple[tuple[str, int], ...]
-    padding: int
+    __slots__ = _fields = (
+        "kind", "instance", "sat", "source_sat", "name_map", "padding"
+    )
+
+    def __init__(
+        self, kind: str, instance: BriberyInstance, sat: Sat3B2Instance,
+        source_sat: Sat3B2Instance, name_map: tuple[tuple[str, int], ...],
+        padding: int,
+    ):
+        self._assign(kind, instance, sat, source_sat, name_map, padding)
 
     def render_name_map(self) -> str:
         return "\n".join(f"{sym} -> alt {idx}" for sym, idx in self.name_map)
@@ -492,11 +498,17 @@ class GadgetInstance:
         )
 
 
-@dataclass(frozen=True)
-class GadgetWitness:
-    profile: Profile
-    satisfies: bool  # winner guarantee is void when False
-    bribed: frozenset[int]  # the voters whose preference changed
+class GadgetWitness(Record):
+    """A witness profile; ``satisfies`` is False when the assignment does
+    not satisfy the formula, and the winner guarantee is then void.
+    ``bribed`` holds the voters whose preference changed."""
+
+    __slots__ = _fields = ("profile", "satisfies", "bribed")
+
+    def __init__(
+        self, profile: Profile, satisfies: bool, bribed: frozenset[int]
+    ):
+        self._assign(profile, satisfies, bribed)
 
 
 KIND_KAPP_SWAP = "kapproval-swap"

@@ -28,7 +28,6 @@ loop over the lines: they are most of an instance.
 from __future__ import annotations
 
 from collections.abc import Container, Iterator
-from fractions import Fraction
 from operator import itemgetter
 
 from .core import (
@@ -115,6 +114,8 @@ def parse_rule(text: str, lineno: int | None = None) -> VotingRule:
             raise FormatError(lineno, f"bad score vector: {e}")
         return VotingRule(POSITIONAL, alpha=alpha)
     if tag == COPELAND:
+        from fractions import Fraction  # only Copeland reads a fraction
+
         if len(args) > 1:
             raise FormatError(lineno, "copeland takes at most one argument")
         try:

@@ -12,8 +12,8 @@ put above which; the oracle's bounds for every rule are built from them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
 
 from .core import Preference
 

@@ -46,7 +46,6 @@ import math
 import time
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import add, itemgetter, methodcaller
 
 from .core import (
@@ -56,6 +55,7 @@ from .core import (
     SBUCKLIN,
     Preference,
     Profile,
+    Record,
     VotingRule,
     is_unique_winner,  # unused here; bench/tracing.py names it
     score_vector,
@@ -65,13 +65,15 @@ from .metrics import FOOTRULE, ball, precedence_reach, rank_reach
 from .problem import BriberyInstance, BriberyOutcome, verified_yes
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_nodes: int = 10**6
-    max_ball: int = 10**5
-    time_limit_s: float = 60.0
+class OracleBudget(Record):
+    _fields = ("max_nodes", "max_ball", "time_limit_s")
+    max_nodes, max_ball, time_limit_s = 10**6, 10**5, 60.0
 
-    def __post_init__(self):
+    def __init__(
+        self, max_nodes: int = max_nodes, max_ball: int = max_ball,
+        time_limit_s: float = time_limit_s,
+    ):
+        self._assign(max_nodes, max_ball, time_limit_s)
         # Written so that NaN fails too: a NaN time limit never expires.
         limits = (self.max_nodes, self.max_ball, self.time_limit_s)
         if not all(0 < x < math.inf for x in limits):

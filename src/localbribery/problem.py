@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, ne
 
-from .core import Profile, VotingRule, is_unique_winner, score_vector
+from .core import (
+    Profile, Record, VotingRule, is_unique_winner, score_vector,
+)
 from .metrics import METRICS, distance
 
 
-@dataclass(frozen=True)
-class BriberyInstance:
-    profile: Profile
-    target: int
-    deltas: tuple[int, ...]
-    prices: tuple[int, ...]
-    budget: int
-    rule: VotingRule
-    metric: str
+class BriberyInstance(Record):
+    __slots__ = _fields = (
+        "profile", "target", "deltas", "prices", "budget", "rule", "metric"
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self, profile: Profile, target: int, deltas: tuple[int, ...],
+        prices: tuple[int, ...], budget: int, rule: VotingRule, metric: str,
+    ):
+        self._assign(profile, target, deltas, prices, budget, rule, metric)
         n = self.profile.n
         if len(self.deltas) != n or len(self.prices) != n:
             raise ValueError("deltas and prices must have one entry per voter")
@@ -52,12 +52,15 @@ class BriberyInstance:
         )
 
 
-@dataclass(frozen=True)
-class BriberyOutcome:
-    decision: bool
-    witness: Profile | None = None
-    bribed: frozenset[int] | None = None
-    total_price: int | None = None
+class BriberyOutcome(Record):
+    _fields = ("decision", "witness", "bribed", "total_price")
+    witness = bribed = total_price = None
+
+    def __init__(
+        self, decision: bool, witness: Profile | None = None,
+        bribed: frozenset[int] | None = None, total_price: int | None = None,
+    ):
+        self._assign(decision, witness, bribed, total_price)
 
     @staticmethod
     def no() -> "BriberyOutcome":
