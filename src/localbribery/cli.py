@@ -320,7 +320,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_realize_wmg(args) -> int:
-    target = parse_wmg_target(_read(args.target))
+    target = _parse_file(args.target, parse_wmg_target)
     try:
         profile = realize_wmg(target)
     except GadgetError as e:
@@ -527,7 +527,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except FormatError as e:
         # Text read without a path in front: the distance and ball
-        # preferences, and the realize-wmg target.
+        # preferences.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CliError as e:

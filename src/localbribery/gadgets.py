@@ -259,8 +259,8 @@ def realize_wmg(target: WmgTarget) -> Profile:
         num_fillers = fillers_needed
     if num_fillers < fillers_needed:
         raise GadgetError(
-            f"num_fillers={num_fillers} too small; this target needs "
-            f"{fillers_needed}"
+            f"num_fillers={num_fillers} (target key fillers) too small; "
+            f"this target needs {fillers_needed}"
         )
     fillers = tuple(f"f{i}" for i in range(num_fillers))
     clash = [name for name in target.core_names if name in fillers]
@@ -315,7 +315,7 @@ class _FillerPool:
         if start + count > self.size:
             raise GadgetError(
                 f"{self.what}: filler pool exhausted after {self.size} "
-                "once-only placements; increase filler_size"
+                "once-only placements; increase filler_size (--filler-size)"
             )
         self.fresh_cursor += count
         return range(start, start + count)
@@ -336,7 +336,7 @@ class _FillerPool:
         if len(out) < count:
             raise GadgetError(
                 f"{self.what}: not enough fillers for one preference; "
-                "increase filler_size"
+                "increase filler_size (--filler-size)"
             )
         if out:
             self.deep_cursor = (out[-1] + 1) % self.size
@@ -597,7 +597,7 @@ def gen_kapproval_swap_gadget(
     n, m = sat.num_vars, sat.num_clauses
     pad = 100 * m * m * n * n if delta_pad is None else delta_pad
     if pad < 4:
-        raise GadgetError("delta_pad must be at least 4")
+        raise GadgetError("delta_pad (--delta-pad) must be at least 4")
 
     names = _Names()
     C, U = names.add("c", "c"), names.add("u", "u")
@@ -707,7 +707,7 @@ def gen_kapproval_maxdisp_priced_gadget(
     """Priced bribery instance for k-approval under max displacement with
     per-voter radius 2 and budget n+m."""
     if k < 2:
-        raise GadgetError("k must be at least 2")
+        raise GadgetError("k (--k) must be at least 2")
     source = sat
     n, m = sat.num_vars, sat.num_clauses
     fsize = 300 * m**3 * n**3 if filler_size is None else filler_size
@@ -800,7 +800,7 @@ def gen_borda_gadget(
     instance for Borda.  The score-equalizing block counts follow the
     pattern s1(c) - s1(t) + 2*N1 - {2,5}."""
     if metric not in (SWAP, FOOTRULE, MAXDISP):
-        raise GadgetError(f"unknown metric {metric!r}")
+        raise GadgetError(f"unknown metric {metric!r} (--metric)")
     source = sat
     n, m = sat.num_vars, sat.num_clauses
     fsize = 10 * m**7 * n**7 if filler_size is None else filler_size
@@ -821,7 +821,8 @@ def gen_borda_gadget(
     min_fillers = 10 * (num_named - 2) + 13
     if fsize < min_fillers:
         raise GadgetError(
-            f"filler_size must be at least {min_fillers} for this formula"
+            f"filler_size (--filler-size) must be at least {min_fillers} "
+            "for this formula"
         )
     alts = AlternativeSet(
         tuple(names.names) + tuple(f"f{i}" for i in range(fsize))

@@ -493,7 +493,7 @@ def test_realize_wmg_bad_number_exit_2(tmp_path, capsys, text, line):
     code, out, err = run(capsys, "realize-wmg", "--target", str(t))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: line {line}: ")
+    assert err.startswith(f"error: {t}: line {line}: ")
 
 
 @pytest.mark.parametrize(
@@ -501,14 +501,14 @@ def test_realize_wmg_bad_number_exit_2(tmp_path, capsys, text, line):
     [
         (("realize-wmg", "--target", "{path}"),
          "core: a b\nspacing: 4\nmargin: a b\n",
-         "line 3: margin needs '<a> <b> <value>'"),
+         "{path}: line 3: margin needs '<a> <b> <value>'"),
         (("realize-wmg", "--target", "{path}"), "core: a b\nfillers: 9\n",
-         "target file needs core: and spacing: lines"),
+         "{path}: target file needs core: and spacing: lines"),
         (("realize-wmg", "--target", "{path}"), "core: a b\nspacing 4\n",
-         "line 2: expected 'key: value'"),
+         "{path}: line 2: expected 'key: value'"),
         (("realize-wmg", "--target", "{path}"),
          "core: a b\nspacing: 4\nmargins: a b 2\n",
-         "line 3: unknown key 'margins'"),
+         "{path}: line 3: unknown key 'margins'"),
         (("verify", "--instance", "{plurality}", "--witness", "{path}"),
          "decision: YES\npref: a > c > b\npref: c > b > a\n",
          "{path}: witness has 2 preferences, instance has 3 voters"),
@@ -542,7 +542,8 @@ def test_realize_wmg_unknown_margin_alternative_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: line 3: margin references unknown core alternative 'z'\n"
+        f"error: {t}: line 3: margin references unknown core alternative "
+        "'z'\n"
     )
 
 
@@ -564,7 +565,8 @@ def test_realize_wmg_repeated_header_exit_2(tmp_path, capsys, text, line, key,
     assert code == 2
     assert out == ""
     assert err == (
-        f"error: line {line}: repeated '{key}:' line (first on line {first})\n"
+        f"error: {t}: line {line}: repeated '{key}:' line "
+        f"(first on line {first})\n"
     )
 
 
@@ -578,7 +580,7 @@ def test_realize_wmg_repeated_margin_exit_2(tmp_path, capsys, second):
     assert out == ""
     a, b = second.split()[:2]
     assert err == (
-        f"error: line 4: repeated margin for {a!r} and {b!r} "
+        f"error: {t}: line 4: repeated margin for {a!r} and {b!r} "
         "(first on line 3)\n"
     )
 
@@ -592,7 +594,7 @@ def test_realize_wmg_self_margin_exit_2(tmp_path, capsys, value):
     code, out, err = run(capsys, "realize-wmg", "--target", str(t))
     assert code == 2
     assert out == ""
-    assert err == "error: line 4: margin pairs 'a' with itself\n"
+    assert err == f"error: {t}: line 4: margin pairs 'a' with itself\n"
 
 
 def test_realize_wmg_core_name_clashing_with_filler_exit_2(tmp_path, capsys):
@@ -615,7 +617,7 @@ def test_realize_wmg_core_name_with_separator_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "realize-wmg", "--target", str(t))
     assert code == 2
     assert out == ""
-    assert err == "error: alternative name 'a>b' contains '>'\n"
+    assert err == f"error: {t}: alternative name 'a>b' contains '>'\n"
 
 
 def test_alternative_name_with_separator_exit_2(tmp_path, capsys):

@@ -86,10 +86,11 @@ def _written(argv):
     return paths
 
 
-# Recorded before the gadget generators shared one P1 voter layout and one
-# finish step, and before realize_wmg drew its fillers from the filler pool.
+# Re-recorded when realize-wmg put the target's path in front of its parse
+# errors and the gadget errors came to name their CLI flag or target key;
+# every other record is as first recorded.
 CORPUS_DIGEST = (
-    "6f639f8fb37069077e297478641cf95067c194e3db5103d753ffbe7da3ce2476"
+    "bcccaa1c0598498c9e9137f5dac3696b7cb1dd8e1d14c506d37ab279904b573f"
 )
 
 

@@ -770,7 +770,7 @@ def _deep_one_by_one(size, cursor, count, used):
         if scanned > size:
             raise GadgetError(
                 "test: not enough fillers for one preference; "
-                "increase filler_size"
+                "increase filler_size (--filler-size)"
             )
         idx = cursor % size
         cursor += 1
