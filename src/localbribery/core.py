@@ -3,8 +3,8 @@
 Alternatives are identified by index everywhere; names only matter at the
 I/O boundary.  All types are immutable values and all operations are pure.
 The package's value types are plain classes on one base, `Record`, which
-compares, hashes and shows them by their fields, so importing the package
-builds no class at run time.
+compares, hashes and shows them by their fields.  Unlike `dataclasses`, it
+writes no methods at import, so a CLI call does not pay for generating them.
 
 Each rule is scored by one additive tally (`tally`): one voter's order
 contributes a flat list, and a decision maps the sum over n voters to the
