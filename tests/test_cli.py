@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, routing, pipelines."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from localbribery import cli
+from localbribery import cli, oracle
 from localbribery.cli import main, route_poly_solver
 from localbribery.ioformat import parse_instance
 from localbribery.problem import check_witness
@@ -168,6 +169,27 @@ def test_oracle_limits_exit_3(plurality_path, capsys):
     )
     assert code == 3
     assert "max_nodes" in err
+
+
+def test_oracle_time_limit_exit_3(tmp_path, capsys, monkeypatch):
+    # 6,845 nodes, so the search reaches its first clock check, at node
+    # 4,096; the clock jumps past any deadline between two reads.
+    path = tmp_path / "long.elb"
+    path.write_text(
+        "rule: borda\nmetric: swap\nalternatives: a b c d e\ntarget: c\n"
+        "budget: 3\n"
+        "voter: delta=3 price=0 : b > a > c > d > e\n"
+        "voter: delta=2 price=2 : b > c > a > d > e\n"
+        "voter: delta=3 price=0 : a > b > e > c > d\n"
+        "voter: delta=3 price=2 : b > d > e > c > a\n"
+        "voter: delta=2 price=0 : b > d > e > c > a\n"
+    )
+    clock = itertools.count(0, 10**6)
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(clock))
+    code, out, err = run(capsys, "oracle", "--instance", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: oracle resource limit exceeded: time\n"
 
 
 def test_oracle_env_limits(plurality_path, capsys, monkeypatch):

@@ -167,6 +167,41 @@ def test_winners_equal_literal_reference(rule):
     assert shared_levels > 50  # ties at the winning level are covered
 
 
+def _positional_rules(rng, m):
+    return [
+        VotingRule("plurality"), VotingRule("veto"), VotingRule("borda"),
+        VotingRule("kapproval", k=rng.randint(1, m - 1)),
+        VotingRule("positional", alpha=_random_alpha(rng, m)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_is_unique_winner_equals_literal_reference(seed):
+    # Every rule, every target, on random profiles and on profiles drawn
+    # from one to three orders, where ties are the rule.
+    rng = random.Random(609 + seed)
+    alone = missed = 0
+    for t in range(126):
+        m = 1 + t % 7
+        n = 1 + (t // 7) % 9
+        if t % 2:
+            pool = [rng.sample(range(m), m) for _ in range(rng.randint(1, 3))]
+            orders = [rng.choice(pool) for _ in range(n)]
+        else:
+            orders = [rng.sample(range(m), m) for _ in range(n)]
+        profile = make_profile(orders)
+        rules = TALLY_RULES + (_positional_rules(rng, m) if m > 1 else [])
+        for rule in rules:
+            want = reference_winners(profile, rule)
+            for c in range(m):
+                got = is_unique_winner(profile, rule, c)
+                assert got == (want == {c}), (rule, c, profile)
+                alone += got
+                missed += not got and c in want
+    assert alone > 900
+    assert missed > 600  # c among tied co-winners is covered
+
+
 def test_weighted_majority_graph_equals_reference():
     rng = random.Random(607)
     for t in range(60):
@@ -187,14 +222,22 @@ def test_level_rules_stay_sparse_on_wide_profiles(tag):
         AlternativeSet(tuple(f"a{i}" for i in range(m))),
         tuple(Preference(tuple(rng.sample(range(m), m))) for _ in range(3)),
     )
+    want = reference_winners(profile, VotingRule(tag))
+    targets = sorted(want | {0, m - 1})
     tracemalloc.start()
     try:
         won = winners(profile, VotingRule(tag))
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        alone = [is_unique_winner(profile, VotingRule(tag), c)
+                 for c in targets]
+        _, verifier_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert won == reference_winners(profile, VotingRule(tag))
+    assert won == want
+    assert alone == [want == {c} for c in targets]
     assert peak < 2_000_000
+    assert verifier_peak < 2_000_000
 
 
 def _dense_scores(profile, alpha):

@@ -1,8 +1,10 @@
 """Exhaustive solver: invariances, monotonicity, pruning, limits."""
 
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -249,6 +251,46 @@ def test_node_limit_raises():
         solve_exhaustive(
             inst, OracleBudget(max_nodes=50, max_ball=10**5, time_limit_s=60)
         )
+
+
+def _long_search(tag="borda"):
+    # 6,845 nodes under Borda, past the first clock check at node 4,096.
+    profile = make_profile([(1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 4, 2, 3),
+                            (1, 3, 4, 2, 0), (1, 3, 4, 2, 0)])
+    return BriberyInstance(
+        profile, 2, (3, 2, 3, 3, 2), (0, 2, 0, 2, 0), 3, VotingRule(tag),
+        "swap",
+    )
+
+
+def test_time_limit_raises_at_the_first_clock_check(monkeypatch):
+    search = _Search(_long_search(), OracleBudget())
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: search.deadline + 1)
+    with pytest.raises(ResourceExceeded) as info:
+        search.run()
+    assert info.value.which == "time"
+    assert search.nodes == 4096
+
+
+@pytest.mark.parametrize("max_nodes", [10**6, 50], ids=["done", "stopped"])
+@pytest.mark.parametrize("tag", ["borda", "copeland", "bucklin"])
+def test_search_is_freed_without_the_cyclic_collector(tag, max_nodes):
+    # The search keeps plain functions, never its own bound methods, so
+    # dropping the last reference frees it at once.
+    gc.disable()
+    try:
+        search = _Search(_long_search(tag), OracleBudget(max_nodes=max_nodes))
+        freed = weakref.ref(search)
+        try:
+            search.run()
+            stopped = False
+        except ResourceExceeded:
+            stopped = True
+        assert stopped == (max_nodes == 50)
+        del search
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("rule", [VotingRule("borda"), VotingRule("maximin")],
