@@ -7,12 +7,12 @@ compares, hashes and shows them by their fields.  Unlike `dataclasses`, it
 writes no methods at import, so a CLI call does not pay for generating them.
 
 Each rule is scored by one additive tally (`tally`): one voter's order
-contributes a flat list, and a decision maps the sum over n voters to the
-co-winner set.  `winners` sums a profile's tally and decides; the oracle
-carries the same partial sums down its search and decides each leaf with
-the same decision.  The level rules read their tally one level row at a
-time, so `winners` builds those rows cumulatively and never holds an m*m
-table.
+contributes a flat list.  `winners` maps a profile's sum to the co-winner
+set; `tally` also gives the predicate "c is the unique winner" of a sum,
+which stops as soon as that is known.  The oracle decides its leaves and
+bounds with it, on the partial sums it carries, and `is_unique_winner`
+(so the verifier) with the same predicate.  The level rules read their
+tally one level row at a time, so neither builds an m*m table.
 """
 
 from __future__ import annotations
@@ -334,6 +334,12 @@ def _top(scores: list) -> set[int]:
     return {x for x, s in enumerate(scores) if s == best}
 
 
+def _alone_top(c: int, scores: list) -> bool:
+    """Whether c's score is above every other score."""
+    best = scores[c]
+    return max(scores) == best and scores.count(best) == 1
+
+
 def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
     """Co-winners from the level rows of n voters: row k counts, for each
     alternative, the voters that rank it within their first k+1 places.
@@ -349,6 +355,19 @@ def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
             if bucklin:
                 return _top(row)
             return {y for y, v in enumerate(row) if 2 * v > n}
+
+
+def _alone_at_majority(half: int, bucklin: bool, c: int, rows) -> bool:
+    """Whether c alone wins on the level rows of 2*half or 2*half + 1
+    voters: at the first level with a strict majority, c alone has one
+    (simplified Bucklin) or the most approvals (Bucklin)."""
+    for row in rows:
+        if row[c] > half:
+            if bucklin:
+                return _alone_top(c, row)
+            return sum(map(half.__lt__, row)) == 1
+        if max(row) > half:
+            return False
 
 
 def _copeland_row(win_w: int, tie_w: int, row: list[int]) -> int:
@@ -374,10 +393,20 @@ def _pair_row_score(rule: VotingRule):
     raise ValueError(f"unknown rule tag {rule.tag!r}")
 
 
-def tally(rule: VotingRule, n: int, m: int):
+def _alone_best(score, own: slice, rivals: list[slice], margins) -> bool:
+    """Whether c's score, from its row `own` of the margins, is above every
+    rival's; stops at the first rival whose score reaches it."""
+    best = score(margins[own])
+    for row in rivals:
+        if score(margins[row]) >= best:
+            return False
+    return True
+
+
+def tally(rule: VotingRule, n: int, m: int, c: int):
     """The additive tally of `rule` over n voters and m alternatives, as
-    (contribution, decide).  `contribution(order)` is one voter's flat
-    list; `decide` maps the sum of n contributions to the co-winner set.
+    (contribution, alone).  `contribution(order)` is one voter's flat list;
+    `alone` says whether c is the unique winner of a sum of n of them.
 
     - positional rules: scores, [y];
     - Bucklin and simplified Bucklin: top-(k+1) level counts, [k*m + y];
@@ -385,18 +414,16 @@ def tally(rule: VotingRule, n: int, m: int):
     """
     alpha = score_vector(rule, m)
     if alpha is not None:
-        return partial(_scores_of, alpha.alpha, m), _top
+        return partial(_scores_of, alpha.alpha, m), partial(_alone_top, c)
     rows = [slice(x * m, (x + 1) * m) for x in range(m)]
     if rule.tag in (SBUCKLIN, BUCKLIN):
-        decide = partial(_first_majority, n, rule.tag == BUCKLIN)
+        alone = partial(_alone_at_majority, n // 2, rule.tag == BUCKLIN, c)
         return (
             partial(_levels_of, m),
-            lambda levels: decide(map(levels.__getitem__, rows)),
+            lambda levels: alone(map(levels.__getitem__, rows)),
         )
-    score = _pair_row_score(rule)
-    return (
-        partial(_margins_of, m),
-        lambda margins: _top(list(map(score, map(margins.__getitem__, rows)))),
+    return partial(_margins_of, m), partial(
+        _alone_best, _pair_row_score(rule), rows[c], rows[:c] + rows[c + 1:]
     )
 
 
@@ -436,9 +463,19 @@ def winners(profile: Profile, rule: VotingRule) -> set[int]:
         return _first_majority(
             profile.n, rule.tag == BUCKLIN, _level_rows(profile)
         )
-    contribution, decide = tally(rule, profile.n, profile.m)
-    return decide(_summed(profile, contribution))
+    score = _pair_row_score(rule)
+    return _top([score(row) for row in weighted_majority_graph(profile)])
 
 
 def is_unique_winner(profile: Profile, rule: VotingRule, c: int) -> bool:
-    return winners(profile, rule) == {c}
+    """`winners(profile, rule) == {c}` for c in 0..m-1, decided by the
+    rule's predicate without building the co-winner set."""
+    alpha = score_vector(rule, profile.m)
+    if alpha is not None:
+        return _alone_top(c, positional_scores(profile, alpha))
+    if rule.tag in (SBUCKLIN, BUCKLIN):
+        return _alone_at_majority(
+            profile.n // 2, rule.tag == BUCKLIN, c, _level_rows(profile)
+        )
+    contribution, alone = tally(rule, profile.n, profile.m, c)
+    return alone(_summed(profile, contribution))

@@ -5,9 +5,10 @@ Each distance first drops the prefix and suffix the two orders share
 elementwise.  Each metric has its own ball generator, used for every m: it
 extends an order position by position, trying only the alternatives that
 fit the remaining budget, and yields the ball lazily in lexicographic
-order.  `rank_reach` and `precedence_reach` say, without enumerating a
-ball, how far an alternative's rank can move and which alternative can be
-put above which; the oracle's bounds for every rule are built from them.
+order; `ball` lists the bare orders, `iter_ball` yields preferences.
+`rank_reach` and `precedence_reach` say, without enumerating a ball, how
+far an alternative's rank can move and which alternative can be put above
+which; the oracle's bounds for every rule are built from them.
 """
 
 from __future__ import annotations
@@ -201,21 +202,25 @@ _BALL = {
 }
 
 
-def iter_ball(pref: Preference, metric: str, radius: int) -> Iterator[Preference]:
-    """All preferences within `radius` of pref, in lexicographic order,
-    lazily."""
+def _members(pref: Preference, metric: str, radius: int):
     if radius < 0:
         raise ValueError("radius must be non-negative")
     _check_metric(metric)
+    return _BALL[metric](pref, radius)
+
+
+def iter_ball(pref: Preference, metric: str, radius: int) -> Iterator[Preference]:
+    """All preferences within `radius` of pref, in lexicographic order,
+    lazily."""
     # Every generator places each alternative exactly once.
-    return map(Preference.trusted, _BALL[metric](pref, radius))
+    return map(Preference.trusted, _members(pref, metric, radius))
 
 
 def ball(
     pref: Preference, metric: str, radius: int, cap: int = DEFAULT_BALL_CAP
-) -> list[Preference]:
-    """Materialized ball; refuses to exceed `cap` elements."""
-    result = list(islice(iter_ball(pref, metric, radius), cap + 1))
+) -> list[tuple[int, ...]]:
+    """The ball's orders, materialized; refuses to exceed `cap` elements."""
+    result = list(islice(_members(pref, metric, radius), cap + 1))
     if len(result) > cap:
         raise BallTooLarge(
             f"ball(metric={metric}, radius={radius}) exceeds cap {cap}"

@@ -10,7 +10,8 @@ entered.
 - **Ball shapes.**  The three metrics only compare ranks, so the ball of an
   order o is o applied to the ball of the identity order.  Each search
   enumerates that shape once per distinct ball (footrule radii 2j and
-  2j + 1 give one ball) and relabels it through each voter's order.
+  2j + 1 give one ball), as bare order tuples from `metrics.ball`, and
+  relabels it through each voter's order.
 - **Score classes.**  For positional rules the members of a shape are
   grouped once per shape by their score contribution, and each voter keeps
   the lexicographically least relabeled member of each class, with the
@@ -21,19 +22,19 @@ entered.
   rule's tally from `core.tally`: positional scores, top-(k+1) level
   counts (Bucklin, simplified Bucklin) or pairwise margins (maximin,
   Copeland).  Every option's contribution is computed once, the bounds
-  read the sum, and each leaf decides with core's decision, the one
-  `core.winners` uses, so no leaf builds a profile.
+  read the sum, and each leaf is decided by the verifier's "the target
+  wins alone" predicate, which builds no profile and no co-winner set.
 - **Bounds.**  One table per search, laid out as the carried tally:
   `bound[i]` sums, over voters i.., the target's greatest contribution in
   its own slots and every rival's least everywhere else, from the closed
   forms in `metrics` (how far each alternative's rank can move, and which
   alternative can be put above which).  The carried sum plus
   `bound[depth]` is the best case of every leaf below, and a branch is
-  cut when the rule's own decision on it is not the target alone.  Every
-  rule but Bucklin only favours the target more as the target's entries
-  grow and the rivals' shrink, so no cut leaf could have won.  Bucklin's
-  bound is decided by simplified Bucklin, which also cuts some Bucklin
-  winners: those that share their level with a rival they out-approve.
+  cut when the rule's predicate on it is false.  Every rule but Bucklin
+  only favours the target more as the target's entries grow and the
+  rivals' shrink, so no cut leaf could have won.  Bucklin's bound uses
+  simplified Bucklin's predicate, which also cuts some Bucklin winners:
+  those that share their level with a rival they out-approve.
 
 `OracleBudget.max_nodes` counts visited search nodes.  The score classes
 and the bounds leave fewer nodes to visit, so the same limit decides more
@@ -111,14 +112,13 @@ class _Search:
         # The rule's tally from core, as plain functions with their
         # parameters bound: a bound method kept on the search would make it
         # a reference cycle, which outlives the call until the cyclic
-        # collector runs.  Bounds are decided like leaves, but Bucklin's by
-        # simplified Bucklin (see the module docstring).
+        # collector runs.  Bounds are decided like leaves, but Bucklin's
+        # with simplified Bucklin's predicate (see the module docstring).
         rule = instance.rule
-        self.contribution, self.decide = tally(rule, n, m)
-        self.bound_decide = self.decide
+        self.contribution, self.alone = tally(rule, n, m, c)
+        self.bound_alone = self.alone
         if rule.tag == BUCKLIN:
-            self.bound_decide = tally(VotingRule(SBUCKLIN), n, m)[1]
-        self.goal = {c}
+            self.bound_alone = tally(VotingRule(SBUCKLIN), n, m, c)[1]
         alpha = score_vector(rule, m)
         class_key = self.contribution if alpha is not None else None
         pairs = rule.tag in (MAXIMIN, COPELAND)
@@ -187,45 +187,51 @@ class _Search:
         deepest open voter and the price and tally carried into it; `stack`
         holds the same for the open voters above it, over an empty entry
         for the root's parent.  Each pass enters one node, then takes the
-        next option left, going back up as voters run out of options."""
-        decide, bound_decide, goal = self.decide, self.bound_decide, self.goal
+        next option left, going back up as voters run out of options.  The
+        node count and the price cap are kept in locals until it ends."""
+        alone, bound_alone, contribution, max_nodes = (
+            self.alone, self.bound_alone, self.contribution, self.max_nodes)
         bound, options, unbribed = self.bound, self.options, self.unbribed
         n, prices, chosen = self.n, self.instance.prices, self.chosen
         stack: list[tuple[Iterator[list], int, list[int]]] = []
         opts, base, carried = iter(()), 0, []
         depth, price, state = 0, 0, [0] * len(bound[0])
-        while True:
-            self.nodes = nodes = self.nodes + 1
-            if nodes > self.max_nodes:
-                raise ResourceExceeded("max_nodes")
-            if nodes % 4096 == 0 and time.monotonic() > self.deadline:
-                raise ResourceExceeded("time")
-            if depth == n:
-                if decide(state) == goal:
-                    self.best = (price, tuple(chosen))
-                    self.cap = price - 1
-            elif bound_decide(list(map(add, state, bound[depth]))) == goal:
-                stack.append((opts, base, carried))
-                opts = options[depth]
-                if price + prices[depth] > self.cap:
-                    opts = unbribed[depth]
-                opts, base, carried = iter(opts), price, state
+        nodes, cap = self.nodes, self.cap
+        try:
             while True:
-                for opt in opts:
-                    if base + opt[1] <= self.cap:
-                        break
-                else:
-                    if not stack:
-                        return
-                    opts, base, carried = stack.pop()
-                    continue
-                break
-            q, p, d = opt
-            if d is None:
-                d = opt[2] = self.contribution(q)
-            depth = len(stack)
-            chosen[depth - 1] = q
-            price, state = base + p, list(map(add, carried, d))
+                nodes += 1
+                if nodes > max_nodes:
+                    raise ResourceExceeded("max_nodes")
+                if nodes % 4096 == 0 and time.monotonic() > self.deadline:
+                    raise ResourceExceeded("time")
+                if depth == n:
+                    if alone(state):
+                        self.best = (price, tuple(chosen))
+                        cap = price - 1
+                elif bound_alone(list(map(add, state, bound[depth]))):
+                    stack.append((opts, base, carried))
+                    opts = options[depth]
+                    if price + prices[depth] > cap:
+                        opts = unbribed[depth]
+                    opts, base, carried = iter(opts), price, state
+                while True:
+                    for opt in opts:
+                        if base + opt[1] <= cap:
+                            break
+                    else:
+                        if not stack:
+                            return
+                        opts, base, carried = stack.pop()
+                        continue
+                    break
+                q, p, d = opt
+                if d is None:
+                    d = opt[2] = contribution(q)
+                depth = len(stack)
+                chosen[depth - 1] = q
+                price, state = base + p, list(map(add, carried, d))
+        finally:
+            self.nodes, self.cap = nodes, cap
 
 
 def _optimistic(alpha, pairs, m, c, metric, radius, order) -> list[int]:
@@ -269,8 +275,7 @@ def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):
     ball the identity (the voter's own order, at no price) is a class of
     its own.  The identity is the ball's least member, so the first class
     holds it."""
-    identity = Preference(tuple(range(m)))
-    members = [q.order for q in ball(identity, metric, radius, cap)]
+    members = ball(Preference(tuple(range(m))), metric, radius, cap)
     # One index makes itemgetter return the item, not a tuple; with m = 1
     # the ball is the identity alone.
     getters = [itemgetter(*s) for s in members] if m > 1 else [tuple]

@@ -145,7 +145,7 @@ def test_criterion_05_metric_suite():
             for start in prefs:
                 for radius in range(0, 5):
                     reachable = {
-                        q.order[0] for q in ball(start, metric, radius)
+                        q[0] for q in ball(start, metric, radius)
                     }
                     assert reachable == set(
                         start.order[: top_window(radius, metric)]

@@ -22,6 +22,7 @@ from localbribery.core import (
     is_unique_winner,
     positional_scores,
     score_vector,
+    tally,
     weighted_majority_graph,
     winners,
 )
@@ -200,6 +201,63 @@ def test_is_unique_winner_equals_literal_reference(seed):
                 missed += not got and c in want
     assert alone > 900
     assert missed > 600  # c among tied co-winners is covered
+
+
+def _co_winners(rule, n, m, flat):
+    """The co-winners of a summed flat tally of n voters, the way `winners`
+    decides its own tally: pair rows include their diagonal."""
+    if score_vector(rule, m) is not None:
+        return _best(flat)
+    rows = [flat[x * m:(x + 1) * m] for x in range(m)]
+    if rule.tag == "maximin":
+        return _best([min(row) for row in rows])
+    if rule.tag == "copeland":
+        a = rule.copeland_alpha
+        return _best([sum(v > 0 for v in row) + a * row.count(0)
+                      for row in rows])
+    for row in rows:  # the first level with a strict majority
+        if 2 * max(row) > n:
+            if rule.tag == "bucklin":
+                return _best(row)
+            return {y for y, v in enumerate(row) if 2 * v > n}
+
+
+def _random_flat_tally(rng, rule, n, m):
+    # Few distinct values, so that ties are common.  Level counts sit
+    # around the majority and reach n at the last level, as every level
+    # tally does; the margins' diagonal is 0 on a profile and n + 1 in the
+    # oracle's bound tables.
+    if score_vector(rule, m) is not None:
+        return [rng.randint(0, 2) for _ in range(m)]
+    if rule.tag in ("bucklin", "sbucklin"):
+        levels = [rng.choice((n // 2, n // 2 + 1, n)) for _ in range(m * m)]
+        levels[-m:] = [n] * m
+        return levels
+    margins = [rng.randint(-2, 2) for _ in range(m * m)]
+    margins[::m + 1] = [rng.choice((0, n + 1))] * m
+    return margins
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unique_winner_predicate_on_flat_tallies(seed):
+    # The oracle decides its leaves and bounds on flat tallies, with the
+    # predicate that `tally` returns.
+    rng = random.Random(613 + seed)
+    alone = missed = 0
+    for t in range(189):
+        m = 1 + t % 7
+        n = 1 + (t // 7) % 9
+        rules = TALLY_RULES + (_positional_rules(rng, m) if m > 1 else [])
+        for rule in rules:
+            flat = _random_flat_tally(rng, rule, n, m)
+            want = _co_winners(rule, n, m, flat)
+            for c in range(m):
+                got = tally(rule, n, m, c)[1](flat)
+                assert got == (want == {c}), (rule, n, c, flat)
+                alone += got
+                missed += not got and c in want
+    assert alone > 900
+    assert missed > 2000
 
 
 def test_weighted_majority_graph_equals_reference():

@@ -196,7 +196,8 @@ def _filter_distances(metric, start):
 def test_ball_equals_filter(metric, m, radius):
     for start in _ball_starts(m):
         got = ball(Preference(start), metric, radius)
-        want = [q for q, d in _filter_distances(metric, start) if d <= radius]
+        want = [q.order for q, d in _filter_distances(metric, start)
+                if d <= radius]
         assert got == want
 
 
@@ -209,7 +210,7 @@ def test_relabeled_shape_equals_ball(metric, m):
         classes, _ = _shape(metric, m, radius, DEFAULT_BALL_CAP)
         for start in _ball_starts(m):
             want = ball(Preference(start), metric, radius)
-            assert _relabel(classes, start) == [q.order for q in want]
+            assert _relabel(classes, start) == want
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -220,7 +221,7 @@ def test_reach_closed_forms(metric, m):
     # of places whether some member ranks place j above place k.
     for radius in range(6):
         identity = Preference(tuple(range(m)))
-        members = [q.order for q in ball(identity, metric, radius)]
+        members = ball(identity, metric, radius)
         reach = rank_reach(metric, radius)
         ahead = precedence_reach(metric, radius)
         for j in range(m):

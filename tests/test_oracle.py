@@ -175,7 +175,7 @@ def _brute_force(inst):
     """(price, orders) of the cheapest, then lexicographically smallest,
     winning profile over the whole product of balls, or None."""
     balls = [
-        [(q, 0 if q == p else inst.prices[i])
+        [(q, 0 if q == p.order else inst.prices[i])
          for q in ball(p, inst.metric, inst.deltas[i])]
         for i, p in enumerate(inst.profile.prefs)
     ]
@@ -185,10 +185,10 @@ def _brute_force(inst):
         if price > inst.budget:
             continue
         profile = Profile(
-            inst.profile.alternatives, tuple(q for q, _ in combo)
+            inst.profile.alternatives, tuple(Preference(q) for q, _ in combo)
         )
         if is_unique_winner(profile, inst.rule, inst.target):
-            key = (price, tuple(q.order for q, _ in combo))
+            key = (price, tuple(q for q, _ in combo))
             if best is None or key < best:
                 best = key
     return best
@@ -363,7 +363,7 @@ def _brute_force_bound(inst):
     table = [[0] * (m if own == {c} else m * m)]
     for i in range(n - 1, -1, -1):
         members = ball(inst.profile.prefs[i], inst.metric, inst.deltas[i])
-        tallies = [reference_tally(make_profile([q.order]), rule)
+        tallies = [reference_tally(make_profile([q]), rule)
                    for q in members]
         best = [max(slot) if s in own else min(slot)
                 for s, slot in enumerate(zip(*tallies))]
@@ -455,7 +455,7 @@ def test_carried_leaf_decision_equals_winner(rule):
                 d = search.contribution(p.order)
                 state = [a + b for a, b in zip(state, d)]
             assert state == reference_tally(profile, rule)
-            assert search.decide(state) == want
+            assert search.alone(state) == (want == {c})
             wins += want == {c}
         levels = majority_levels(profile)
         shared_levels += levels.count(min(levels)) > 1
