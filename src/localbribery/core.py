@@ -329,8 +329,6 @@ def _margins_of(m: int, q: tuple[int, ...]) -> list[int]:
 def _top(scores: list) -> set[int]:
     """The alternatives with the greatest score."""
     best = max(scores)
-    if scores.count(best) == 1:
-        return {scores.index(best)}
     return {x for x, s in enumerate(scores) if s == best}
 
 
@@ -350,8 +348,7 @@ def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
     a majority there, the Bucklin winners those with the most approvals
     there."""
     for row in rows:
-        most = max(row)
-        if 2 * most > n:
+        if 2 * max(row) > n:
             if bucklin:
                 return _top(row)
             return {y for y, v in enumerate(row) if 2 * v > n}
