@@ -188,7 +188,8 @@ class _Search:
         holds the same for the open voters above it, over an empty entry
         for the root's parent.  Each pass enters one node, then takes the
         next option left, going back up as voters run out of options.  The
-        node count and the price cap are kept in locals until it ends."""
+        node count and the price cap, read at every node, live in locals
+        and are written back when the search ends, also on a limit."""
         alone, bound_alone, contribution, max_nodes = (
             self.alone, self.bound_alone, self.contribution, self.max_nodes)
         bound, options, unbribed = self.bound, self.options, self.unbribed
