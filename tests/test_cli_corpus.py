@@ -9,6 +9,8 @@ pins output, not flag handling.
 
 import hashlib
 import os
+import random
+from fractions import Fraction
 from itertools import product
 
 from localbribery.cli import main
@@ -112,3 +114,85 @@ def test_gadget_cli_corpus_matches_its_digest(tmp_path, monkeypatch, capsys):
         calls += 1
     assert calls == 45
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+# -- the deciding commands ----------------------------------------------------
+
+DECIDING_RULES = [
+    "plurality", "veto", "kapproval 2", "positional 6 3 3 1 0", "borda",
+    "maximin", "copeland 0", "copeland 1/3", "copeland 1/2", "copeland 1",
+    "bucklin", "sbucklin",
+]
+LIMITS = ["--max-nodes", "3000", "--time-limit", "60"]
+
+
+def _deciding_instances():
+    """(name, text) of seeded instance files: two per rule and metric."""
+    from conftest import random_instance
+    from localbribery.core import ScoreVector, VotingRule
+    from localbribery.ioformat import render_instance
+    from localbribery.metrics import METRICS
+
+    rng = random.Random(2424)
+    for spec in DECIDING_RULES:
+        tag, *args = spec.split()
+        if tag == "kapproval":
+            rule = VotingRule(tag, k=int(args[0]))
+        elif tag == "positional":
+            rule = VotingRule(tag, alpha=ScoreVector(tuple(map(int, args))))
+        elif tag == "copeland":
+            rule = VotingRule(tag, copeland_alpha=Fraction(args[0]))
+        else:
+            rule = VotingRule(tag)
+        for metric in METRICS:
+            for j in range(2):
+                inst = random_instance(
+                    rng, rule, metric, m_range=(3, 5), n_range=(2, 5),
+                    delta_choices=(0, 1, 2, 3), budget_range=(0, 4),
+                )
+                name = f"{tag}{args[0] if args else ''}-{metric}-{j}.elb"
+                yield name.replace("/", "_"), render_instance(inst)
+
+
+DECIDING_DIGEST = (
+    "810a9f7d8153129959ef0f9cac8778f652af3b3c39ed61dfa631c37659195c0b"
+)
+
+
+def test_deciding_cli_corpus_matches_its_digest(tmp_path, monkeypatch,
+                                                capsys):
+    # oracle, solve --oracle, winner and verify on every rule and metric:
+    # verify reads the oracle's own output, and the unbribed profile as a
+    # witness; one instance per rule also runs at one node and at a ball
+    # of one member.
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    calls = 0
+
+    def call(*argv):
+        nonlocal calls
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        h.update(repr((argv, code, out, err)).encode())
+        calls += 1
+        return out
+
+    for name, text in _deciding_instances():
+        (tmp_path / name).write_text(text)
+        unbribed = "".join(
+            "pref: " + line.split(" : ", 1)[1] + "\n"
+            for line in text.splitlines() if line.startswith("voter:")
+        )
+        (tmp_path / (name + ".own")).write_text(unbribed)
+        (tmp_path / (name + ".out")).write_text(
+            call("oracle", "--instance", name, *LIMITS)
+        )
+        call("solve", "--oracle", "--instance", name, *LIMITS)
+        call("winner", "--instance", name)
+        call("verify", "--instance", name, "--witness", name + ".out")
+        call("verify", "--instance", name, "--witness", name + ".own")
+        if name.endswith("-swap-0.elb"):
+            call("oracle", "--instance", name, "--max-nodes", "1")
+            call("oracle", "--instance", name, "--max-ball", "1")
+    assert calls == 12 * 3 * 2 * 5 + 12 * 2
+    assert h.hexdigest() == DECIDING_DIGEST

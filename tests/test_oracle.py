@@ -547,6 +547,64 @@ def test_oracle_node_counts_match_golden_digest():
     assert digest.hexdigest() == NODE_DIGEST
 
 
+
+def _wide_vector(rng, m, top):
+    while True:
+        alpha = sorted((rng.choice([0, rng.randrange(top)]) for _ in range(m)),
+                       reverse=True)
+        if alpha[0] > alpha[-1]:
+            return ScoreVector(tuple(alpha))
+
+
+# sha256 of the (decision, cost, witness orders, nodes, final cap) lines of
+# the searches below, at n = 40-300: the largest tally sums need more than
+# 8 bits on every rule, and the second positional vector's need more than
+# 32.  A search that reaches the node limit gives (None, None, None, nodes,
+# cap).  Recorded before the tallies were packed into integers, so it does
+# not come from the code it checks.
+WIDE_DIGEST = (
+    "b9a0e94486215c83ed4a3717fdc26d7f74b8555000611da6cea2c02dcf4b5555"
+)
+
+
+def test_wide_tally_searches_match_golden_digest():
+    rng = random.Random(2425)
+    rules = [VotingRule("maximin")] + [
+        VotingRule("copeland", copeland_alpha=Fraction(a))
+        for a in ("0", "1/3", "1/2", "1")
+    ] + [VotingRule("bucklin"), VotingRule("sbucklin"), VotingRule("borda")]
+    rules += [
+        VotingRule("positional", alpha=_wide_vector(rng, 4, 1 << 12)),
+        VotingRule("positional", alpha=_wide_vector(rng, 5, 1 << 26)),
+    ]
+    digest = hashlib.sha256()
+    outcomes = []
+    for rule in rules:
+        for metric in METRICS:
+            for t in range(4):
+                inst = random_instance(
+                    rng, rule, metric, m_range=(3, 5), n_range=(40, 300),
+                    delta_choices=(0, 1, 2), budget_range=(0, 8),
+                    unpriced_uniform=t % 2 == 0,
+                )
+                search = _Search(inst, OracleBudget(max_nodes=3000))
+                try:
+                    out = search.run()
+                    orders = (
+                        tuple(p.order for p in out.witness.prefs)
+                        if out.decision else None
+                    )
+                    line = (out.decision, out.total_price, orders)
+                except ResourceExceeded:
+                    line = (None, None, None)
+                line += (search.nodes, search.cap)
+                digest.update(repr(line).encode() + b"\n")
+                outcomes.append(line[0])
+    assert len(outcomes) == 120
+    assert outcomes.count(True) > 30 and outcomes.count(False) > 15
+    assert outcomes.count(None) > 30
+    assert digest.hexdigest() == WIDE_DIGEST
+
 def test_cheapest_witness_minimal():
     # Bribing the second voter (price 1) suffices; voter 0 costs 5.
     profile = make_profile([(1, 0, 2), (1, 0, 2), (0, 1, 2)])
