@@ -6,19 +6,24 @@ The package's value types are plain classes on one base, `Record`, which
 compares, hashes and shows them by their fields.  Unlike `dataclasses`, it
 writes no methods at import, so a CLI call does not pay for generating them.
 
-Each rule is scored by one additive tally (`tally`): one voter's order
-contributes a flat list.  `winners` maps a profile's sum to the co-winner
-set; `tally` also gives the predicate "c is the unique winner" of a sum,
-which stops as soon as that is known.  The oracle decides its leaves and
-bounds with it, on the partial sums it carries, and `is_unique_winner`
-(so the verifier) with the same predicate.  The level rules read their
-tally one level row at a time, so neither builds an m*m table.
+Each rule is scored by one additive tally (`tally`), held as one int of
+fixed-width fields: a voter's order contributes one int, and summing voters
+is an integer add.  A field is one guard bit wider than the largest value a
+decided sum can take: n*alpha_1 for a positional rule, n for a level count,
+and 2n + 1 for a pairwise margin, which is biased by n so that no field is
+negative.  `tally` also gives the predicate "c is the unique winner" of a
+sum, which compares many fields at once with word-parallel arithmetic.
+The oracle decides its leaves and bounds with it, and `is_unique_winner`
+(so the verifier) too, on a profile's packed sum; it counts the level rows
+one level at a time, so no wide profile makes an m*m table.  `winners`
+keeps the co-winner set, for the `winner` command.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
-from operator import add, attrgetter, lt
+from functools import cached_property
+from itertools import zip_longest
+from operator import attrgetter, getitem, lt
 
 _setattr = object.__setattr__
 
@@ -293,34 +298,54 @@ def positional_scores(profile: Profile, alpha: ScoreVector) -> list[int]:
     return scores
 
 
-# -- one voter's contribution to a rule's tally ------------------------------
+# -- tallies packed into one integer -----------------------------------------
+#
+# Entry i of a tally is the field of bits [i*w, (i+1)*w).  Its top bit, the
+# guard, is clear in every decided sum, so a sum never carries from one field
+# into the next, and one subtraction compares every field with one value
+# (Lamport, "Multiple byte processing with full-word instructions", CACM
+# 18(8), 1975).
 
 
-def _scores_of(alpha: tuple[int, ...], m: int, q: tuple[int, ...]) -> list:
-    # [y] is the score q gives y.
-    d = [0] * m
-    for y, x in zip(q, alpha):
-        d[y] = x
-    return d
+def ones(w: int, count: int) -> int:
+    """1 in each of `count` fields of width w."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1)
 
 
-def _levels_of(m: int, q: tuple[int, ...]) -> list[int]:
-    # Flat m*m: [k*m + y] is 1 iff y is within q's first k+1 places.
-    d = [0] * (m * m)
-    for pos, y in enumerate(q):
-        for k in range(pos, m):
-            d[k * m + y] = 1
-    return d
+def _width(largest: int) -> int:
+    """The field width of sums up to `largest`: one guard bit more."""
+    return largest.bit_length() + 1
 
 
-def _margins_of(m: int, q: tuple[int, ...]) -> list[int]:
-    # Flat m*m: [x*m + y] is +1 if q ranks x above y, -1 if below.
-    d = [0] * (m * m)
-    for i, x in enumerate(q):
-        for y in q[i + 1:]:
-            d[x * m + y] = 1
-            d[y * m + x] = -1
-    return d
+def _pack(values: list[int], w: int) -> int:
+    """`values[i]` in field i, joining neighbours pairwise, which shifts
+    far fewer bits than adding the fields one at a time."""
+    while len(values) > 1:
+        values = [lo | hi << w for lo, hi in
+                  zip_longest(values[::2], values[1::2], fillvalue=0)]
+        w *= 2
+    return values[0]
+
+
+def _margins(n: int, m: int):
+    """(width, contribution) of the pairwise margins of n voters, biased by
+    n so that every field is non-negative: field x*m + y holds n plus the
+    margin of x over y.  One voter gives 2 where it ranks x above y, 0
+    below and 1 on the diagonal.  The width leaves room for 2n + 1, the
+    diagonal of the oracle's bound tables."""
+    w = _width(2 * n + 1)
+    twos = [2 << w * y for y in range(m)]
+    rows = [w * m * x for x in range(m)]
+    diagonal = ones(w * (m + 1), m)
+
+    def contribution(q: tuple[int, ...]) -> int:
+        total, below = diagonal, 0
+        for x in reversed(q):
+            total += below << rows[x]
+            below += twos[x]
+        return total
+
+    return w, contribution
 
 
 # -- decisions on a summed tally ---------------------------------------------
@@ -332,10 +357,20 @@ def _top(scores: list) -> set[int]:
     return {x for x, s in enumerate(scores) if s == best}
 
 
-def _alone_top(c: int, scores: list) -> bool:
-    """Whether c's score is above every other score."""
-    best = scores[c]
-    return max(scores) == best and scores.count(best) == 1
+def _alone_top(c: int, m: int, w: int):
+    """Whether field c of m fields of width w is above every other.  c's
+    value, replicated into every field, is taken from every field with its
+    guard set, and the guard survives exactly in the fields at least c's:
+    in c's own alone when c is above the rest."""
+    every = ones(w, m)
+    guards, field, shift = every << w - 1, (1 << w) - 1, c * w
+    own = 1 << shift + w - 1
+
+    def alone(total: int) -> bool:
+        at_least = (total | guards) - (total >> shift & field) * every
+        return at_least & guards == own
+
+    return alone
 
 
 def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
@@ -354,83 +389,117 @@ def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
             return {y for y, v in enumerate(row) if 2 * v > n}
 
 
-def _alone_at_majority(half: int, bucklin: bool, c: int, rows) -> bool:
-    """Whether c alone wins on the level rows of 2*half or 2*half + 1
-    voters: at the first level with a strict majority, c alone has one
-    (simplified Bucklin) or the most approvals (Bucklin)."""
-    for row in rows:
-        if row[c] > half:
-            if bucklin:
-                return _alone_top(c, row)
-            return sum(map(half.__lt__, row)) == 1
-        if max(row) > half:
-            return False
+def _alone_at_majority(n: int, bucklin: bool, c: int, m: int, w: int):
+    """The level rules' decision on a level row of n voters (m fields of
+    width w), as (decide, lift, guards).  `(row + lift) & guards` holds the
+    guard of every field above n/2; at the first row where that is not 0,
+    `decide(row, majority)` says whether c alone has a majority there
+    (simplified Bucklin) or the most approvals (Bucklin, whose greatest
+    count has a majority there)."""
+    every = ones(w, m)
+    lift = ((1 << w - 1) - 1 - n // 2) * every
+    if bucklin:
+        top = _alone_top(c, m, w)
+        return (lambda row, majority: top(row)), lift, every << w - 1
+    own = 1 << c * w + w - 1
+    return (lambda row, majority: majority == own), lift, every << w - 1
 
 
-def _copeland_row(win_w: int, tie_w: int, row: list[int]) -> int:
-    return win_w * sum(map((0).__lt__, row)) + tie_w * row.count(0)
+def _alone_best(rule: VotingRule, n: int, c: int, m: int, w: int):
+    """Whether c's maximin or Copeland score, read from row c of the
+    margins biased by n (`_margins`), is above every rival's; stops at the
+    first rival row that reaches it.  Maximin: c's row minimum, then the
+    guards of every field below it, tested row by row.  Copeland with
+    alpha = p/q scores q*wins + p*ties, which orders the scores exactly,
+    from the guards of the fields above n (wins) and at least n (wins and
+    ties), counted row by row.
 
-
-def _pair_row_score(rule: VotingRule):
-    """The score of x under maximin or Copeland, from row x of the margins
-    (flat [x*m + y]).  Maximin takes the row's minimum.  Copeland with
-    alpha = p/q takes q*wins + p*ties, which orders the scores exactly.
-
-    The row includes its diagonal, which changes no comparison.  A zero
-    there is one more Copeland tie in every row, and it lowers a row's
-    minimum only if every other entry is positive: x is then the Condorcet
-    winner, and every rival's minimum is negative.  The oracle's bound
-    table holds n + 1 there, one more Copeland win in every row and never
-    a minimum."""
+    Rows include their diagonal, as in `winners`, which changes no
+    comparison.  A zero margin there is one more Copeland tie in every
+    row, and it lowers a row's minimum only if every other entry is
+    positive: x is then the Condorcet winner, and every rival's minimum is
+    negative.  The oracle's bound tables hold a margin of n + 1 there, one
+    more Copeland win in every row and never a minimum."""
+    span = w * m
+    every = ones(w, m * m)
+    guards, field = every << w - 1, (1 << w) - 1
+    row_guards = ones(w, m) << w - 1
+    own = c * span
+    rivals = [x * span for x in range(m) if x != c]
     if rule.tag == MAXIMIN:
-        return min
-    if rule.tag == COPELAND:
-        a = rule.copeland_alpha
-        return partial(_copeland_row, a.denominator, a.numerator)
-    raise ValueError(f"unknown rule tag {rule.tag!r}")
+        columns = range(own, own + span, w)
 
+        def alone(total: int) -> bool:
+            best = min([total >> s & field for s in columns])
+            below = (total | guards) - best * every & guards ^ guards
+            for s in rivals:
+                if not below >> s & row_guards:
+                    return False
+            return True
 
-def _alone_best(score, own: slice, rivals: list[slice], margins) -> bool:
-    """Whether c's score, from its row `own` of the margins, is above every
-    rival's; stops at the first rival whose score reaches it."""
-    best = score(margins[own])
-    for row in rivals:
-        if score(margins[row]) >= best:
-            return False
-    return True
+        return alone
+    if rule.tag != COPELAND:
+        raise ValueError(f"unknown rule tag {rule.tag!r}")
+    # q*wins + p*ties = (q - p)*wins + p*(wins + ties)
+    a = rule.copeland_alpha
+    win_w, tie_w = a.denominator - a.numerator, a.numerator
+    above, level = (n + 1) * every, n * every
+
+    def alone(total: int) -> bool:
+        total |= guards
+        wins, ties = total - above & guards, total - level & guards
+        best = (win_w * (wins >> own & row_guards).bit_count()
+                + tie_w * (ties >> own & row_guards).bit_count())
+        for s in rivals:
+            if (win_w * (wins >> s & row_guards).bit_count()
+                    + tie_w * (ties >> s & row_guards).bit_count()) >= best:
+                return False
+        return True
+
+    return alone
 
 
 def tally(rule: VotingRule, n: int, m: int, c: int):
-    """The additive tally of `rule` over n voters and m alternatives, as
-    (contribution, alone).  `contribution(order)` is one voter's flat list;
-    `alone` says whether c is the unique winner of a sum of n of them.
+    """The additive tally of `rule` over n voters and m alternatives, packed
+    into one int, as (width, contribution, alone).  `contribution(order)`
+    is one voter's tally; `alone` says whether c is the unique winner of a
+    sum of n of them.
 
-    - positional rules: scores, [y];
-    - Bucklin and simplified Bucklin: top-(k+1) level counts, [k*m + y];
-    - maximin and Copeland: pairwise margins, [x*m + y].
+    - positional rules: scores, field y;
+    - Bucklin and simplified Bucklin: top-(k+1) level counts, field
+      k*m + y; `alone` finds the first level with a majority from the
+      lowest guard of one add-and-mask over all levels;
+    - maximin and Copeland: pairwise margins biased by n, field x*m + y
+      (`_margins`).
     """
     alpha = score_vector(rule, m)
     if alpha is not None:
-        return partial(_scores_of, alpha.alpha, m), partial(_alone_top, c)
-    rows = [slice(x * m, (x + 1) * m) for x in range(m)]
-    if rule.tag in (SBUCKLIN, BUCKLIN):
-        alone = partial(_alone_at_majority, n // 2, rule.tag == BUCKLIN, c)
-        return (
-            partial(_levels_of, m),
-            lambda levels: alone(map(levels.__getitem__, rows)),
-        )
-    return partial(_margins_of, m), partial(
-        _alone_best, _pair_row_score(rule), rows[c], rows[:c] + rows[c + 1:]
+        w = _width(n * alpha.alpha[0])
+        nonzero = alpha.alpha[:m - alpha.alpha.count(0)]
+        table = [[x << w * y for y in range(m)] for x in nonzero]
+        return (w, lambda q: sum(map(getitem, table, q)),
+                _alone_top(c, m, w))
+    if rule.tag not in (SBUCKLIN, BUCKLIN):
+        w, contribution = _margins(n, m)
+        return w, contribution, _alone_best(rule, n, c, m, w)
+    w = _width(n)
+    span = w * m
+    decide, lift, row_guards = _alone_at_majority(
+        n, rule.tag == BUCKLIN, c, m, w
     )
+    # A unit at (k, y) times `levels` is 1 at (k.., y).
+    levels, full, row = ones(span, m), (1 << span * m) - 1, (1 << span) - 1
+    lift, guards = lift * levels, row_guards * levels
+    units = [[1 << w * (k * m + y) for y in range(m)] for k in range(m)]
 
+    def alone(total: int) -> bool:
+        # The lowest guard set is in the first level with a majority; every
+        # field of a sum of n voters has one at the last level.
+        majority = total + lift & guards
+        s = ((majority & -majority).bit_length() - 1) // span * span
+        return decide(total >> s & row, majority >> s & row_guards)
 
-def _summed(profile: Profile, contribution) -> list[int]:
-    """The sum of the contributions of a profile's orders."""
-    prefs = profile.prefs
-    total = contribution(prefs[0].order)
-    for pref in prefs[1:]:
-        total = list(map(add, total, contribution(pref.order)))
-    return total
+    return (w, lambda q: sum(map(getitem, units, q)) * levels & full, alone)
 
 
 def _level_rows(profile: Profile):
@@ -446,9 +515,14 @@ def _level_rows(profile: Profile):
 
 def weighted_majority_graph(profile: Profile) -> tuple[tuple[int, ...], ...]:
     """The pairwise margins as rows: [x][y] = #(x above y) - #(y above x)."""
-    m = profile.m
-    margins = _summed(profile, partial(_margins_of, m))
-    return tuple(tuple(margins[x * m:(x + 1) * m]) for x in range(m))
+    n, m = profile.n, profile.m
+    w, contribution = _margins(n, m)
+    total = sum(map(contribution, map(_ORDER, profile.prefs)))
+    field = (1 << w) - 1
+    return tuple(
+        tuple((total >> s & field) - n for s in range(x, x + w * m, w))
+        for x in range(0, w * m * m, w * m)
+    )
 
 
 def winners(profile: Profile, rule: VotingRule) -> set[int]:
@@ -460,19 +534,35 @@ def winners(profile: Profile, rule: VotingRule) -> set[int]:
         return _first_majority(
             profile.n, rule.tag == BUCKLIN, _level_rows(profile)
         )
-    score = _pair_row_score(rule)
-    return _top([score(row) for row in weighted_majority_graph(profile)])
+    rows = weighted_majority_graph(profile)
+    if rule.tag == MAXIMIN:
+        return _top([min(row) for row in rows])
+    if rule.tag != COPELAND:
+        raise ValueError(f"unknown rule tag {rule.tag!r}")
+    a = rule.copeland_alpha  # q*wins + p*ties, for alpha = p/q
+    return _top([a.denominator * sum(v > 0 for v in row)
+                 + a.numerator * row.count(0) for row in rows])
 
 
 def is_unique_winner(profile: Profile, rule: VotingRule, c: int) -> bool:
     """`winners(profile, rule) == {c}` for c in 0..m-1, decided by the
-    rule's predicate without building the co-winner set."""
-    alpha = score_vector(rule, profile.m)
+    rule's predicate from `tally` without building the co-winner set.  The
+    level rows are counted one level at a time, so a wide profile never
+    holds an m*m table, and the first with a majority is packed and
+    decided."""
+    n, m = profile.n, profile.m
+    alpha = score_vector(rule, m)
     if alpha is not None:
-        return _alone_top(c, positional_scores(profile, alpha))
+        w = _width(n * alpha.alpha[0])
+        return _alone_top(c, m, w)(_pack(positional_scores(profile, alpha), w))
     if rule.tag in (SBUCKLIN, BUCKLIN):
-        return _alone_at_majority(
-            profile.n // 2, rule.tag == BUCKLIN, c, _level_rows(profile)
+        w = _width(n)
+        decide, lift, guards = _alone_at_majority(
+            n, rule.tag == BUCKLIN, c, m, w
         )
-    contribution, alone = tally(rule, profile.n, profile.m, c)
-    return alone(_summed(profile, contribution))
+        for counts in _level_rows(profile):
+            if 2 * max(counts) > n:  # at the last level if not before
+                row = _pack(counts, w)
+                return decide(row, row + lift & guards)
+    w, contribution, alone = tally(rule, n, m, c)
+    return alone(sum(map(contribution, map(_ORDER, profile.prefs))))

@@ -19,26 +19,31 @@ entered.
   member for that representative keeps every score and the price and never
   raises the lexicographic order, so the optimum is unchanged.
 - **Carried leaf state.**  Each branch carries the partial sum of the
-  rule's tally from `core.tally`: positional scores, top-(k+1) level
-  counts (Bucklin, simplified Bucklin) or pairwise margins (maximin,
-  Copeland).  Every option's contribution is computed once, the bounds
-  read the sum, and each leaf is decided by the verifier's "the target
-  wins alone" predicate, which builds no profile and no co-winner set.
-- **Bounds.**  One table per search, laid out as the carried tally:
+  rule's tally from `core.tally`, packed into one int: positional scores,
+  top-(k+1) level counts (Bucklin, simplified Bucklin) or pairwise margins
+  biased by n (maximin, Copeland), in fields wide enough for any decided
+  sum.  Every option's contribution is computed once, a child's state is
+  its parent's plus one integer add, and each leaf is decided by the
+  verifier's "the target wins alone" predicate, which works on the packed
+  sum and builds no profile and no co-winner set.
+- **Bounds.**  One table per search, packed as the carried tally:
   `bound[i]` sums, over voters i.., the target's greatest contribution in
-  its own slots and every rival's least everywhere else, from the closed
+  its own fields and every rival's least everywhere else, from the closed
   forms in `metrics` (how far each alternative's rank can move, and which
-  alternative can be put above which).  The carried sum plus
-  `bound[depth]` is the best case of every leaf below, and a branch is
-  cut when the rule's predicate on it is false.  Every rule but Bucklin
-  only favours the target more as the target's entries grow and the
-  rivals' shrink, so no cut leaf could have won.  Bucklin's bound uses
-  simplified Bucklin's predicate, which also cuts some Bucklin winners:
-  those that share their level with a rival they out-approve.
+  alternative can be put above which).  On the margins it carries the bias
+  of voters i.., and its diagonal holds the margin n + 1.  The carried sum
+  plus `bound[depth]`, one integer add, is the best case of every leaf
+  below, and a branch is cut when the rule's predicate on it is false.
+  Every rule but Bucklin only favours the target more as the target's
+  entries grow and the rivals' shrink, so no cut leaf could have won.
+  Bucklin's bound uses simplified Bucklin's predicate, which also cuts
+  some Bucklin winners: those that share their level with a rival they
+  out-approve.
 
 `OracleBudget.max_nodes` counts visited search nodes.  The score classes
 and the bounds leave fewer nodes to visit, so the same limit decides more
-instances.
+instances.  The time limit is checked once per voter while the balls are
+relabeled, and every 4,096 nodes during the search.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import math
 import time
 from bisect import bisect_left
 from collections.abc import Iterator
-from operator import add, itemgetter, methodcaller
+from operator import itemgetter, methodcaller
 
 from .core import (
     BUCKLIN,
@@ -59,6 +64,7 @@ from .core import (
     Record,
     VotingRule,
     is_unique_winner,  # unused here; bench/tracing.py names it
+    ones,
     score_vector,
     tally,
 )
@@ -109,16 +115,15 @@ class _Search:
         self.cap = instance.budget  # then one less than the incumbent's cost
         self.chosen: list[tuple[int, ...] | None] = [None] * n
 
-        # The rule's tally from core, as plain functions with their
-        # parameters bound: a bound method kept on the search would make it
-        # a reference cycle, which outlives the call until the cyclic
-        # collector runs.  Bounds are decided like leaves, but Bucklin's
+        # The rule's tally from core, as closures over plain values: a
+        # bound method kept on the search would make it a reference cycle,
+        # which outlives the call until the cyclic collector runs.  Bounds are decided like leaves, but Bucklin's
         # with simplified Bucklin's predicate (see the module docstring).
         rule = instance.rule
-        self.contribution, self.alone = tally(rule, n, m, c)
+        w, self.contribution, self.alone = tally(rule, n, m, c)
         self.bound_alone = self.alone
         if rule.tag == BUCKLIN:
-            self.bound_alone = tally(VotingRule(SBUCKLIN), n, m, c)[1]
+            self.bound_alone = tally(VotingRule(SBUCKLIN), n, m, c)[2]
         alpha = score_vector(rule, m)
         class_key = self.contribution if alpha is not None else None
         pairs = rule.tag in (MAXIMIN, COPELAND)
@@ -130,6 +135,8 @@ class _Search:
         # when the voter is free.
         self.unbribed: list[list[list]] = []
         for i, pref in enumerate(instance.profile.prefs):
+            if time.monotonic() > self.deadline:
+                raise ResourceExceeded("time")
             radius = instance.deltas[i]
             # Footrule distances are even, so radii 2j and 2j + 1 give
             # one ball.
@@ -151,20 +158,24 @@ class _Search:
             else:
                 self.unbribed.append(opts)
             per_voter.append(
-                _optimistic(alpha, pairs, m, c, instance.metric, radius, o)
+                _optimistic(alpha, pairs, m, c, instance.metric, radius, o, w)
             )
 
         # bound[i] sums the optimistic contributions of voters i.., so
         # state + bound[depth] is the best case of every leaf below.  The
-        # margins' diagonal holds n + 1, above every margin, so that it is
-        # never a row's minimum and counts as the same Copeland win in
-        # every row.
-        self.bound = [[0] * len(per_voter[0])]
+        # margins' diagonal holds n + 1 over the bias of voters i.., above
+        # every margin, so that it is never a row's minimum and counts as
+        # the same Copeland win in every row.
+        bound = [0]
         for d in reversed(per_voter):
-            self.bound.insert(0, list(map(add, self.bound[0], d)))
+            bound.append(bound[-1] + d)
+        bound.reverse()
         if pairs:
-            for table in self.bound:
-                table[::m + 1] = [n + 1] * m
+            diagonal = ones(w * (m + 1), m)
+            rest = (1 << w * m * m) - 1 ^ diagonal * ((1 << w) - 1)
+            bound = [(b & rest) + (2 * n + 1 - i) * diagonal
+                     for i, b in enumerate(bound)]
+        self.bound = bound
 
     # -- search ---------------------------------------------------------------
 
@@ -194,9 +205,9 @@ class _Search:
             self.alone, self.bound_alone, self.contribution, self.max_nodes)
         bound, options, unbribed = self.bound, self.options, self.unbribed
         n, prices, chosen = self.n, self.instance.prices, self.chosen
-        stack: list[tuple[Iterator[list], int, list[int]]] = []
-        opts, base, carried = iter(()), 0, []
-        depth, price, state = 0, 0, [0] * len(bound[0])
+        stack: list[tuple[Iterator[list], int, int]] = []
+        opts, base, carried = iter(()), 0, 0
+        depth, price, state = 0, 0, 0
         nodes, cap = self.nodes, self.cap
         try:
             while True:
@@ -209,7 +220,7 @@ class _Search:
                     if alone(state):
                         self.best = (price, tuple(chosen))
                         cap = price - 1
-                elif bound_alone(list(map(add, state, bound[depth]))):
+                elif bound_alone(state + bound[depth]):
                     stack.append((opts, base, carried))
                     opts = options[depth]
                     if price + prices[depth] > cap:
@@ -230,40 +241,43 @@ class _Search:
                     d = opt[2] = contribution(q)
                 depth = len(stack)
                 chosen[depth - 1] = q
-                price, state = base + p, list(map(add, carried, d))
+                price, state = base + p, carried + d
         finally:
             self.nodes, self.cap = nodes, cap
 
 
-def _optimistic(alpha, pairs, m, c, metric, radius, order) -> list[int]:
-    """One voter's optimistic contribution over its ball, laid out as the
-    carried tally: the most the target can get in its own slots ([c],
-    [k*m + c] or row c) and the least each rival can be held to everywhere
-    else.  From the closed forms in `metrics`, without the ball."""
+def _optimistic(alpha, pairs, m, c, metric, radius, order, w) -> int:
+    """One voter's optimistic contribution over its ball, packed as the
+    carried tally with fields of width w: the most the target can get in
+    its own fields (c, k*m + c or row c) and the least each rival can be
+    held to everywhere else.  From the closed forms in `metrics`, without
+    the ball."""
     place = [0] * m
     for j, y in enumerate(order):
         place[y] = j
     if pairs:
         # Some member ranks x above y iff place[x] - place[y] <= t.  The
         # target gains +1 over y when it can be put above y; a rival x
-        # loses 1 to y when y can be put above x.
+        # loses 1 to y when y can be put above x.  after[j] is 2, the
+        # biased +1, in the field of every alternative placed j or later.
         t = precedence_reach(metric, radius)
-        d = [1 if py - px > t else -1 for px in place for py in place]
-        d[c * m:(c + 1) * m] = [1 if place[c] - py <= t else -1 for py in place]
-        return d
+        after = [0] * (m + 1)
+        for j in range(m - 1, -1, -1):
+            after[j] = after[j + 1] + (2 << w * order[j])
+        rows = [after[min(m, j + t + 1)] for j in place]
+        rows[c] = after[max(0, place[c] - t)]
+        return sum(row << w * m * x for x, row in enumerate(rows))
+    # Each rival's worst place and the target's best.
     r = rank_reach(metric, radius)
-    best_c = max(0, place[c] - r)
-    worst = [min(m - 1, j + r) for j in place]
+    reach = [min(m - 1, j + r) for j in place]
+    reach[c] = max(0, place[c] - r)
     if alpha is not None:
         # Alpha is non-increasing, so the best place scores the most.
-        d = [alpha.alpha[j] for j in worst]
-        d[c] = alpha.alpha[best_c]
-        return d
+        return sum(alpha.alpha[j] << w * y for y, j in enumerate(reach))
     # Level counts: y is within the first k+1 places of every member iff
     # its worst place is at most k, of some member iff its best is.
-    d = [int(j <= k) for k in range(m) for j in worst]
-    d[c::m] = [int(best_c <= k) for k in range(m)]
-    return d
+    units = sum(1 << w * (j * m + y) for y, j in enumerate(reach))
+    return units * ones(w * m, m) & (1 << w * m * m) - 1
 
 
 def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):
@@ -285,7 +299,7 @@ def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):
         return free, free
     classes: dict[tuple, list] = {}
     for s, g in zip(members, getters):
-        classes.setdefault(tuple(class_key(s)), []).append(g)
+        classes.setdefault(class_key(s), []).append(g)
     free = list(classes.values())
     own, *rest = free[0]
     return free, [[own]] + ([rest] if rest else []) + free[1:]

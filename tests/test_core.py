@@ -223,24 +223,43 @@ def _co_winners(rule, n, m, flat):
 
 
 def _random_flat_tally(rng, rule, n, m):
-    # Few distinct values, so that ties are common.  Level counts sit
-    # around the majority and reach n at the last level, as every level
-    # tally does; the margins' diagonal is 0 on a profile and n + 1 in the
-    # oracle's bound tables.
-    if score_vector(rule, m) is not None:
-        return [rng.randint(0, 2) for _ in range(m)]
+    # Few distinct values, so that ties are common, each within what n
+    # voters can give.  Level counts sit around the majority and reach n at
+    # the last level, as every level tally does; the margins' diagonal is 0
+    # on a profile and n + 1 in the oracle's bound tables.
+    alpha = score_vector(rule, m)
+    if alpha is not None:
+        return [min(rng.randint(0, 2), n * alpha.alpha[0]) for _ in range(m)]
     if rule.tag in ("bucklin", "sbucklin"):
         levels = [rng.choice((n // 2, n // 2 + 1, n)) for _ in range(m * m)]
         levels[-m:] = [n] * m
         return levels
-    margins = [rng.randint(-2, 2) for _ in range(m * m)]
+    margins = [max(-n, min(n, rng.randint(-2, 2))) for _ in range(m * m)]
     margins[::m + 1] = [rng.choice((0, n + 1))] * m
     return margins
 
 
+def _bias(rule, n):
+    """What `tally` adds to every field: n on the pairwise margins."""
+    return n if rule.tag in ("maximin", "copeland") else 0
+
+
+def packed(rule, n, flat, w):
+    """A flat tally in fields of width w, laid out as `tally` packs it."""
+    return sum(v + _bias(rule, n) << w * i for i, v in enumerate(flat))
+
+
+def unpacked(rule, bias, m, total, w):
+    """The flat tally in `total`'s fields of width w, less `bias` on the
+    pairwise margins."""
+    count = m if score_vector(rule, m) is not None else m * m
+    bias = _bias(rule, bias)
+    return [(total >> w * i & (1 << w) - 1) - bias for i in range(count)]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_unique_winner_predicate_on_flat_tallies(seed):
-    # The oracle decides its leaves and bounds on flat tallies, with the
+    # The oracle decides its leaves and bounds on packed tallies, with the
     # predicate that `tally` returns.
     rng = random.Random(613 + seed)
     alone = missed = 0
@@ -252,12 +271,75 @@ def test_unique_winner_predicate_on_flat_tallies(seed):
             flat = _random_flat_tally(rng, rule, n, m)
             want = _co_winners(rule, n, m, flat)
             for c in range(m):
-                got = tally(rule, n, m, c)[1](flat)
+                w, _, decide = tally(rule, n, m, c)
+                got = decide(packed(rule, n, flat, w))
                 assert got == (want == {c}), (rule, n, c, flat)
                 alone += got
                 missed += not got and c in want
     assert alone > 900
     assert missed > 2000
+
+
+def _edge_rules(rng, m, w):
+    """The rules at m, each with the n whose largest decided sum needs
+    exactly w bits with its guard: n * alpha_1, n level counts, or 2n + 1
+    on the margins."""
+    top = (1 << w - 1) - 1
+    for rule in TALLY_RULES:
+        if rule.tag in ("bucklin", "sbucklin"):
+            yield rule, top
+        else:
+            yield rule, (top - 1) // 2
+    if m == 1:
+        return
+    # A vector led by 2^40 at the widest fields, with ties inside it.
+    lead = 1 << 40 if w > 64 else 1 << w - 3
+    alpha = (lead, *sorted(rng.choices((0, 1, lead // 2, lead), k=m - 2),
+                           reverse=True), 0)
+    for rule in (VotingRule("plurality"), VotingRule("borda"),
+                 VotingRule("positional", alpha=ScoreVector(alpha))):
+        yield rule, top // score_vector(rule, m).alpha[0]
+
+
+def _edge_tally(rng, rule, n, m):
+    # Fields at the extremes of what n voters can give, few values, so
+    # that ties are common at every level.
+    alpha = score_vector(rule, m)
+    if alpha is not None:
+        most = n * alpha.alpha[0]
+        return [rng.choice((0, most // 2, most - 1, most, most))
+                for _ in range(m)]
+    if rule.tag in ("bucklin", "sbucklin"):
+        half = n // 2
+        levels = [rng.choice((0, half, half + 1, n)) for _ in range(m * m)]
+        levels[-m:] = [n] * m
+        return levels
+    margins = [rng.choice((-n, 1 - n, 0, n - 1, n, n)) for _ in range(m * m)]
+    margins[::m + 1] = [rng.choice((0, n + 1))] * m
+    return margins
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 72])
+def test_predicates_at_field_width_edges(w):
+    # Sums whose fields reach the largest value n voters can give, at
+    # fields of 8, 16, 32 and 72 bits, for every target from the first
+    # field to the last, at m = 1 to 5.
+    rng = random.Random(w)
+    alone = missed = 0
+    for t in range(150):
+        m = 1 + t % 5
+        for rule, n in _edge_rules(rng, m, w):
+            flat = _edge_tally(rng, rule, n, m)
+            want = _co_winners(rule, n, m, flat)
+            for c in range(m):
+                width, _, decide = tally(rule, n, m, c)
+                assert width == w, (rule, n)
+                got = decide(packed(rule, n, flat, w))
+                assert got == (want == {c}), (rule, n, c, flat)
+                alone += got
+                missed += not got and c in want
+    assert alone > 400
+    assert missed > 400
 
 
 def test_weighted_majority_graph_equals_reference():

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -16,6 +17,7 @@ from localbribery.core import (
     ScoreVector,
     VotingRule,
     is_unique_winner,
+    tally,
 )
 from localbribery import oracle
 from localbribery.metrics import METRICS, ball
@@ -27,7 +29,12 @@ from localbribery.oracle import (
 )
 from localbribery.problem import BriberyInstance, check_witness
 from conftest import make_profile, random_instance
-from test_core import majority_levels, reference_tally, reference_winners
+from test_core import (
+    majority_levels,
+    reference_tally,
+    reference_winners,
+    unpacked,
+)
 
 RULES = [
     VotingRule("plurality"),
@@ -257,9 +264,9 @@ def _long_search(tag="borda"):
     # 6,845 nodes under Borda, past the first clock check at node 4,096.
     profile = make_profile([(1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 4, 2, 3),
                             (1, 3, 4, 2, 0), (1, 3, 4, 2, 0)])
+    rule = VotingRule(tag, k=3) if tag == "kapproval" else VotingRule(tag)
     return BriberyInstance(
-        profile, 2, (3, 2, 3, 3, 2), (0, 2, 0, 2, 0), 3, VotingRule(tag),
-        "swap",
+        profile, 2, (3, 2, 3, 3, 2), (0, 2, 0, 2, 0), 3, rule, "swap"
     )
 
 
@@ -272,11 +279,23 @@ def test_time_limit_raises_at_the_first_clock_check(monkeypatch):
     assert search.nodes == 4096
 
 
+def test_time_limit_raises_while_setting_up(monkeypatch):
+    # The clock is read once per voter while the balls are relabeled, so a
+    # search whose set-up outlasts the limit stops before its first node.
+    clock = iter([0.0])
+    monkeypatch.setattr(oracle.time, "monotonic",
+                        lambda: next(clock, math.inf))
+    with pytest.raises(ResourceExceeded) as info:
+        _Search(_long_search(), OracleBudget(time_limit_s=1))
+    assert info.value.which == "time"
+
+
 @pytest.mark.parametrize("max_nodes", [10**6, 50], ids=["done", "stopped"])
-@pytest.mark.parametrize("tag", ["borda", "copeland", "bucklin"])
+@pytest.mark.parametrize("tag", ["borda", "kapproval", "maximin", "copeland",
+                                 "bucklin", "sbucklin"])
 def test_search_is_freed_without_the_cyclic_collector(tag, max_nodes):
-    # The search keeps plain functions, never its own bound methods, so
-    # dropping the last reference frees it at once.
+    # The search keeps closures over plain values, never its own bound
+    # methods, so dropping the last reference frees it at once.
     gc.disable()
     try:
         search = _Search(_long_search(tag), OracleBudget(max_nodes=max_nodes))
@@ -396,7 +415,13 @@ def test_bound_tables_match_brute_force():
                     delta_choices=(0, 1, 2, 3, 5),
                 )
                 search = _Search(inst, OracleBudget())
-                assert search.bound == _brute_force_bound(inst)
+                # Table i carries the bias of the n - i voters it sums.
+                n, m = inst.n, inst.m
+                w = tally(rule, n, m, inst.target)[0]
+                assert [
+                    unpacked(rule, n - i, m, table, w)
+                    for i, table in enumerate(search.bound)
+                ] == _brute_force_bound(inst)
 
 
 @pytest.mark.parametrize("tag", ["maximin", "copeland"])
@@ -450,11 +475,13 @@ def test_carried_leaf_decision_equals_winner(rule):
                 profile, c, (0,) * n, (0,) * n, 0, rule, "swap"
             )
             search = _Search(inst, OracleBudget())
-            state = [0] * len(search.contribution(profile.prefs[0].order))
+            state = 0
             for p in profile.prefs:
-                d = search.contribution(p.order)
-                state = [a + b for a, b in zip(state, d)]
-            assert state == reference_tally(profile, rule)
+                state += search.contribution(p.order)
+            w = tally(rule, n, m, c)[0]
+            assert unpacked(rule, n, m, state, w) == reference_tally(
+                profile, rule
+            )
             assert search.alone(state) == (want == {c})
             wins += want == {c}
         levels = majority_levels(profile)
