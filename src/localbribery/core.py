@@ -14,15 +14,15 @@ and 2n + 1 for a pairwise margin, which is biased by n so that no field is
 negative.  `tally` also gives the predicate "c is the unique winner" of a
 sum, which compares many fields at once with word-parallel arithmetic.
 The oracle decides its leaves and bounds with it, and `is_unique_winner`
-(so the verifier) too, on a profile's packed sum; it counts the level rows
-one level at a time, so no wide profile makes an m*m table.  `winners`
-keeps the co-winner set, for the `winner` command.
+(so the verifier) too, on a profile's packed sum; it packs a list of
+scores or level counts into fields of whole bytes, and counts the level
+rows one level at a time, so no wide profile makes an m*m table.
+`winners` keeps the co-winner set, for the `winner` command.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import zip_longest
 from operator import attrgetter, getitem, lt
 
 _setattr = object.__setattr__
@@ -317,14 +317,14 @@ def _width(largest: int) -> int:
     return largest.bit_length() + 1
 
 
-def _pack(values: list[int], w: int) -> int:
-    """`values[i]` in field i, joining neighbours pairwise, which shifts
-    far fewer bits than adding the fields one at a time."""
-    while len(values) > 1:
-        values = [lo | hi << w for lo, hi in
-                  zip_longest(values[::2], values[1::2], fillvalue=0)]
-        w *= 2
-    return values[0]
+def _pack(values: list[int], largest: int) -> tuple[int, int]:
+    """(width, packed) of `values`, each at most `largest`, in fields of
+    whole bytes with room for the guard bit: the predicates take any such
+    width, and whole bytes join at C speed."""
+    size = largest.bit_length() // 8 + 1
+    return 8 * size, int.from_bytes(
+        b"".join([v.to_bytes(size, "little") for v in values]), "little"
+    )
 
 
 def _margins(n: int, m: int):
@@ -553,16 +553,15 @@ def is_unique_winner(profile: Profile, rule: VotingRule, c: int) -> bool:
     n, m = profile.n, profile.m
     alpha = score_vector(rule, m)
     if alpha is not None:
-        w = _width(n * alpha.alpha[0])
-        return _alone_top(c, m, w)(_pack(positional_scores(profile, alpha), w))
+        w, total = _pack(positional_scores(profile, alpha), n * alpha.alpha[0])
+        return _alone_top(c, m, w)(total)
     if rule.tag in (SBUCKLIN, BUCKLIN):
-        w = _width(n)
-        decide, lift, guards = _alone_at_majority(
-            n, rule.tag == BUCKLIN, c, m, w
-        )
         for counts in _level_rows(profile):
             if 2 * max(counts) > n:  # at the last level if not before
-                row = _pack(counts, w)
+                w, row = _pack(counts, n)
+                decide, lift, guards = _alone_at_majority(
+                    n, rule.tag == BUCKLIN, c, m, w
+                )
                 return decide(row, row + lift & guards)
     w, contribution, alone = tally(rule, n, m, c)
     return alone(sum(map(contribution, map(_ORDER, profile.prefs))))

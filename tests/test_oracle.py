@@ -574,7 +574,6 @@ def test_oracle_node_counts_match_golden_digest():
     assert digest.hexdigest() == NODE_DIGEST
 
 
-
 def _wide_vector(rng, m, top):
     while True:
         alpha = sorted((rng.choice([0, rng.randrange(top)]) for _ in range(m)),
@@ -584,11 +583,12 @@ def _wide_vector(rng, m, top):
 
 
 # sha256 of the (decision, cost, witness orders, nodes, final cap) lines of
-# the searches below, at n = 40-300: the largest tally sums need more than
-# 8 bits on every rule, and the second positional vector's need more than
-# 32.  A search that reaches the node limit gives (None, None, None, nodes,
-# cap).  Recorded before the tallies were packed into integers, so it does
-# not come from the code it checks.
+# the searches below, at n = 40-300: the packed tallies' fields are 7-11
+# bits wide on the level, pair and Borda rules, 18-21 on the first
+# positional vector and 33-36 on the second.  A search that reaches the
+# node limit gives (None, None, None, nodes, cap).  Recorded before the
+# tallies were packed into integers, so it does not come from the code it
+# checks.
 WIDE_DIGEST = (
     "b9a0e94486215c83ed4a3717fdc26d7f74b8555000611da6cea2c02dcf4b5555"
 )
