@@ -1,7 +1,9 @@
 """The witness verifier on profiles whose voters share preference objects,
 against a per-voter reference."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +15,21 @@ from localbribery.core import (
     is_unique_winner,
     winners,
 )
-from localbribery.metrics import FOOTRULE, MAXDISP, SWAP, distance
+from localbribery.metrics import (
+    FOOTRULE,
+    MAXDISP,
+    METRICS,
+    SWAP,
+    ball,
+    distance,
+)
+from localbribery.oracle import OracleBudget, ResourceExceeded, solve_exhaustive
 from localbribery.problem import (
     NOT_UNIQUE_WINNER,
     BriberyInstance,
     check_witness,
 )
+from test_core import _random_alpha
 
 M = 6
 N = 240
@@ -153,3 +164,102 @@ def test_check_witness_matches_per_voter_reference(metric, case):
         "winner-fails": {"target"},
         "passes": {""},
     }[case]
+
+
+def _verifier_rules(rng, m):
+    """Every rule defined at m: the pair and level rules at every m, the
+    positional ones, with a random vector, from m = 2."""
+    rules = [VotingRule("maximin"), VotingRule("bucklin"),
+             VotingRule("sbucklin")] + [
+        VotingRule("copeland", copeland_alpha=Fraction(a))
+        for a in ("0", "1/3", "1/2", "1")
+    ]
+    if m > 1:
+        rules += [
+            VotingRule("plurality"), VotingRule("veto"), VotingRule("borda"),
+            VotingRule("kapproval", k=rng.randint(1, m - 1)),
+            VotingRule("positional", alpha=_random_alpha(rng, m)),
+        ]
+    return rules
+
+
+def _verifier_cases(rng, inst):
+    """(label, instance, witness) triples on one instance: the unbribed
+    profile, the oracle's optimal witness, every voter moved within its
+    ball (over budget when that costs anything, and within budget for
+    every target, so that the winner condition decides), and one voter
+    moved one swap past its radius."""
+    prefs, alts = inst.profile.prefs, inst.profile.alternatives
+    yield "unbribed", inst, inst.profile
+    try:
+        out = solve_exhaustive(inst, OracleBudget(max_nodes=20_000))
+    except ResourceExceeded:
+        out = None
+    if out is not None and out.decision:
+        yield "optimal", inst, out.witness
+    moved = tuple(
+        Preference(rng.choice(ball(p, inst.metric, d)))
+        for p, d in zip(prefs, inst.deltas)
+    )
+    witness = Profile(alts, moved)
+    price = sum(x for p, q, x in zip(prefs, moved, inst.prices) if p != q)
+    fields = [inst.profile, inst.target, inst.deltas, inst.prices, price,
+              inst.rule, inst.metric]
+    if price:
+        fields[4] = price - 1
+        yield "over-budget", BriberyInstance(*fields), witness
+        fields[4] = price
+    for c in range(inst.m):
+        fields[1] = c
+        yield "in-ball", BriberyInstance(*fields), witness
+    i = rng.randrange(inst.n)
+    far = Preference(tuple(reversed(prefs[i].order)))
+    d = distance(inst.metric, prefs[i], far)
+    if d:
+        deltas = list(inst.deltas)
+        deltas[i] = d - 1
+        fields[1:4] = inst.target, tuple(deltas), inst.prices
+        fields[4] = inst.budget + inst.prices[i]
+        yield "far", BriberyInstance(*fields), Profile(
+            alts, prefs[:i] + (far,) + prefs[i + 1:]
+        )
+
+
+# sha256 of the (label, ok, reason, bribed voters, price) lines of
+# `check_witness` on the cases below.  Recorded while the verifier decided
+# the winner condition with the oracle's packed-tally predicates, so a
+# verifier that decides it some other way must agree with them.
+VERIFIER_DIGEST = (
+    "aca0f73a692fa6870c308e7fbe515ae7b98b9e017e306f13a691b78ebaa27370"
+)
+
+
+def test_check_witness_matches_golden_digest():
+    rng = random.Random(2501)
+    digest = hashlib.sha256()
+    reasons: dict[str, int] = {}
+    optimal = 0
+    for t in range(42):
+        m = 1 + t % 7
+        for rule in _verifier_rules(rng, m):
+            metric = rng.choice(METRICS)
+            n = rng.randint(1, 5)
+            orders = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+            inst = BriberyInstance(
+                Profile(AlternativeSet(tuple("abcdefg"[:m])),
+                        tuple(map(Preference, orders))),
+                rng.randrange(m),
+                tuple(rng.choice((0, 1, 2, 3)) for _ in range(n)),
+                tuple(rng.choice((0, 1, 2)) for _ in range(n)),
+                rng.randint(0, 3), rule, metric,
+            )
+            for label, case, witness in _verifier_cases(rng, inst):
+                ok, reason, bribed, price = check_witness(case, witness)
+                line = (label, ok, reason, tuple(sorted(bribed)), price)
+                digest.update(repr(line).encode() + b"\n")
+                kind = "ok" if ok else reason.split()[0]
+                reasons[kind] = reasons.get(kind, 0) + 1
+                optimal += label == "optimal"
+    assert optimal > 200
+    assert reasons == {"ok": 708, "price": 298, "target": 1980, "voter": 432}
+    assert digest.hexdigest() == VERIFIER_DIGEST
