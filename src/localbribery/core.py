@@ -11,13 +11,13 @@ fixed-width fields: a voter's order contributes one int, and summing voters
 is an integer add.  A field is one guard bit wider than the largest value a
 decided sum can take: n*alpha_1 for a positional rule, n for a level count,
 and 2n + 1 for a pairwise margin, which is biased by n so that no field is
-negative.  `tally` also gives the predicate "c is the unique winner" of a
-sum, which compares many fields at once with word-parallel arithmetic.
-The oracle decides its leaves and bounds with it, and `is_unique_winner`
-(so the verifier) too, on a profile's packed sum; it packs a list of
-scores or level counts into fields of whole bytes, and counts the level
+negative.  `tally` owns that layout: it also gives the predicate "c is the
+unique winner" of a sum, which compares many fields at once with
+word-parallel arithmetic, and builds the oracle's bound tables in it.  The
+oracle decides its leaves and bounds with these.  `winners` builds the
+co-winner set from lists of scores, level counts or margins, and
+`is_unique_winner` (so the verifier) decides by it; it counts the level
 rows one level at a time, so no wide profile makes an m*m table.
-`winners` keeps the co-winner set, for the `winner` command.
 """
 
 from __future__ import annotations
@@ -224,12 +224,14 @@ SBUCKLIN = "sbucklin"
 
 class _Half:
     """The default Copeland tie value, ``Fraction(1, 2)``, made when first
-    read: only Copeland reads it, so no other rule imports ``fractions``."""
+    read, and then kept in this descriptor's place: only Copeland reads
+    it, so no other rule imports ``fractions``."""
 
     def __get__(self, rule, cls):
         from fractions import Fraction
 
-        return Fraction(1, 2)
+        cls.copeland_alpha = Fraction(1, 2)
+        return cls.copeland_alpha
 
 
 class VotingRule(Record):
@@ -317,16 +319,6 @@ def _width(largest: int) -> int:
     return largest.bit_length() + 1
 
 
-def _pack(values: list[int], largest: int) -> tuple[int, int]:
-    """(width, packed) of `values`, each at most `largest`, in fields of
-    whole bytes with room for the guard bit: the predicates take any such
-    width, and whole bytes join at C speed."""
-    size = largest.bit_length() // 8 + 1
-    return 8 * size, int.from_bytes(
-        b"".join([v.to_bytes(size, "little") for v in values]), "little"
-    )
-
-
 def _margins(n: int, m: int):
     """(width, contribution) of the pairwise margins of n voters, biased by
     n so that every field is non-negative: field x*m + y holds n plus the
@@ -389,22 +381,6 @@ def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
             return {y for y, v in enumerate(row) if 2 * v > n}
 
 
-def _alone_at_majority(n: int, bucklin: bool, c: int, m: int, w: int):
-    """The level rules' decision on a level row of n voters (m fields of
-    width w), as (decide, lift, guards).  `(row + lift) & guards` holds the
-    guard of every field above n/2; at the first row where that is not 0,
-    `decide(row, majority)` says whether c alone has a majority there
-    (simplified Bucklin) or the most approvals (Bucklin, whose greatest
-    count has a majority there)."""
-    every = ones(w, m)
-    lift = ((1 << w - 1) - 1 - n // 2) * every
-    if bucklin:
-        top = _alone_top(c, m, w)
-        return (lambda row, majority: top(row)), lift, every << w - 1
-    own = 1 << c * w + w - 1
-    return (lambda row, majority: majority == own), lift, every << w - 1
-
-
 def _alone_best(rule: VotingRule, n: int, c: int, m: int, w: int):
     """Whether c's maximin or Copeland score, read from row c of the
     margins biased by n (`_margins`), is above every rival's; stops at the
@@ -459,50 +435,121 @@ def _alone_best(rule: VotingRule, n: int, c: int, m: int, w: int):
     return alone
 
 
+def _reach(order: tuple[int, ...], c: int, r: int) -> list[int]:
+    """Over a ball whose members move each alternative at most r places
+    from `order` (`metrics.rank_reach`): each rival's worst place, and
+    c's best."""
+    m = len(order)
+    reach = [0] * m
+    for j, y in enumerate(order):
+        reach[y] = min(m - 1, j + r)
+    reach[c] = max(0, order.index(c) - r)
+    return reach
+
+
+def _bounds(gain, base: int = 0):
+    """`bounds(voters)`: the oracle's bound table from each voter's
+    (order, rank reach, precedence reach) (`metrics.rank_reach` and
+    `precedence_reach` of its metric and radius).  Entry i is `base` plus
+    the sum of `gain` over voters i.., so entry n is `base`."""
+
+    def bounds(voters) -> list[int]:
+        table = [base]
+        for voter in reversed(voters):
+            table.append(table[-1] + gain(*voter))
+        table.reverse()
+        return table
+
+    return bounds
+
+
 def tally(rule: VotingRule, n: int, m: int, c: int):
     """The additive tally of `rule` over n voters and m alternatives, packed
-    into one int, as (width, contribution, alone).  `contribution(order)`
-    is one voter's tally; `alone` says whether c is the unique winner of a
-    sum of n of them.
+    into one int, as (width, contribution, alone, bounds).
+    `contribution(order)` is one voter's tally; `alone` says whether c is
+    the unique winner of a sum of n of them; `bounds` builds the oracle's
+    bound table (`_bounds`) from each voter's optimistic gain over its
+    ball: the most c can get in its own fields and the least each rival
+    can be held to everywhere else, without the ball.
 
     - positional rules: scores, field y;
     - Bucklin and simplified Bucklin: top-(k+1) level counts, field
-      k*m + y; `alone` finds the first level with a majority from the
-      lowest guard of one add-and-mask over all levels;
+      k*m + y;
     - maximin and Copeland: pairwise margins biased by n, field x*m + y
-      (`_margins`).
+      (`_margins`).  The bound tables' diagonal holds the margin n + 1,
+      above every margin, so that it is never a row's minimum and counts
+      as the same Copeland win in every row.
     """
     alpha = score_vector(rule, m)
     if alpha is not None:
-        w = _width(n * alpha.alpha[0])
-        nonzero = alpha.alpha[:m - alpha.alpha.count(0)]
-        table = [[x << w * y for y in range(m)] for x in nonzero]
+        a = alpha.alpha
+        w = _width(n * a[0])
+        table = [[x << w * y for y in range(m)] for x in a[:m - a.count(0)]]
+
+        def gain(order, rank, precedence):
+            # Alpha is non-increasing, so the best place scores the most.
+            reach = _reach(order, c, rank)
+            return sum(a[j] << w * y for y, j in enumerate(reach))
+
         return (w, lambda q: sum(map(getitem, table, q)),
-                _alone_top(c, m, w))
+                _alone_top(c, m, w), _bounds(gain))
     if rule.tag not in (SBUCKLIN, BUCKLIN):
         w, contribution = _margins(n, m)
-        return w, contribution, _alone_best(rule, n, c, m, w)
+        diagonal = ones(w * (m + 1), m)
+        rest = (1 << w * m * m) - 1 ^ diagonal * ((1 << w) - 1)
+
+        def gain(order, rank, t):
+            # Some member ranks x above y iff place[x] - place[y] <= t.  The
+            # target gains +1 over y when it can be put above y; a rival x
+            # loses 1 to y when y can be put above x.  after[j] is 2, the
+            # biased +1, in the field of every alternative placed j or
+            # later.  The diagonal is 1, as in a contribution.
+            after = [0] * (m + 1)
+            for j in range(m - 1, -1, -1):
+                after[j] = after[j + 1] + (2 << w * order[j])
+            rows = [0] * m
+            for j, x in enumerate(order):
+                rows[x] = after[min(m, j + t + 1)]
+            rows[c] = after[max(0, order.index(c) - t)]
+            total = sum(row << w * m * x for x, row in enumerate(rows))
+            return (total & rest) + diagonal
+
+        return (w, contribution, _alone_best(rule, n, c, m, w),
+                _bounds(gain, (n + 1) * diagonal))
     w = _width(n)
     span = w * m
-    decide, lift, row_guards = _alone_at_majority(
-        n, rule.tag == BUCKLIN, c, m, w
-    )
     # A unit at (k, y) times `levels` is 1 at (k.., y).
     levels, full, row = ones(span, m), (1 << span * m) - 1, (1 << span) - 1
-    lift, guards = lift * levels, row_guards * levels
+    row_guards = ones(w, m) << w - 1
+    # (total + lift) & guards holds the guard of every field above n/2.
+    lift = ((1 << w - 1) - 1 - n // 2) * ones(w, m * m)
+    guards = row_guards * levels
+    top = _alone_top(c, m, w) if rule.tag == BUCKLIN else None
+    own = 1 << c * w + w - 1
     units = [[1 << w * (k * m + y) for y in range(m)] for k in range(m)]
 
     def alone(total: int) -> bool:
         # The lowest guard set is in the first level with a majority; every
-        # field of a sum of n voters has one at the last level.
+        # field of a sum of n voters has one at the last level.  There
+        # simplified Bucklin asks for c's guard alone, and Bucklin, whose
+        # greatest count has a majority there, for c's count above the rest.
         majority = total + lift & guards
         s = ((majority & -majority).bit_length() - 1) // span * span
-        return decide(total >> s & row, majority >> s & row_guards)
+        if top:
+            return top(total >> s & row)
+        return majority >> s & row_guards == own
 
-    return (w, lambda q: sum(map(getitem, units, q)) * levels & full, alone)
+    def gain(order, rank, precedence):
+        # y is within the first k+1 places of every member iff its worst
+        # place is at most k, of some member (c) iff its best is.
+        reach = _reach(order, c, rank)
+        return sum([units[j][y] for y, j in enumerate(reach)]) * levels & full
+
+    return (w, lambda q: sum(map(getitem, units, q)) * levels & full,
+            alone, _bounds(gain))
 
 
-def _level_rows(profile: Profile):
+def level_rows(profile: Profile):
     """The level rows of a profile, built one level at a time, so a wide
     profile never holds an m*m table.  Each row is the same list, updated
     in place."""
@@ -532,7 +579,7 @@ def winners(profile: Profile, rule: VotingRule) -> set[int]:
         return _top(positional_scores(profile, alpha))
     if rule.tag in (SBUCKLIN, BUCKLIN):
         return _first_majority(
-            profile.n, rule.tag == BUCKLIN, _level_rows(profile)
+            profile.n, rule.tag == BUCKLIN, level_rows(profile)
         )
     rows = weighted_majority_graph(profile)
     if rule.tag == MAXIMIN:
@@ -545,23 +592,7 @@ def winners(profile: Profile, rule: VotingRule) -> set[int]:
 
 
 def is_unique_winner(profile: Profile, rule: VotingRule, c: int) -> bool:
-    """`winners(profile, rule) == {c}` for c in 0..m-1, decided by the
-    rule's predicate from `tally` without building the co-winner set.  The
-    level rows are counted one level at a time, so a wide profile never
-    holds an m*m table, and the first with a majority is packed and
-    decided."""
-    n, m = profile.n, profile.m
-    alpha = score_vector(rule, m)
-    if alpha is not None:
-        w, total = _pack(positional_scores(profile, alpha), n * alpha.alpha[0])
-        return _alone_top(c, m, w)(total)
-    if rule.tag in (SBUCKLIN, BUCKLIN):
-        for counts in _level_rows(profile):
-            if 2 * max(counts) > n:  # at the last level if not before
-                w, row = _pack(counts, n)
-                decide, lift, guards = _alone_at_majority(
-                    n, rule.tag == BUCKLIN, c, m, w
-                )
-                return decide(row, row + lift & guards)
-    w, contribution, alone = tally(rule, n, m, c)
-    return alone(sum(map(contribution, map(_ORDER, profile.prefs))))
+    """Whether c is the unique winner: `winners(profile, rule) == {c}`.
+    The verifier decides by the co-winner set, so it shares no decision
+    with the oracle's packed predicates."""
+    return winners(profile, rule) == {c}

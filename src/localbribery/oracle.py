@@ -21,24 +21,23 @@ entered.
 - **Carried leaf state.**  Each branch carries the partial sum of the
   rule's tally from `core.tally`, packed into one int: positional scores,
   top-(k+1) level counts (Bucklin, simplified Bucklin) or pairwise margins
-  biased by n (maximin, Copeland), in fields wide enough for any decided
-  sum.  Every option's contribution is computed once, a child's state is
-  its parent's plus one integer add, and each leaf is decided by the
-  verifier's "the target wins alone" predicate, which works on the packed
-  sum and builds no profile and no co-winner set.
-- **Bounds.**  One table per search, packed as the carried tally:
+  (maximin, Copeland).  Every option's contribution is computed once, a
+  child's state is its parent's plus one integer add, and each leaf is
+  decided by the tally's "the target wins alone" predicate, which works on
+  the packed sum and builds no profile and no co-winner set.  The verifier
+  that gates each YES decides by `core.winners` instead.
+- **Bounds.**  One table per search, built by the tally from each voter's
+  order and the closed forms in `metrics` (how far each alternative's
+  rank can move, and which alternative can be put above which):
   `bound[i]` sums, over voters i.., the target's greatest contribution in
-  its own fields and every rival's least everywhere else, from the closed
-  forms in `metrics` (how far each alternative's rank can move, and which
-  alternative can be put above which).  On the margins it carries the bias
-  of voters i.., and its diagonal holds the margin n + 1.  The carried sum
-  plus `bound[depth]`, one integer add, is the best case of every leaf
-  below, and a branch is cut when the rule's predicate on it is false.
-  Every rule but Bucklin only favours the target more as the target's
-  entries grow and the rivals' shrink, so no cut leaf could have won.
-  Bucklin's bound uses simplified Bucklin's predicate, which also cuts
-  some Bucklin winners: those that share their level with a rival they
-  out-approve.
+  its own fields and every rival's least everywhere else.  The carried
+  sum plus `bound[depth]`, one integer add, is the best case of every
+  leaf below, and a branch is cut when the rule's predicate on it is
+  false.  Every rule but Bucklin only favours the target more as the
+  target's entries grow and the rivals' shrink, so no cut leaf could have
+  won.  Bucklin's bound uses simplified Bucklin's predicate, which also
+  cuts some Bucklin winners: those that share their level with a rival
+  they out-approve.
 
 `OracleBudget.max_nodes` counts visited search nodes.  The score classes
 and the bounds leave fewer nodes to visit, so the same limit decides more
@@ -56,15 +55,12 @@ from operator import itemgetter, methodcaller
 
 from .core import (
     BUCKLIN,
-    COPELAND,
-    MAXIMIN,
     SBUCKLIN,
     Preference,
     Profile,
     Record,
     VotingRule,
     is_unique_winner,  # unused here; bench/tracing.py names it
-    ones,
     score_vector,
     tally,
 )
@@ -117,19 +113,18 @@ class _Search:
 
         # The rule's tally from core, as closures over plain values: a
         # bound method kept on the search would make it a reference cycle,
-        # which outlives the call until the cyclic collector runs.  Bounds are decided like leaves, but Bucklin's
-        # with simplified Bucklin's predicate (see the module docstring).
+        # which outlives the call until the cyclic collector runs.  Bounds
+        # are decided like leaves, but Bucklin's with simplified Bucklin's
+        # predicate (see the module docstring).
         rule = instance.rule
-        w, self.contribution, self.alone = tally(rule, n, m, c)
+        _, self.contribution, self.alone, bounds = tally(rule, n, m, c)
         self.bound_alone = self.alone
         if rule.tag == BUCKLIN:
             self.bound_alone = tally(VotingRule(SBUCKLIN), n, m, c)[2]
-        alpha = score_vector(rule, m)
-        class_key = self.contribution if alpha is not None else None
-        pairs = rule.tag in (MAXIMIN, COPELAND)
+        class_key = self.contribution if score_vector(rule, m) else None
 
         shapes = {}  # radius, even under footrule -> _shape(...)
-        per_voter = []
+        voters = []
         self.options: list[list[list]] = []
         # Options that cost nothing: the voter's own order, or every order
         # when the voter is free.
@@ -157,25 +152,11 @@ class _Search:
                 self.unbribed.append([own])
             else:
                 self.unbribed.append(opts)
-            per_voter.append(
-                _optimistic(alpha, pairs, m, c, instance.metric, radius, o, w)
-            )
-
-        # bound[i] sums the optimistic contributions of voters i.., so
-        # state + bound[depth] is the best case of every leaf below.  The
-        # margins' diagonal holds n + 1 over the bias of voters i.., above
-        # every margin, so that it is never a row's minimum and counts as
-        # the same Copeland win in every row.
-        bound = [0]
-        for d in reversed(per_voter):
-            bound.append(bound[-1] + d)
-        bound.reverse()
-        if pairs:
-            diagonal = ones(w * (m + 1), m)
-            rest = (1 << w * m * m) - 1 ^ diagonal * ((1 << w) - 1)
-            bound = [(b & rest) + (2 * n + 1 - i) * diagonal
-                     for i, b in enumerate(bound)]
-        self.bound = bound
+            voters.append((o, rank_reach(instance.metric, radius),
+                           precedence_reach(instance.metric, radius)))
+        # bound[i] sums the optimistic gains of voters i.., so
+        # state + bound[depth] is the best case of every leaf below.
+        self.bound = bounds(voters)
 
     # -- search ---------------------------------------------------------------
 
@@ -244,40 +225,6 @@ class _Search:
                 price, state = base + p, carried + d
         finally:
             self.nodes, self.cap = nodes, cap
-
-
-def _optimistic(alpha, pairs, m, c, metric, radius, order, w) -> int:
-    """One voter's optimistic contribution over its ball, packed as the
-    carried tally with fields of width w: the most the target can get in
-    its own fields (c, k*m + c or row c) and the least each rival can be
-    held to everywhere else.  From the closed forms in `metrics`, without
-    the ball."""
-    place = [0] * m
-    for j, y in enumerate(order):
-        place[y] = j
-    if pairs:
-        # Some member ranks x above y iff place[x] - place[y] <= t.  The
-        # target gains +1 over y when it can be put above y; a rival x
-        # loses 1 to y when y can be put above x.  after[j] is 2, the
-        # biased +1, in the field of every alternative placed j or later.
-        t = precedence_reach(metric, radius)
-        after = [0] * (m + 1)
-        for j in range(m - 1, -1, -1):
-            after[j] = after[j + 1] + (2 << w * order[j])
-        rows = [after[min(m, j + t + 1)] for j in place]
-        rows[c] = after[max(0, place[c] - t)]
-        return sum(row << w * m * x for x, row in enumerate(rows))
-    # Each rival's worst place and the target's best.
-    r = rank_reach(metric, radius)
-    reach = [min(m - 1, j + r) for j in place]
-    reach[c] = max(0, place[c] - r)
-    if alpha is not None:
-        # Alpha is non-increasing, so the best place scores the most.
-        return sum(alpha.alpha[j] << w * y for y, j in enumerate(reach))
-    # Level counts: y is within the first k+1 places of every member iff
-    # its worst place is at most k, of some member iff its best is.
-    units = sum(1 << w * (j * m + y) for y, j in enumerate(reach))
-    return units * ones(w * m, m) & (1 << w * m * m) - 1
 
 
 def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):

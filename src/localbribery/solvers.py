@@ -50,6 +50,7 @@ from .core import (
     Profile,
     approval_vector,
     is_unique_winner,  # unused here; bench/tracing.py names it
+    level_rows,
     positional_scores,
 )
 from .flow import (
@@ -430,18 +431,15 @@ def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
     # every rival stays at or below half; counts are monotone in the level,
     # so capping rivals at the guessed level also covers all lower levels.
     # The target's exact final count is swept too, because a toggle that
-    # raises the target also lowers the rival at the boundary.  The level-k
-    # counts are the level-(k-1) counts plus each voter's k-th alternative.
+    # raises the target also lowers the rival at the boundary.  Each level's
+    # counts are copied from `level_rows`, which updates one list in place.
     movers = _movers(instance)
 
     def attempts() -> Iterator[tuple[int, list[Move], int] | None]:
-        held = [0] * m
-        for level in range(1, m):
-            held = held.copy()
-            for pref in instance.profile.prefs:
-                held[pref.order[level - 1]] += 1
+        for level, counts in zip(range(1, m), level_rows(instance.profile)):
             for got in _boundary_guesses(
-                instance, held, _end_classes(instance, level - 1, movers),
+                instance, counts.copy(),
+                _end_classes(instance, level - 1, movers),
                 majority, majority - 1,
             ):
                 yield None if got is None else (*got, level)

@@ -1,9 +1,8 @@
 """Winner determination for all eight rules: hand-computed profiles, and
 literal-definition references computed from full rankings.
 
-The verifier and the oracle share core's tally, so these references are
-where the winner computation is checked against code that shares none of
-it."""
+The oracle decides with core's packed tally and the verifier with
+`winners`; these references share code with neither."""
 
 import random
 import tracemalloc
@@ -11,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from localbribery import core
 from localbribery.core import (
     AlternativeSet,
     Preference,
@@ -203,6 +203,38 @@ def test_is_unique_winner_equals_literal_reference(seed):
     assert missed > 600  # c among tied co-winners is covered
 
 
+def test_verifier_shares_no_decision_with_the_packed_tally(monkeypatch):
+    # The oracle decides its leaves and bounds with the packed predicates;
+    # the verifier that gates each of its YES answers must not.
+    def refuse(*args):
+        raise AssertionError("the verifier used a packed predicate")
+
+    for name in ("tally", "_alone_top", "_alone_best"):
+        monkeypatch.setattr(core, name, refuse)
+    rng = random.Random(2502)
+    alone = 0
+    for t in range(210):
+        m = 1 + t % 7
+        n = 1 + (t // 7) % 10
+        pool = [rng.sample(range(m), m) for _ in range(rng.randint(1, 4))]
+        profile = make_profile([rng.choice(pool) for _ in range(n)])
+        rules = TALLY_RULES + (_positional_rules(rng, m) if m > 1 else [])
+        for rule in rules:
+            want = reference_winners(profile, rule)
+            for c in range(m):
+                got = is_unique_winner(profile, rule, c)
+                assert got == (want == {c}), (rule, c, profile)
+                alone += got
+    assert alone > 500
+
+
+def test_copeland_default_tie_value_is_built_once():
+    rule = VotingRule("copeland")
+    assert rule.copeland_alpha is rule.copeland_alpha
+    assert rule.copeland_alpha is VotingRule("copeland").copeland_alpha
+    assert rule.copeland_alpha == Fraction(1, 2)
+
+
 def _co_winners(rule, n, m, flat):
     """The co-winners of a summed flat tally of n voters, the way `winners`
     decides its own tally: pair rows include their diagonal."""
@@ -271,7 +303,7 @@ def test_unique_winner_predicate_on_flat_tallies(seed):
             flat = _random_flat_tally(rng, rule, n, m)
             want = _co_winners(rule, n, m, flat)
             for c in range(m):
-                w, _, decide = tally(rule, n, m, c)
+                w, _, decide, _ = tally(rule, n, m, c)
                 got = decide(packed(rule, n, flat, w))
                 assert got == (want == {c}), (rule, n, c, flat)
                 alone += got
@@ -332,7 +364,7 @@ def test_predicates_at_field_width_edges(w):
             flat = _edge_tally(rng, rule, n, m)
             want = _co_winners(rule, n, m, flat)
             for c in range(m):
-                width, _, decide = tally(rule, n, m, c)
+                width, _, decide, _ = tally(rule, n, m, c)
                 assert width == w, (rule, n)
                 got = decide(packed(rule, n, flat, w))
                 assert got == (want == {c}), (rule, n, c, flat)

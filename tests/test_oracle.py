@@ -455,9 +455,8 @@ LEAF_RULES = RULES + [
 )
 def test_carried_leaf_decision_equals_winner(rule):
     # The leaf decides on the sum of the chosen orders' contributions, never
-    # on a profile.  The verifier decides through the same core tally, so
-    # both the sum and the decision are checked against the literal
-    # definitions of tests/test_core.py.
+    # on a profile.  Both the sum and the decision are checked against the
+    # literal definitions of tests/test_core.py.
     rng = random.Random(404)
     wins = shared_levels = 0
     for t in range(400):
