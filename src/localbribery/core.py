@@ -565,10 +565,12 @@ def weighted_majority_graph(profile: Profile) -> tuple[tuple[int, ...], ...]:
     n, m = profile.n, profile.m
     w, contribution = _margins(n, m)
     total = sum(map(contribution, map(_ORDER, profile.prefs)))
-    field = (1 << w) - 1
+    span, field = w * m, (1 << w) - 1
+    # Each field is read from its row, not from the whole m*m-field sum.
+    rows = (total >> x & (1 << span) - 1 for x in range(0, span * m, span))
     return tuple(
-        tuple((total >> s & field) - n for s in range(x, x + w * m, w))
-        for x in range(0, w * m * m, w * m)
+        tuple((row >> s & field) - n for s in range(0, span, w))
+        for row in rows
     )
 
 
