@@ -15,9 +15,9 @@ negative.  `tally` owns that layout: it also gives the predicate "c is the
 unique winner" of a sum, which compares many fields at once with
 word-parallel arithmetic, and builds the oracle's bound tables in it.  The
 oracle decides its leaves and bounds with these.  `winners` builds the
-co-winner set from lists of scores, level counts or margins, and
-`is_unique_winner` (so the verifier) decides by it; it counts the level
-rows one level at a time, so no wide profile makes an m*m table.
+co-winner set from lists of scores or level counts, or from the margin
+table, and `is_unique_winner` (so the verifier) decides by it; it counts
+the level rows one level at a time, so no wide profile makes an m*m table.
 """
 
 from __future__ import annotations
