@@ -374,6 +374,17 @@ def test_predicates_at_field_width_edges(w):
     assert missed > 400
 
 
+def _margins_from_ranks(profile):
+    """[x][y] = #(x above y) - #(y above x), from each voter's ranks."""
+    ranks = [{a: i for i, a in enumerate(p.order)} for p in profile.prefs]
+    m = profile.m
+    return tuple(
+        tuple(sum((r[x] < r[y]) - (r[y] < r[x]) for r in ranks)
+              for y in range(m))
+        for x in range(m)
+    )
+
+
 def test_weighted_majority_graph_equals_reference():
     rng = random.Random(607)
     for t in range(60):
@@ -382,6 +393,26 @@ def test_weighted_majority_graph_equals_reference():
         flat = reference_tally(profile, VotingRule("maximin"))
         wmg = weighted_majority_graph(profile)
         assert [wmg[x][y] for x in range(m) for y in range(m)] == flat
+    # Tall (n = 300 at m = 5), wide (n = 3 at m = 200), and profiles that
+    # repeat one preference object, alone or among a few others.
+    rng = random.Random(2602)
+
+    def draw(m):
+        return Preference(tuple(rng.sample(range(m), m)))
+
+    for m, n in [(5, 300)] * 3 + [(200, 3)] * 3 + [(60, 20), (2, 301)]:
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(m)))
+        profile = Profile(alternatives, tuple(draw(m) for _ in range(n)))
+        assert weighted_majority_graph(profile) == _margins_from_ranks(
+            profile)
+    for m, n in [(1, 4), (5, 300), (7, 6), (200, 3), (30, 41)]:
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(m)))
+        pool = [draw(m) for _ in range(3)]
+        for prefs in ((pool[0],) * n,
+                      tuple(rng.choice(pool) for _ in range(n))):
+            profile = Profile(alternatives, prefs)
+            assert weighted_majority_graph(profile) == _margins_from_ranks(
+                profile)
 
 
 @pytest.mark.parametrize("tag", ["bucklin", "sbucklin"])

@@ -3,7 +3,7 @@
 import functools
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +130,27 @@ def test_swap_distance_large_is_fast_and_right():
     o = list(range(m))
     o[1000], o[1001] = o[1001], o[1000]
     assert swap_distance(p, Preference(tuple(o))) == 1
+
+
+def test_swap_distance_equals_literal_count():
+    # Seeded pairs at m up to 400 that share a prefix and a suffix of
+    # random length, against a count of every inverted pair; and full
+    # reversals at the widest windows the benchmark and the gadgets meet.
+    rng = random.Random(2601)
+    for _ in range(120):
+        m = rng.randint(1, 400)
+        a = rng.sample(range(m), m)
+        lo = rng.randint(0, m)
+        hi = rng.randint(lo, m)
+        b = a[:lo] + rng.sample(a[lo:hi], hi - lo) + a[hi:]
+        rank_b = {x: i for i, x in enumerate(b)}
+        want = sum(rank_b[x] > rank_b[y] for x, y in combinations(a, 2))
+        p, q = Preference(tuple(a)), Preference(tuple(b))
+        assert swap_distance(p, q) == want == swap_distance(q, p)
+    for m in (62, 3023):
+        p = Preference(tuple(range(m)))
+        q = Preference(tuple(reversed(range(m))))
+        assert swap_distance(p, q) == m * (m - 1) // 2
 
 
 def _untrimmed_displacements(p, q):
