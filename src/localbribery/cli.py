@@ -247,9 +247,7 @@ def _cmd_ball(args) -> int:
 def _run_oracle(instance: BriberyInstance, args) -> int:
     try:
         outcome = solve_exhaustive(instance, _oracle_budget(args))
-    except ResourceExceeded as e:
-        raise CliError(str(e), EXIT_RESOURCE)
-    except BallTooLarge as e:
+    except (ResourceExceeded, BallTooLarge) as e:
         raise CliError(str(e), EXIT_RESOURCE)
     return _print_outcome(outcome)
 

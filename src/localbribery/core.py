@@ -6,24 +6,27 @@ The package's value types are plain classes on one base, `Record`, which
 compares, hashes and shows them by their fields.  Unlike `dataclasses`, it
 writes no methods at import, so a CLI call does not pay for generating them.
 
-Each rule is scored by one additive tally (`tally`), held as one int of
-fixed-width fields: a voter's order contributes one int, and summing voters
-is an integer add.  A field is one guard bit wider than the largest value a
-decided sum can take: n*alpha_1 for a positional rule, n for a level count,
-and 2n + 1 for a pairwise margin, which is biased by n so that no field is
-negative.  `tally` owns that layout: it also gives the predicate "c is the
-unique winner" of a sum, which compares many fields at once with
-word-parallel arithmetic, and builds the oracle's bound tables in it.  The
-oracle decides its leaves and bounds with these.  `winners` builds the
-co-winner set from lists of scores or level counts, or from the margin
-table, and `is_unique_winner` (so the verifier) decides by it; it counts
-the level rows one level at a time, so no wide profile makes an m*m table.
+Winners are scored by two scorers kept apart.  `winners`, and so
+`is_unique_winner` and the verifier, builds the co-winner set from plain
+lists: scores, level rows counted one level at a time (so no wide profile
+makes an m*m table), or the margin table, counted voter by voter; it uses
+nothing of the oracle's packed layout.  The oracle's scorer is `tally`: one additive tally per rule, held as one
+int of fixed-width fields, so a voter's order contributes one int and
+summing voters is an integer add.  A field is one guard bit wider than
+the largest value a decided sum can take: n*alpha_1 for a positional
+rule, n for a level count, and 2n + 1 for a pairwise margin, which is
+biased by n so that no field is negative.  `tally` owns that layout and
+every rule choice made on it: the predicate "c is the unique winner" of a
+sum, which compares many fields at once with word-parallel arithmetic,
+and `bounds`, which builds the oracle's bound table and gives it with the
+predicate that cuts on it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter, getitem, lt
+from itertools import accumulate
+from operator import attrgetter, getitem, lshift, lt, sub
 
 _setattr = object.__setattr__
 
@@ -319,27 +322,6 @@ def _width(largest: int) -> int:
     return largest.bit_length() + 1
 
 
-def _margins(n: int, m: int):
-    """(width, contribution) of the pairwise margins of n voters, biased by
-    n so that every field is non-negative: field x*m + y holds n plus the
-    margin of x over y.  One voter gives 2 where it ranks x above y, 0
-    below and 1 on the diagonal.  The width leaves room for 2n + 1, the
-    diagonal of the oracle's bound tables."""
-    w = _width(2 * n + 1)
-    twos = [2 << w * y for y in range(m)]
-    rows = [w * m * x for x in range(m)]
-    diagonal = ones(w * (m + 1), m)
-
-    def contribution(q: tuple[int, ...]) -> int:
-        total, below = diagonal, 0
-        for x in reversed(q):
-            total += below << rows[x]
-            below += twos[x]
-        return total
-
-    return w, contribution
-
-
 # -- decisions on a summed tally ---------------------------------------------
 
 
@@ -383,7 +365,7 @@ def _first_majority(n: int, bucklin: bool, rows) -> set[int]:
 
 def _alone_best(rule: VotingRule, n: int, c: int, m: int, w: int):
     """Whether c's maximin or Copeland score, read from row c of the
-    margins biased by n (`_margins`), is above every rival's; stops at the
+    margins biased by n (`tally`), is above every rival's; stops at the
     first rival row that reaches it.  Maximin: c's row minimum, then the
     guards of every field below it, tested row by row.  Copeland with
     alpha = p/q scores q*wins + p*ties, which orders the scores exactly,
@@ -447,18 +429,16 @@ def _reach(order: tuple[int, ...], c: int, r: int) -> list[int]:
     return reach
 
 
-def _bounds(gain, base: int = 0):
+def _bounds(gain, alone, base: int = 0):
     """`bounds(voters)`: the oracle's bound table from each voter's
     (order, rank reach, precedence reach) (`metrics.rank_reach` and
-    `precedence_reach` of its metric and radius).  Entry i is `base` plus
-    the sum of `gain` over voters i.., so entry n is `base`."""
+    `precedence_reach` of its metric and radius), with `alone`, the
+    predicate that cuts on it.  Entry i is `base` plus the sum of `gain`
+    over voters i.., so entry n is `base`."""
 
-    def bounds(voters) -> list[int]:
-        table = [base]
-        for voter in reversed(voters):
-            table.append(table[-1] + gain(*voter))
-        table.reverse()
-        return table
+    def bounds(voters) -> tuple[list[int], object]:
+        gains = [gain(*voter) for voter in reversed(voters)]
+        return list(accumulate(gains, initial=base))[::-1], alone
 
     return bounds
 
@@ -470,33 +450,49 @@ def tally(rule: VotingRule, n: int, m: int, c: int):
     the unique winner of a sum of n of them; `bounds` builds the oracle's
     bound table (`_bounds`) from each voter's optimistic gain over its
     ball: the most c can get in its own fields and the least each rival
-    can be held to everywhere else, without the ball.
+    can be held to everywhere else, without the ball.  It gives the table
+    with the predicate that cuts on it: `alone`, under which c only gains
+    as its entries grow and the rivals' shrink, so no cut leaf could have
+    won; but simplified Bucklin's under Bucklin, which also cuts Bucklin
+    winners that share their level with a rival they out-approve.
 
     - positional rules: scores, field y;
     - Bucklin and simplified Bucklin: top-(k+1) level counts, field
       k*m + y;
-    - maximin and Copeland: pairwise margins biased by n, field x*m + y
-      (`_margins`).  The bound tables' diagonal holds the margin n + 1,
-      above every margin, so that it is never a row's minimum and counts
-      as the same Copeland win in every row.
+    - maximin and Copeland: pairwise margins biased by n, field x*m + y.
+      The bound tables' diagonal holds the margin n + 1, above every
+      margin, so that it is never a row's minimum and counts as the same
+      Copeland win in every row; the width leaves room for it.
     """
     alpha = score_vector(rule, m)
     if alpha is not None:
         a = alpha.alpha
         w = _width(n * a[0])
         table = [[x << w * y for y in range(m)] for x in a[:m - a.count(0)]]
+        top = _alone_top(c, m, w)
 
         def gain(order, rank, precedence):
             # Alpha is non-increasing, so the best place scores the most.
             reach = _reach(order, c, rank)
             return sum(a[j] << w * y for y, j in enumerate(reach))
 
-        return (w, lambda q: sum(map(getitem, table, q)),
-                _alone_top(c, m, w), _bounds(gain))
+        return (w, lambda q: sum(map(getitem, table, q)), top,
+                _bounds(gain, top))
     if rule.tag not in (SBUCKLIN, BUCKLIN):
-        w, contribution = _margins(n, m)
+        w = _width(2 * n + 1)
+        twos = [2 << w * y for y in range(m)]
+        row_at = [w * m * x for x in range(m)]
         diagonal = ones(w * (m + 1), m)
         rest = (1 << w * m * m) - 1 ^ diagonal * ((1 << w) - 1)
+        best = _alone_best(rule, n, c, m, w)
+
+        def contribution(q: tuple[int, ...]) -> int:
+            # 2 where q ranks x above y, 0 below and 1 on the diagonal.
+            total, below = diagonal, 0
+            for x in reversed(q):
+                total += below << row_at[x]
+                below += twos[x]
+            return total
 
         def gain(order, rank, t):
             # Some member ranks x above y iff place[x] - place[y] <= t.  The
@@ -506,16 +502,16 @@ def tally(rule: VotingRule, n: int, m: int, c: int):
             # later.  The diagonal is 1, as in a contribution.
             after = [0] * (m + 1)
             for j in range(m - 1, -1, -1):
-                after[j] = after[j + 1] + (2 << w * order[j])
+                after[j] = after[j + 1] + twos[order[j]]
             rows = [0] * m
             for j, x in enumerate(order):
                 rows[x] = after[min(m, j + t + 1)]
             rows[c] = after[max(0, order.index(c) - t)]
-            total = sum(row << w * m * x for x, row in enumerate(rows))
+            total = sum(map(lshift, rows, row_at))
             return (total & rest) + diagonal
 
-        return (w, contribution, _alone_best(rule, n, c, m, w),
-                _bounds(gain, (n + 1) * diagonal))
+        return (w, contribution, best,
+                _bounds(gain, best, (n + 1) * diagonal))
     w = _width(n)
     span = w * m
     # A unit at (k, y) times `levels` is 1 at (k.., y).
@@ -524,20 +520,27 @@ def tally(rule: VotingRule, n: int, m: int, c: int):
     # (total + lift) & guards holds the guard of every field above n/2.
     lift = ((1 << w - 1) - 1 - n // 2) * ones(w, m * m)
     guards = row_guards * levels
-    top = _alone_top(c, m, w) if rule.tag == BUCKLIN else None
     own = 1 << c * w + w - 1
     units = [[1 << w * (k * m + y) for y in range(m)] for k in range(m)]
 
-    def alone(total: int) -> bool:
-        # The lowest guard set is in the first level with a majority; every
-        # field of a sum of n voters has one at the last level.  There
-        # simplified Bucklin asks for c's guard alone, and Bucklin, whose
-        # greatest count has a majority there, for c's count above the rest.
-        majority = total + lift & guards
-        s = ((majority & -majority).bit_length() - 1) // span * span
-        if top:
-            return top(total >> s & row)
-        return majority >> s & row_guards == own
+    def alone_at_majority(top):
+        def alone(total: int) -> bool:
+            # The lowest guard set is in the first level with a majority;
+            # every field of a sum of n voters has one at the last level.
+            # There simplified Bucklin (no `top`) asks for c's guard alone,
+            # and Bucklin, whose greatest count has a majority there, for
+            # c's count above the rest.
+            majority = total + lift & guards
+            s = ((majority & -majority).bit_length() - 1) // span * span
+            if top:
+                return top(total >> s & row)
+            return majority >> s & row_guards == own
+
+        return alone
+
+    sbucklin = alone_at_majority(None)
+    alone = (alone_at_majority(_alone_top(c, m, w))
+             if rule.tag == BUCKLIN else sbucklin)
 
     def gain(order, rank, precedence):
         # y is within the first k+1 places of every member iff its worst
@@ -546,7 +549,7 @@ def tally(rule: VotingRule, n: int, m: int, c: int):
         return sum([units[j][y] for y, j in enumerate(reach)]) * levels & full
 
     return (w, lambda q: sum(map(getitem, units, q)) * levels & full,
-            alone, _bounds(gain))
+            alone, _bounds(gain, sbucklin))
 
 
 def level_rows(profile: Profile):
@@ -561,17 +564,16 @@ def level_rows(profile: Profile):
 
 
 def weighted_majority_graph(profile: Profile) -> tuple[tuple[int, ...], ...]:
-    """The pairwise margins as rows: [x][y] = #(x above y) - #(y above x)."""
-    n, m = profile.n, profile.m
-    w, contribution = _margins(n, m)
-    total = sum(map(contribution, map(_ORDER, profile.prefs)))
-    span, field = w * m, (1 << w) - 1
-    # Each field is read from its row, not from the whole m*m-field sum.
-    rows = (total >> x & (1 << span) - 1 for x in range(0, span * m, span))
-    return tuple(
-        tuple((row >> s & field) - n for s in range(0, span, w))
-        for row in rows
-    )
+    """The pairwise margins as rows: [x][y] = #(x above y) - #(y above x),
+    counted voter by voter as the alternatives each ranks below each."""
+    m = profile.m
+    below = [[0] * m for _ in range(m)]
+    for order in map(_ORDER, profile.prefs):
+        for j, x in enumerate(order, 1):
+            row = below[x]
+            for y in order[j:]:
+                row[y] += 1
+    return tuple(map(tuple, map(map, [sub] * m, below, zip(*below))))
 
 
 def winners(profile: Profile, rule: VotingRule) -> set[int]:

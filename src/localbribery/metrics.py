@@ -2,17 +2,20 @@
 closed forms for how far a ball reaches.
 
 Each distance first drops the prefix and suffix the two orders share
-elementwise.  Each metric has its own ball generator, used for every m: it
-extends an order position by position, trying only the alternatives that
-fit the remaining budget, and yields the ball lazily in lexicographic
-order; `ball` lists the bare orders, `iter_ball` yields preferences.
-`rank_reach` and `precedence_reach` say, without enumerating a ball, how
-far an alternative's rank can move and which alternative can be put above
-which; the oracle's bounds for every rule are built from them.
+elementwise; the swap distance then counts the inverted pairs of what is
+left by insertion into a sorted list.  Each metric has its own ball
+generator, used for every m: it extends an order position by position,
+trying only the alternatives that fit the remaining budget, and yields the
+ball lazily in lexicographic order; `ball` lists the bare orders,
+`iter_ball` yields preferences.  `rank_reach` and `precedence_reach` say,
+without enumerating a ball, how far an alternative's rank can move and
+which alternative can be put above which; the oracle's bounds for every
+rule are built from them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import islice
 
@@ -63,26 +66,15 @@ def swap_distance(p1: Preference, p2: Preference) -> int:
 
 
 def _inversions(seq: list[int]) -> int:
-    # Merge-sort inversion count; the SAT-reduction instances are large
-    # enough that the quadratic count is too slow.
-    if len(seq) < 2:
-        return 0
-    mid = len(seq) // 2
-    left, right = seq[:mid], seq[mid:]
-    count = _inversions(left) + _inversions(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            count += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    seq[:] = merged
+    """The pairs of `seq` out of order: each entry counts the earlier
+    entries above it in a sorted list of those seen, which it then joins
+    (a C-level move, so a window of thousands costs milliseconds)."""
+    seen: list[int] = []
+    count = 0
+    for x in seq:
+        i = bisect_right(seen, x)
+        count += len(seen) - i
+        seen.insert(i, x)
     return count
 
 

@@ -32,12 +32,9 @@ entered.
   `bound[i]` sums, over voters i.., the target's greatest contribution in
   its own fields and every rival's least everywhere else.  The carried
   sum plus `bound[depth]`, one integer add, is the best case of every
-  leaf below, and a branch is cut when the rule's predicate on it is
-  false.  Every rule but Bucklin only favours the target more as the
-  target's entries grow and the rivals' shrink, so no cut leaf could have
-  won.  Bucklin's bound uses simplified Bucklin's predicate, which also
-  cuts some Bucklin winners: those that share their level with a rival
-  they out-approve.
+  leaf below, and a branch is cut when the predicate that comes with
+  the table is false on it; `core.tally` chooses that predicate for each
+  rule, and says when a cut can lose a winner.
 
 `OracleBudget.max_nodes` counts visited search nodes.  The score classes
 and the bounds leave fewer nodes to visit, so the same limit decides more
@@ -54,12 +51,9 @@ from collections.abc import Iterator
 from operator import itemgetter, methodcaller
 
 from .core import (
-    BUCKLIN,
-    SBUCKLIN,
     Preference,
     Profile,
     Record,
-    VotingRule,
     is_unique_winner,  # unused here; bench/tracing.py names it
     score_vector,
     tally,
@@ -113,14 +107,9 @@ class _Search:
 
         # The rule's tally from core, as closures over plain values: a
         # bound method kept on the search would make it a reference cycle,
-        # which outlives the call until the cyclic collector runs.  Bounds
-        # are decided like leaves, but Bucklin's with simplified Bucklin's
-        # predicate (see the module docstring).
+        # which outlives the call until the cyclic collector runs.
         rule = instance.rule
         _, self.contribution, self.alone, bounds = tally(rule, n, m, c)
-        self.bound_alone = self.alone
-        if rule.tag == BUCKLIN:
-            self.bound_alone = tally(VotingRule(SBUCKLIN), n, m, c)[2]
         class_key = self.contribution if score_vector(rule, m) else None
 
         shapes = {}  # radius, even under footrule -> _shape(...)
@@ -155,8 +144,9 @@ class _Search:
             voters.append((o, rank_reach(instance.metric, radius),
                            precedence_reach(instance.metric, radius)))
         # bound[i] sums the optimistic gains of voters i.., so
-        # state + bound[depth] is the best case of every leaf below.
-        self.bound = bounds(voters)
+        # state + bound[depth] is the best case of every leaf below, and
+        # `bound_alone` is the tally's predicate that cuts on it.
+        self.bound, self.bound_alone = bounds(voters)
 
     # -- search ---------------------------------------------------------------
 

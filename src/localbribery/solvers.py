@@ -488,8 +488,8 @@ def solve_sbucklin_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
         for level in range(1, m)
     )
     # Unpriced, so every witness costs 0 and the first level that works wins.
-    best = _cheapest((0, w) for w in witnesses if w is not None)
-    return _outcome(instance, None if best is None else best[1])
+    found = (w for w in witnesses if w is not None)
+    return _outcome(instance, next(found, None))
 
 
 def _windowed_maxdisp_solve(

@@ -203,13 +203,14 @@ def test_is_unique_winner_equals_literal_reference(seed):
     assert missed > 600  # c among tied co-winners is covered
 
 
-def test_verifier_shares_no_decision_with_the_packed_tally(monkeypatch):
-    # The oracle decides its leaves and bounds with the packed predicates;
-    # the verifier that gates each of its YES answers must not.
+def test_verifier_shares_no_code_with_the_packed_tally(monkeypatch):
+    # The oracle decides its leaves and bounds on packed tallies; the
+    # verifier that gates each of its YES answers must use neither their
+    # predicates nor their layout.
     def refuse(*args):
-        raise AssertionError("the verifier used a packed predicate")
+        raise AssertionError("the verifier used the packed tally")
 
-    for name in ("tally", "_alone_top", "_alone_best"):
+    for name in ("tally", "_alone_top", "_alone_best", "ones", "_width"):
         monkeypatch.setattr(core, name, refuse)
     rng = random.Random(2502)
     alone = 0
