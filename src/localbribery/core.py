@@ -469,22 +469,22 @@ def tally(rule: VotingRule, n: int, m: int, c: int):
         a = alpha.alpha
         w = _width(n * a[0])
         table = [[x << w * y for y in range(m)] for x in a[:m - a.count(0)]]
-        top = _alone_top(c, m, w)
+        alone = _alone_top(c, m, w)
 
         def gain(order, rank, precedence):
             # Alpha is non-increasing, so the best place scores the most.
             reach = _reach(order, c, rank)
             return sum(a[j] << w * y for y, j in enumerate(reach))
 
-        return (w, lambda q: sum(map(getitem, table, q)), top,
-                _bounds(gain, top))
+        return (w, lambda q: sum(map(getitem, table, q)), alone,
+                _bounds(gain, alone))
     if rule.tag not in (SBUCKLIN, BUCKLIN):
         w = _width(2 * n + 1)
         twos = [2 << w * y for y in range(m)]
         row_at = [w * m * x for x in range(m)]
         diagonal = ones(w * (m + 1), m)
         rest = (1 << w * m * m) - 1 ^ diagonal * ((1 << w) - 1)
-        best = _alone_best(rule, n, c, m, w)
+        alone = _alone_best(rule, n, c, m, w)
 
         def contribution(q: tuple[int, ...]) -> int:
             # 2 where q ranks x above y, 0 below and 1 on the diagonal.
@@ -510,8 +510,8 @@ def tally(rule: VotingRule, n: int, m: int, c: int):
             total = sum(map(lshift, rows, row_at))
             return (total & rest) + diagonal
 
-        return (w, contribution, best,
-                _bounds(gain, best, (n + 1) * diagonal))
+        return (w, contribution, alone,
+                _bounds(gain, alone, (n + 1) * diagonal))
     w = _width(n)
     span = w * m
     # A unit at (k, y) times `levels` is 1 at (k.., y).
