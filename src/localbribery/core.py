@@ -10,16 +10,16 @@ Winners are scored by two scorers kept apart.  `winners`, and so
 `is_unique_winner` and the verifier, builds the co-winner set from plain
 lists: scores, level rows counted one level at a time (so no wide profile
 makes an m*m table), or the margin table, counted voter by voter; it uses
-nothing of the oracle's packed layout.  The oracle's scorer is `tally`: one additive tally per rule, held as one
-int of fixed-width fields, so a voter's order contributes one int and
-summing voters is an integer add.  A field is one guard bit wider than
-the largest value a decided sum can take: n*alpha_1 for a positional
-rule, n for a level count, and 2n + 1 for a pairwise margin, which is
-biased by n so that no field is negative.  `tally` owns that layout and
-every rule choice made on it: the predicate "c is the unique winner" of a
-sum, which compares many fields at once with word-parallel arithmetic,
-and `bounds`, which builds the oracle's bound table and gives it with the
-predicate that cuts on it.
+nothing of the oracle's packed layout.  The oracle's scorer is `tally`:
+one additive tally per rule, held as one int of fixed-width fields, so a
+voter's order contributes one int and summing voters is an integer add.
+A field is one guard bit wider than the largest value a decided sum can
+take: n*alpha_1 for a positional rule, n for a level count, and 2n + 1
+for a pairwise margin, which is biased by n so that no field is negative.
+`tally` owns that layout and every rule choice made on it: the predicate
+"c is the unique winner" of a sum, which compares many fields at once
+with word-parallel arithmetic, and `bounds`, which builds the oracle's
+bound table and gives it with the predicate that cuts on it.
 """
 
 from __future__ import annotations
