@@ -196,3 +196,84 @@ def test_deciding_cli_corpus_matches_its_digest(tmp_path, monkeypatch,
             call("oracle", "--instance", name, "--max-ball", "1")
     assert calls == 12 * 3 * 2 * 5 + 12 * 2
     assert h.hexdigest() == DECIDING_DIGEST
+
+
+# -- the polynomial cells -----------------------------------------------------
+
+def _poly_instances():
+    """(name, text) of seeded instance files over every polynomial cell,
+    priced and unpriced, with simplified Bucklin at one alternative and
+    two NP-complete cells that `solve` refuses without `--oracle`."""
+    from conftest import random_instance
+    from localbribery.core import VotingRule
+    from localbribery.ioformat import render_instance
+    from localbribery.metrics import FOOTRULE, MAXDISP, METRICS
+
+    rng = random.Random(2828)
+    small = {FOOTRULE: (0, 1, 2, 3)}
+    cells = [
+        ("plurality", lambda: VotingRule("plurality"), None),
+        ("veto", lambda: VotingRule("veto"), None),
+        ("kapproval",
+         lambda: VotingRule("kapproval", k=rng.randint(1, 3)), (0, 1)),
+        ("sbucklin", lambda: VotingRule("sbucklin"), (0, 1)),
+    ]
+    for tag, rule, radii in cells:
+        for metric in METRICS:
+            deltas = (0, 1, 2, 3) if radii is None else small.get(metric, radii)
+            for j, unpriced in enumerate((False,) * 4 + (True,) * 2):
+                inst = random_instance(
+                    rng, rule(), metric, m_range=(3, 6), n_range=(2, 40),
+                    delta_choices=deltas, price_choices=(0, 1, 2, 3),
+                    budget_range=(0, 16), unpriced_uniform=unpriced,
+                )
+                yield f"{tag}-{metric}-{j}.elb", render_instance(inst)
+    for tag, rule in (
+        ("kapproval", lambda: VotingRule("kapproval", k=rng.randint(1, 3))),
+        ("sbucklin", lambda: VotingRule("sbucklin")),
+    ):
+        for j in range(6):
+            inst = random_instance(
+                rng, rule(), MAXDISP, m_range=(3, 6), n_range=(2, 40),
+                delta_choices=(0, 1, 2, 3), unpriced_uniform=True,
+            )
+            yield f"{tag}-window-{j}.elb", render_instance(inst)
+    for metric, unpriced in ((MAXDISP, True), ("swap", False)):
+        inst = random_instance(
+            rng, VotingRule("sbucklin"), metric, m_range=(1, 1),
+            n_range=(1, 5), delta_choices=(0, 1), unpriced_uniform=unpriced,
+        )
+        yield f"sbucklin-one-{metric}.elb", render_instance(inst)
+    for name, rule, metric, deltas in (
+        ("borda", VotingRule("borda"), "swap", (0, 1)),
+        ("kapproval-wide", VotingRule("kapproval", k=2), "swap", (2,)),
+        ("kapproval-priced", VotingRule("kapproval", k=2), MAXDISP, (2,)),
+    ):
+        inst = random_instance(
+            rng, rule, metric, delta_choices=deltas, price_choices=(1,),
+            budget_range=(1, 3),
+        )
+        yield f"{name}.elb", render_instance(inst)
+
+
+POLY_DIGEST = (
+    "c81d0d8b24ec8d4abddf08fae36adc34c555bb9c9c9629bac04f374b8a5f9c35"
+)
+
+
+def test_poly_cli_corpus_matches_its_digest(tmp_path, monkeypatch, capsys):
+    # dump-flow and solve on every file: the networks each routed solver
+    # builds, and its decision, cost and witness.
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    calls = 0
+    for name, text in _poly_instances():
+        (tmp_path / name).write_text(text)
+        for command in ("dump-flow", "solve"):
+            argv = [command, "--instance", name]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            h.update(repr((argv, code, out, err)).encode())
+            calls += 1
+    assert calls == 2 * (4 * 3 * 6 + 2 * 6 + 2 + 3)
+    assert h.hexdigest() == POLY_DIGEST

@@ -576,3 +576,80 @@ def test_domain_rejections():
                 rng, VotingRule("sbucklin"), SWAP, unpriced_uniform=True
             )
         )
+    with pytest.raises(UnsupportedParameters):
+        solve_sbucklin_small_radius(
+            random_instance(
+                rng, VotingRule("sbucklin"), FOOTRULE, delta_choices=(4,)
+            )
+        )
+
+
+# Each public solver with an instance inside its domain, but of a rule the
+# solver does not decide.
+OTHER_RULE = [
+    (solve_plurality, VotingRule("veto"), SWAP, False),
+    (solve_veto, VotingRule("plurality"), SWAP, False),
+    (solve_kapproval_small_radius, VotingRule("sbucklin"), SWAP, False),
+    (solve_sbucklin_small_radius, VotingRule("kapproval", k=2), SWAP, False),
+    (solve_kapproval_maxdisp, VotingRule("sbucklin"), MAXDISP, True),
+    (solve_sbucklin_maxdisp, VotingRule("kapproval", k=2), MAXDISP, True),
+]
+
+
+@pytest.mark.parametrize(
+    "solver,rule,metric,windowed", OTHER_RULE,
+    ids=[cell[0].__name__ for cell in OTHER_RULE],
+)
+def test_solvers_refuse_another_rule(solver, rule, metric, windowed):
+    rng = random.Random(f"other-rule-{solver.__name__}")
+    inst = random_instance(
+        rng, rule, metric, delta_choices=(0, 1), unpriced_uniform=windowed
+    )
+    with pytest.raises(UnsupportedParameters):
+        solver(inst)
+
+
+def test_solvers_reach_the_traced_bindings(monkeypatch):
+    # The bench's layer tracer wraps these names where `solvers` binds
+    # them.  A solver that reached them through a local alias would leave
+    # the traced guess and flow spans empty, so every solver must call
+    # them through the module, once per guess and once per network.
+    calls = dict.fromkeys(
+        ("_boundary_toggle_solve", "_windowed_maxdisp_solve",
+         "min_cost_flow_with_demands"), 0
+    )
+    for name in calls:
+        def counted(*args, real=getattr(solvers, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    types = [((1, 0, 2, 3), 1, 1), ((2, 1, 0, 3), 1, 2), ((0, 3, 2, 1), 1, 1)]
+    cells = [
+        (solve_plurality, VotingRule("plurality"), "_boundary_toggle_solve"),
+        (solve_veto, VotingRule("veto"), "_boundary_toggle_solve"),
+        (solve_kapproval_small_radius, VotingRule("kapproval", k=2),
+         "_boundary_toggle_solve"),
+        (solve_sbucklin_small_radius, VotingRule("sbucklin"),
+         "_boundary_toggle_solve"),
+        (solve_kapproval_maxdisp, VotingRule("kapproval", k=2),
+         "_windowed_maxdisp_solve"),
+        (solve_sbucklin_maxdisp, VotingRule("sbucklin"),
+         "_windowed_maxdisp_solve"),
+    ]
+    for solver, rule, guess in cells:
+        inst = typed_instance(types, (80, 70, 50), rule, 60)
+        if guess == "_windowed_maxdisp_solve":
+            inst = BriberyInstance(
+                inst.profile, 0, (1,) * inst.n, (0,) * inst.n, 0, rule,
+                MAXDISP,
+            )
+        for name in calls:
+            calls[name] = 0
+        with capture_networks() as nets:
+            solver(inst)
+        assert nets, solver.__name__
+        assert calls[guess] >= len(nets), solver.__name__
+        assert calls["min_cost_flow_with_demands"] == len(nets), (
+            solver.__name__
+        )
