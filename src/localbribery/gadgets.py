@@ -52,11 +52,11 @@ from .core import (
     Profile,
     Record,
     VotingRule,
-    approval_vector,
     borda_vector,
-    is_unique_winner,
+    is_unique_winner,  # unused here; bench/tracing.py names it
     map_distinct,
     positional_scores,
+    score_vector,
     weighted_majority_graph,  # unused here; bench/tracing.py names it
 )
 from .metrics import FOOTRULE, MAXDISP, SWAP
@@ -563,9 +563,10 @@ def _gadget(
     alts: AlternativeSet, prefs: list[Preference], rule: VotingRule,
     metric: str, delta: int, padding: int,
     prices: tuple[int, ...] | None = None, budget: int = 0,
-) -> GadgetInstance:
+) -> tuple[GadgetInstance, list[int]]:
     """The gadget over ``prefs`` with target c (alternative 0), radius
-    ``delta`` for every voter, and price 0 unless ``prices`` are given;
+    ``delta`` for every voter, and price 0 unless ``prices`` are given,
+    with its profile's scores under the positional ``rule``, scored once;
     the target must not already win alone."""
     profile = Profile(alts, tuple(prefs))
     nv = len(prefs)
@@ -574,10 +575,12 @@ def _gadget(
         prices=(0,) * nv if prices is None else prices, budget=budget,
         rule=rule, metric=metric,
     )
-    assert not is_unique_winner(profile, rule, 0)
-    return GadgetInstance(
+    scores = positional_scores(profile, score_vector(rule, alts.m))
+    assert max(scores[1:]) >= scores[0]
+    gadget = GadgetInstance(
         kind, instance, sat, source, tuple(names.symbols), padding
     )
+    return gadget, scores
 
 
 # --- k-approval / swap -----------------------------------------------------
@@ -669,12 +672,11 @@ def gen_kapproval_swap_gadget(
     for j in range(1, m // 2 + 1):  # y-pairing block
         block([U, y_alt[2 * j - 1], y_alt[2 * j], d_alt[1]], pad)
 
-    g = _gadget(
+    g, scores = _gadget(
         KIND_KAPP_SWAP, sat, source, names, alts, prefs,
         VotingRule(KAPPROVAL, k=2), SWAP, delta=2, padding=pad,
     )
     # Before bribery the pairing-block alternative dominates everything.
-    scores = positional_scores(g.instance.profile, approval_vector(total, 2))
     assert scores[U] == max(scores) and scores[C] < scores[U]
     return g
 
@@ -728,7 +730,6 @@ def gen_kapproval_maxdisp_priced_gadget(
     alts = AlternativeSet(
         tuple(names.names) + tuple(f"f{i}" for i in range(fsize))
     )
-    total = alts.m
     pool = _FillerPool(fsize, KIND_KAPP_MAXDISP, num_named)
 
     def build(head: list) -> Preference:
@@ -754,12 +755,11 @@ def gen_kapproval_maxdisp_priced_gadget(
     for j in range(1, m + 1):  # P2: seven copies per clause alternative
         prefs += (build([y_alt[j], "F"]) for _ in range(7))
 
-    g = _gadget(
+    g, scores = _gadget(
         KIND_KAPP_MAXDISP, sat, source, names, alts, prefs,
         VotingRule(KAPPROVAL, k=k), MAXDISP, delta=2, padding=fsize,
         prices=(1,) * n1 + (10 * m * n,) * (len(prefs) - n1), budget=n + m,
     )
-    scores = positional_scores(g.instance.profile, approval_vector(total, k))
     assert scores[0] == 10
     for i in range(1, n + 1):
         for lit in (i, -i):
@@ -888,12 +888,11 @@ def gen_borda_gadget(
                 pool.deep_cursor = pair[0]
             prefs.extend(pair[1])
 
-    g = _gadget(
+    g, scores = _gadget(
         KIND_BORDA, sat, source, names, alts, prefs,
         VotingRule(BORDA), metric, delta=2 if metric == FOOTRULE else 1,
         padding=fsize,
     )
-    scores = positional_scores(g.instance.profile, borda_vector(total))
     z_scores = {scores[a] for a in z_alt.values()}
     y_scores = {scores[a] for a in y_alt.values()}
     a_scores = {scores[a] for a in a_alt.values()}

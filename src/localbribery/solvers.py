@@ -9,20 +9,20 @@ passes through the independent witness verifier before being returned.
 
 Plurality, veto and the two small-radius solvers all choose, for each
 voter, which reachable alternative sits at the scoring end of its order:
-first place, last place, or position k.  Each guesses the target's final
-score (simplified Bucklin a level too) and tries every guess through one
-function, `_boundary_toggle_solve`, which solves one flow on one network,
-`_move_flow`: a circulation on the alternatives that carries only the
-moves.  Voters that the network cannot tell apart form one class, keyed
-(current, options, price), so network size follows the number of voter
-types rather than the number of voters.  A class with one paid option is
-one edge; only a class with two or more gets a node.  A class's flow is
-dealt back to its voters in index order, which keeps witnesses
-deterministic.  `_cheapest` keeps the cheapest witness; the guesses run
-only over what cheap counts of the profile leave open, and a cost-0 guess
-ends the loop.  The two max-displacement solvers share a windowed flow
-with demands, in which a voter fills several top-k slots and the target
-competes for them like every other alternative.
+first place, last place, or position k.  Each gives its boundaries (a
+scoring end and the counts held there now; simplified Bucklin one per
+level, as the loop reaches it) and the guess bands of the target's final
+count to try there, and one loop, `_boundary_solve`, tries every guess
+through `_boundary_toggle_solve`: one min-cost circulation on the
+alternatives that carries only the moves.  Voters that the network cannot
+tell apart form one class, keyed (current, options, price), so network
+size follows the number of voter types rather than the number of voters,
+and a class's flow is dealt back to its voters in index order, which
+keeps witnesses deterministic.  `_cheapest` keeps the first cheapest
+witness, and a cost-0 guess ends the loop.  The two max-displacement
+solvers share a windowed flow with demands, in which a voter fills
+several top-k slots and the target competes for them like every other
+alternative.
 
 Before its network is built, each guess passes a count screen: a
 node-balance condition that every feasible flow within budget meets.
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Iterator
+from functools import partial
 from itertools import accumulate
 
 from .core import (
@@ -65,6 +66,8 @@ from .problem import BriberyInstance, BriberyOutcome, verified_yes
 VoterClass = tuple[Hashable, list[int]]
 # A voter and the alternative it moves to the scoring end of its order.
 Move = tuple[int, int]
+# The least and the most an alternative may hold at the scoring end.
+Band = tuple[int, int]
 
 # The largest radius at which every voter's ball changes k-approval and
 # simplified Bucklin scores by at most one adjacent exchange: footrule
@@ -78,11 +81,9 @@ class UnsupportedParameters(Exception):
 
 def _refusal(instance: BriberyInstance, windowed: bool) -> str | None:
     """Why the k-approval and simplified Bucklin solvers of one kind cannot
-    take `instance`, or None when they can.
-
-    The windowed solvers need unpriced, uniform-radius max displacement;
-    the small-radius ones need every radius within `SMALL_RADIUS`.
-    """
+    take `instance`, or None when they can: the windowed ones need unpriced
+    uniform-radius max displacement, the small-radius ones every radius
+    within `SMALL_RADIUS`."""
     metric, tag = instance.metric, instance.rule.tag
     if windowed:
         if metric == MAXDISP and instance.is_unpriced_uniform():
@@ -95,8 +96,14 @@ def _refusal(instance: BriberyInstance, windowed: bool) -> str | None:
     return f"{cell.format(tag, metric)} is NP-complete for radius > {limit}"
 
 
-def _check_domain(instance: BriberyInstance, windowed: bool) -> None:
-    reason = _refusal(instance, windowed)
+def _check_domain(
+    instance: BriberyInstance, tag: str, windowed: bool | None = None
+) -> None:
+    """Refuse `instance` unless its rule is `tag` and, when `windowed` is
+    given, `_refusal` of that kind lets it through."""
+    if instance.rule.tag != tag:
+        raise UnsupportedParameters(f"this solver requires the {tag} rule")
+    reason = None if windowed is None else _refusal(instance, windowed)
     if reason is not None:
         raise UnsupportedParameters(reason)
 
@@ -181,13 +188,10 @@ def _sheds_fit(spends: list[list[int]], needs: Iterable[int], budget: int) -> bo
 
 
 def _cheapest(attempts: Iterable[tuple | None]) -> tuple | None:
-    """The first attempt of least cost, skipping None.
-
-    An attempt is a guess that worked: a tuple whose first item is its
-    cost.  Costs are non-negative and earlier attempts win ties, so the scan
-    stops at the first attempt of cost 0; `attempts` is consumed lazily,
-    so the guesses after it are never tried.
-    """
+    """The first attempt of least cost, skipping None.  An attempt is a
+    guess that worked: a tuple whose first item is its cost.  Costs are
+    non-negative, so the lazy scan stops at the first attempt of cost 0,
+    and the guesses after it are never tried."""
     best = None
     for got in attempts:
         if got is not None and (best is None or got[0] < best[0]):
@@ -213,53 +217,6 @@ def _move_to(profile: Profile, moves: Iterable[Move], pos: int) -> Profile:
         order.insert(pos, a)
         prefs[i] = Preference.trusted(tuple(order))
     return Profile(profile.alternatives, tuple(prefs))
-
-
-def _move_flow(
-    instance: BriberyInstance,
-    held: list[int],
-    classes: list[VoterClass],
-    bounds: list[tuple[int, int]],
-) -> tuple[int, list[Move]] | None:
-    """The cheapest moves that take every alternative's score at the
-    scoring end from `held` into `bounds`, within budget.
-
-    A class keyed (current, options, price) moves up to one unit per voter
-    from `current` to an alternative of `options`, at `price`: the
-    alternative moved takes `current`'s place and its point.  Nodes are
-    the super source 0, the super sink 1, the alternatives, and one node
-    per class with two or more paid options.  Alternative a's gain edge
-    a->1 and loss edge 0->a carry what it ends up with beyond `held[a]`
-    and short of it, bounded so that it ends within `bounds[a]`; a closing
-    edge 1->0 makes the flow a circulation.  Returns the cost and the moves
-    of the cheapest circulation, each class's moves on its lowest-indexed
-    voters, or None when none fits the budget.
-    """
-    m = instance.m
-    net = FlowNetwork(
-        2 + m + sum(len(paid) > 1 for (_, paid, _), _ in classes), 0, 1
-    )
-    node = 2 + m
-    move_edges = []
-    for (current, paid, price), members in classes:
-        size = len(members)
-        via, cost = 2 + current, price
-        if len(paid) > 1:
-            net.add_edge(via, node, 0, size, price)
-            via, cost, node = node, 0, node + 1
-        move_edges.append(
-            [(net.add_edge(via, 2 + a, 0, size, cost), a) for a in paid]
-        )
-    for a, ((lo, hi), h) in enumerate(zip(bounds, held)):
-        if hi > h:
-            net.add_edge(2 + a, 1, max(0, lo - h), hi - h, 0)
-        if h > lo:
-            net.add_edge(0, 2 + a, max(0, h - hi), h - lo, 0)
-    net.add_edge(1, 0, 0, instance.n, 0)
-    res = min_cost_flow_with_demands(net, 0)
-    if not res.feasible or res.total_cost > instance.budget:
-        return None
-    return res.total_cost, list(_deal(classes, move_edges, res.edge_flow))
 
 
 def _movers(instance: BriberyInstance) -> list[tuple[int, int]]:
@@ -302,152 +259,172 @@ def _boundary_toggle_solve(
     held: list[int],
     classes: list[VoterClass],
     sheds: list[list[int]],
-    target: tuple[int, int],
-    rival: tuple[int, int],
+    target: Band,
+    rival: Band,
 ) -> tuple[int, list[Move]] | None:
-    """One guess: `_move_flow` from `held` into the bounds `target` for
-    the target and `rival` for every other alternative, once the rivals
-    pass a count screen.
+    """One guess: the cost and moves of the cheapest circulation that
+    takes the target's count at the scoring end from `held` into the band
+    `target` and every rival's into `rival`, within budget, or None.
 
-    Rivals under their band gain the shortfall through distinct voters
-    able to bring one of them in, pooled.  Otherwise, every rival over its
-    band sheds the excess through distinct voters that hold it now, whose
-    least totals are `sheds` (see `_shed_spends`).  One voter may both
-    take a point from one rival and bring in another, so the two screens
-    do not add up; the bands in use never need both.  When the cheapest
-    such voters overrun the budget, no network is built.  The guess range
-    keeps the target within reach.
+    A count screen comes first.  Rivals under their band gain the
+    shortfall through distinct voters able to bring one of them in, pooled;
+    otherwise rivals over it shed the excess through distinct voters that
+    hold them now, whose least totals are `sheds`.  One voter may do both,
+    so the screens do not add up, but no bands in use need both; the guess
+    range keeps the target within reach.  Then a class keyed (current,
+    options, price) moves up to one unit per voter from `current` to an
+    option at `price`, through a node of its own when it has two or more
+    options.  Alternative a's gain edge to the super sink 1 and loss edge
+    from the super source 0 carry what it ends with beyond `held[a]` and
+    short of it, within its band; an edge 1->0 closes the circulation.
     """
-    c = instance.target
-    lo, hi = rival
-    short = {y for y, h in enumerate(held) if h < lo and y != c}
+    c, m = instance.target, instance.m
+    short = {y for y, h in enumerate(held) if h < rival[0] and y != c}
     if short:
         spends = [_gain_spends(classes, short)]
-        needs = [sum(lo - held[y] for y in short)]
+        needs = [sum(rival[0] - held[y] for y in short)]
     else:
         spends = sheds
-        needs = [0 if y == c else h - hi for y, h in enumerate(held)]
+        needs = [0 if y == c else h - rival[1] for y, h in enumerate(held)]
     if not _sheds_fit(spends, needs, instance.budget):
         return None
-    bounds = [rival] * instance.m
-    bounds[c] = target
-    return _move_flow(instance, held, classes, bounds)
+
+    net = FlowNetwork(
+        2 + m + sum(len(paid) > 1 for (_, paid, _), _ in classes), 0, 1
+    )
+    node = 2 + m
+    move_edges = []
+    for (current, paid, price), members in classes:
+        size = len(members)
+        via, cost = 2 + current, price
+        if len(paid) > 1:
+            net.add_edge(via, node, 0, size, price)
+            via, cost, node = node, 0, node + 1
+        move_edges.append(
+            [(net.add_edge(via, 2 + a, 0, size, cost), a) for a in paid]
+        )
+    for a, h in enumerate(held):
+        lo, hi = target if a == c else rival
+        if hi > h:
+            net.add_edge(2 + a, 1, max(0, lo - h), hi - h, 0)
+        if h > lo:
+            net.add_edge(0, 2 + a, max(0, h - hi), h - lo, 0)
+    net.add_edge(1, 0, 0, instance.n, 0)
+    res = min_cost_flow_with_demands(net, 0)
+    if not res.feasible or res.total_cost > instance.budget:
+        return None
+    return res.total_cost, list(_deal(classes, move_edges, res.edge_flow))
 
 
-def _boundary_guesses(
-    instance: BriberyInstance,
-    held: list[int],
-    classes: list[VoterClass],
-    floor: int,
-    rival_cap: int | None = None,
-) -> Iterator[tuple[int, list[Move]] | None]:
-    """Lazily, `_boundary_toggle_solve` for every guess of the target's
-    final score at a boundary where the scores are `held` now, from `floor`
-    (or the target's score now, if higher) up to what the budget can buy
-    it.  Rivals are capped at `rival_cap`, or one below the guess when it
-    is None.
+def _boundary_solve(
+    instance: BriberyInstance, boundaries: Iterable[tuple]
+) -> BriberyOutcome:
+    """The verified cheapest witness over every guess at every boundary,
+    or NO.  A boundary is (pos, held, bands): a position at the scoring end
+    (-1 for the last place), the counts held there now, and a function
+    bands(instance, held, classes, sheds) giving, in guess order, the
+    (target, rival) bands to try there.  Boundaries are built as the loop
+    reaches them, and a cost-0 guess ends it (`_cheapest`).  With one
+    alternative there is nothing to move, and the target wins unbribed."""
+    m = instance.m
+    if m == 1:
+        return _outcome(instance, instance.profile)
+    movers = _movers(instance)
+
+    def attempts() -> Iterator[tuple[int, list[Move], int] | None]:
+        for pos, held, bands in boundaries:
+            classes = _end_classes(instance, pos, movers)
+            sheds = _shed_spends(m, classes)
+            for target, rival in bands(instance, held, classes, sheds):
+                got = _boundary_toggle_solve(
+                    instance, held, classes, sheds, target, rival
+                )
+                yield None if got is None else (*got, pos)
+
+    best = _cheapest(attempts())
+    # Veto's -1 becomes m - 1: list.insert(-1, a) would put a before the
+    # last place.
+    return _outcome(
+        instance,
+        None if best is None
+        else _move_to(instance.profile, best[1], best[2] % m),
+    )
+
+
+def _exact_bands(
+    floor: int, cap: int | None, instance: BriberyInstance, held: list[int],
+    classes: list[VoterClass], sheds: list[list[int]],
+) -> Iterator[tuple[Band, Band]]:
+    """The guesses that the target ends with exactly g points, from `floor`
+    (or its count now, if higher) up to what the budget can buy it, and
+    every rival with at most `cap`, or g - 1 when `cap` is None.
 
     Small-radius k-approval and simplified Bucklin take this form because
-    at radius 1 the only change that moves level-k scores is exchanging
-    the alternatives at positions k and k+1; any other radius-1 change can
-    be dropped without raising cost or altering level-k scores.
+    at radius 1 only the exchange of positions k and k+1 moves level-k
+    scores; any other radius-1 change can be dropped at no loss.
     """
     c = instance.target
-    sheds = _shed_spends(instance.m, classes)
     # The target gains only through voters that can bring it in, paid for.
     gains = _gain_spends(classes, {c})
     top = held[c] + bisect_right(gains, instance.budget) - 1
-    for guess in range(max(floor, held[c]), top + 1):
-        cap = guess - 1 if rival_cap is None else rival_cap
-        yield _boundary_toggle_solve(
-            instance, held, classes, sheds, (guess, guess), (0, cap)
-        )
+    for g in range(max(floor, held[c]), top + 1):
+        yield (g, g), (0, g - 1 if cap is None else cap)
+
+
+def _veto_bands(
+    instance: BriberyInstance, held: list[int], classes: list[VoterClass],
+    sheds: list[list[int]],
+) -> Iterator[tuple[Band, Band]]:
+    """The guesses that the target ends with at most g vetoes and every
+    rival with more.  A voter vetoing the target keeps doing so unless it
+    is paid to veto another alternative, and (m-1)(g+1) <= n caps g."""
+    n, c = instance.n, instance.target
+    forced = held[c] + 1 - bisect_right(sheds[c], instance.budget)
+    for g in range(forced, n // (instance.m - 1)):
+        yield (0, g), (g + 1, n)
 
 
 def _approval_solve(instance: BriberyInstance, k: int) -> BriberyOutcome:
     """Shared body of plurality (k = 1) and small-radius k-approval: guess
     the target's final score, at least 1, cap every rival one below it."""
     held = positional_scores(instance.profile, approval_vector(instance.m, k))
-    classes = _end_classes(instance, k - 1, _movers(instance))
-    best = _cheapest(_boundary_guesses(instance, held, classes, 1))
-    return _outcome(
-        instance,
-        None if best is None else _move_to(instance.profile, best[1], k - 1),
-    )
+    return _boundary_solve(instance, [(k - 1, held, partial(_exact_bands, 1, None))])
 
 
 def solve_plurality(instance: BriberyInstance) -> BriberyOutcome:
     """Guess the target's final plurality score, solve a min-cost flow.
     A voter may move any alternative of its top window to the top."""
-    if instance.rule.tag != PLURALITY:
-        raise UnsupportedParameters("solve_plurality requires the plurality rule")
+    _check_domain(instance, PLURALITY)
     return _approval_solve(instance, 1)
 
 
 def solve_veto(instance: BriberyInstance) -> BriberyOutcome:
     """Guess the target's final veto count; a voter may move any
     alternative of its bottom window to the last place."""
-    if instance.rule.tag != VETO:
-        raise UnsupportedParameters("solve_veto requires the veto rule")
-    profile, c = instance.profile, instance.target
-    n, m = instance.n, instance.m
-    classes = _end_classes(instance, -1, _movers(instance))
-    vetoes = [0] * m
-    for pref in profile.prefs:
+    _check_domain(instance, VETO)
+    vetoes = [0] * instance.m
+    for pref in instance.profile.prefs:
         vetoes[pref.order[-1]] += 1
-    sheds = _shed_spends(m, classes)
-    # A voter vetoing the target keeps doing so unless it is paid to veto
-    # another alternative.  Every rival needs more vetoes than the target,
-    # so (m-1)(guess+1) <= n caps the guess.
-    forced = vetoes[c] + 1 - bisect_right(sheds[c], instance.budget)
-    best = _cheapest(
-        _boundary_toggle_solve(instance, vetoes, classes, sheds, (0, g), (g + 1, n))
-        for g in range(forced, n // (m - 1))
-    )
-    return _outcome(
-        instance, None if best is None else _move_to(profile, best[1], m - 1)
-    )
+    return _boundary_solve(instance, [(-1, vetoes, _veto_bands)])
 
 
 def solve_kapproval_small_radius(instance: BriberyInstance) -> BriberyOutcome:
-    if instance.rule.tag != KAPPROVAL:
-        raise UnsupportedParameters("this solver requires the k-approval rule")
-    _check_domain(instance, windowed=False)
+    _check_domain(instance, KAPPROVAL, windowed=False)
     return _approval_solve(instance, instance.rule.k)
 
 
 def solve_sbucklin_small_radius(instance: BriberyInstance) -> BriberyOutcome:
-    """Guess the level at which the target reaches a strict majority while
-    every rival stays at or below half."""
-    if instance.rule.tag != SBUCKLIN:
-        raise UnsupportedParameters("this solver requires simplified Bucklin")
-    _check_domain(instance, windowed=False)
-    n, m = instance.n, instance.m
-    if m == 1:
-        return _outcome(instance, instance.profile)
-    majority = n // 2 + 1
-
-    # Guess the level at which the target holds a strict majority while
-    # every rival stays at or below half; counts are monotone in the level,
-    # so capping rivals at the guessed level also covers all lower levels.
-    # The target's exact final count is swept too, because a toggle that
-    # raises the target also lowers the rival at the boundary.  Each level's
-    # counts are copied from `level_rows`, which updates one list in place.
-    movers = _movers(instance)
-
-    def attempts() -> Iterator[tuple[int, list[Move], int] | None]:
-        for level, counts in zip(range(1, m), level_rows(instance.profile)):
-            for got in _boundary_guesses(
-                instance, counts.copy(),
-                _end_classes(instance, level - 1, movers),
-                majority, majority - 1,
-            ):
-                yield None if got is None else (*got, level)
-
-    best = _cheapest(attempts())
-    return _outcome(
-        instance,
-        None if best is None else _move_to(instance.profile, best[1], best[2] - 1),
+    """Guess the level at which the target holds a strict majority while
+    every rival stays at or below half (counts are monotone in the level),
+    and the target's exact count there, since a toggle that raises the
+    target also lowers the rival at the boundary.  Each level's row is
+    copied from `level_rows`, which updates one list in place."""
+    _check_domain(instance, SBUCKLIN, windowed=False)
+    majority = instance.n // 2 + 1
+    bands = partial(_exact_bands, majority, majority - 1)
+    rows = zip(range(instance.m - 1), level_rows(instance.profile))
+    return _boundary_solve(
+        instance, ((pos, counts.copy(), bands) for pos, counts in rows)
     )
 
 
@@ -459,9 +436,7 @@ def solve_kapproval_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
     the windowed flow then decides which window alternatives fill the
     remaining top-k slots so no rival's final score reaches the target's.
     """
-    if instance.rule.tag != KAPPROVAL:
-        raise UnsupportedParameters("this solver requires the k-approval rule")
-    _check_domain(instance, windowed=True)
+    _check_domain(instance, KAPPROVAL, windowed=True)
     k, c, delta = instance.rule.k, instance.target, instance.deltas[0]
     reach = sum(1 for pref in instance.profile.prefs if c in pref.order[: k + delta])
     return _outcome(instance, _windowed_maxdisp_solve(instance, k, reach, reach - 1))
@@ -477,9 +452,7 @@ def solve_sbucklin_maxdisp(instance: BriberyInstance) -> BriberyOutcome:
     target maximally left first (as one might expect) can block a rival's
     only exit slot, so the target is placed by the flow like everyone else.
     """
-    if instance.rule.tag != SBUCKLIN:
-        raise UnsupportedParameters("this solver requires simplified Bucklin")
-    _check_domain(instance, windowed=True)
+    _check_domain(instance, SBUCKLIN, windowed=True)
     n, m = instance.n, instance.m
     if m == 1:
         return _outcome(instance, instance.profile)
