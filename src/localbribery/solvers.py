@@ -4,8 +4,8 @@ Covers: plurality and veto with prices under all three metrics,
 k-approval and simplified Bucklin with prices at small radius, and the
 unpriced uniform-radius max-displacement algorithms for k-approval and
 simplified Bucklin.  `route_poly_solver` picks an instance's solver, and
-the solvers guard their domain through the same `_refusal`.  Every YES
-passes through the independent witness verifier before being returned.
+each solver's one guard, `_check_domain`, reads the same `_refusal`.
+Every YES passes the independent witness verifier before it is returned.
 
 Plurality, veto and the two small-radius solvers all choose, for each
 voter, which reachable alternative sits at the scoring end of its order:

@@ -549,6 +549,18 @@ def test_top_window_values():
     assert top_window(4, FOOTRULE) == 3
 
 
+# Each public solver with an instance inside its domain, but of a rule the
+# solver does not decide.
+OTHER_RULE = [
+    (solve_plurality, VotingRule("veto"), SWAP, False),
+    (solve_veto, VotingRule("plurality"), SWAP, False),
+    (solve_kapproval_small_radius, VotingRule("sbucklin"), SWAP, False),
+    (solve_sbucklin_small_radius, VotingRule("kapproval", k=2), SWAP, False),
+    (solve_kapproval_maxdisp, VotingRule("sbucklin"), MAXDISP, True),
+    (solve_sbucklin_maxdisp, VotingRule("kapproval", k=2), MAXDISP, True),
+]
+
+
 def test_domain_rejections():
     rng = random.Random(17)
     swap2 = random_instance(
@@ -582,31 +594,12 @@ def test_domain_rejections():
                 rng, VotingRule("sbucklin"), FOOTRULE, delta_choices=(4,)
             )
         )
-
-
-# Each public solver with an instance inside its domain, but of a rule the
-# solver does not decide.
-OTHER_RULE = [
-    (solve_plurality, VotingRule("veto"), SWAP, False),
-    (solve_veto, VotingRule("plurality"), SWAP, False),
-    (solve_kapproval_small_radius, VotingRule("sbucklin"), SWAP, False),
-    (solve_sbucklin_small_radius, VotingRule("kapproval", k=2), SWAP, False),
-    (solve_kapproval_maxdisp, VotingRule("sbucklin"), MAXDISP, True),
-    (solve_sbucklin_maxdisp, VotingRule("kapproval", k=2), MAXDISP, True),
-]
-
-
-@pytest.mark.parametrize(
-    "solver,rule,metric,windowed", OTHER_RULE,
-    ids=[cell[0].__name__ for cell in OTHER_RULE],
-)
-def test_solvers_refuse_another_rule(solver, rule, metric, windowed):
-    rng = random.Random(f"other-rule-{solver.__name__}")
-    inst = random_instance(
-        rng, rule, metric, delta_choices=(0, 1), unpriced_uniform=windowed
-    )
-    with pytest.raises(UnsupportedParameters):
-        solver(inst)
+    for solver, rule, metric, windowed in OTHER_RULE:
+        inst = random_instance(
+            rng, rule, metric, delta_choices=(0, 1), unpriced_uniform=windowed
+        )
+        with pytest.raises(UnsupportedParameters):
+            solver(inst)
 
 
 def test_solvers_reach_the_traced_bindings(monkeypatch):
