@@ -323,8 +323,8 @@ def _boundary_solve(
     or NO.  A boundary is (pos, held, bands): a position at the scoring end
     (-1 for the last place), the counts held there now, and a function
     bands(instance, held, classes, sheds) giving, in guess order, the
-    (target, rival) bands to try there.  Boundaries are built as the loop
-    reaches them, and a cost-0 guess ends it (`_cheapest`).  With one
+    (target, rival) bands to try there.  `boundaries` is read as the loop
+    reaches each one, and a cost-0 guess ends it (`_cheapest`).  With one
     alternative there is nothing to move, and the target wins unbribed."""
     m = instance.m
     if m == 1:
