@@ -110,7 +110,8 @@ class _Search:
         # which outlives the call until the cyclic collector runs.
         rule = instance.rule
         _, self.contribution, self.alone, bounds = tally(rule, n, m, c)
-        class_key = self.contribution if score_vector(rule, m) else None
+        vector = score_vector(rule, m)
+        alpha = vector.alpha if vector else None
 
         shapes = {}  # radius, even under footrule -> _shape(...)
         voters = []
@@ -127,7 +128,7 @@ class _Search:
             key = radius - radius % 2 if instance.metric == FOOTRULE else radius
             if key not in shapes:
                 shapes[key] = _shape(
-                    instance.metric, m, key, limits.max_ball, class_key
+                    instance.metric, m, key, limits.max_ball, alpha
                 )
             free, priced = shapes[key]
             o = pref.order
@@ -217,29 +218,52 @@ class _Search:
             self.nodes, self.cap = nodes, cap
 
 
-def _shape(metric: str, m: int, radius: int, cap: int, class_key=None):
+# Ball shapes kept for the rest of the process, by (metric, m, radius,
+# score vector): each entry is (member count, free classes, priced
+# classes), and holds only ints, lists and itemgetters.  The entries hold
+# at most `_KEPT` members in all; a larger shape is built for its search
+# and not kept, and a shape that would overflow the table clears it.
+_SHAPES: dict[tuple, tuple[int, list, list]] = {}
+_KEPT = OracleBudget.max_ball
+
+
+def _shape(metric: str, m: int, radius: int, cap: int, alpha=None):
     """The ball of radius `radius` around the identity order, as classes
     of relabeling functions: member s relabeled through an order o is
-    o[s[0]], o[s[1]], ...  Two members are in one class when `class_key`
-    gives them the same value; without a key every class is one member.
+    o[s[0]], o[s[1]], ...  Given the score vector `alpha`, two members are
+    in one class when they give every alternative the same score; without
+    one every class is one member.
 
     Returns the classes for a free voter and for a priced one, in whose
     ball the identity (the voter's own order, at no price) is a class of
     its own.  The identity is the ball's least member, so the first class
-    holds it."""
+    holds it.  A shape is built once per process (see `_SHAPES`); one
+    larger than `cap` raises `metrics.BallTooLarge`, kept or not."""
+    key = (metric, m, radius, alpha)
+    shape = _SHAPES.get(key)
+    if shape is not None and shape[0] <= cap:
+        return shape[1:]
+    # Enumerated again when kept but over this cap, so that it raises as a
+    # cold search does.
     members = ball(Preference(tuple(range(m))), metric, radius, cap)
     # One index makes itemgetter return the item, not a tuple; with m = 1
     # the ball is the identity alone.
     getters = [itemgetter(*s) for s in members] if m > 1 else [tuple]
-    if class_key is None:
-        free = [[g] for g in getters]
-        return free, free
-    classes: dict[tuple, list] = {}
-    for s, g in zip(members, getters):
-        classes.setdefault(class_key(s), []).append(g)
-    free = list(classes.values())
-    own, *rest = free[0]
-    return free, [[own]] + ([rest] if rest else []) + free[1:]
+    if alpha is None:
+        free = priced = [[g] for g in getters]
+    else:
+        classes: dict[tuple, list] = {}
+        for s, g in zip(members, getters):
+            classes.setdefault(tuple(sorted(zip(s, alpha))), []).append(g)
+        free = list(classes.values())
+        own, *rest = free[0]
+        priced = [[own]] + ([rest] if rest else []) + free[1:]
+    count = len(members)
+    if count <= _KEPT:
+        if count + sum(e[0] for e in _SHAPES.values()) > _KEPT:
+            _SHAPES.clear()
+        _SHAPES[key] = (count, free, priced)
+    return free, priced
 
 
 def _relabel(classes, order: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -22,13 +22,18 @@ print(json.dumps(loaded))
 """
 
 
-def _loaded_after(calls, tmp_path) -> list:
+def _probe(source: str, tmp_path):
+    """The JSON value a fresh interpreter prints last after `source`."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE.format(heavy=HEAVY, calls=calls)],
+        [sys.executable, "-S", "-c", source],
         env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _loaded_after(calls, tmp_path) -> list:
+    return _probe(PROBE.format(heavy=HEAVY, calls=calls), tmp_path)
 
 
 def _instance(tmp_path, rule: str) -> str:
@@ -55,3 +60,17 @@ def test_only_copeland_loads_fractions(tmp_path):
         tmp_path,
     )
     assert loaded == [[], [], ["fractions"]]
+
+
+def test_cli_import_builds_no_ball_shape(tmp_path):
+    # The oracle's table of ball shapes fills only as searches run, so an
+    # import does no work for it; an oracle call then keeps its shapes.
+    name = _instance(tmp_path, "borda")
+    sizes = _probe(
+        "import json, localbribery.cli as cli, localbribery.oracle as o\n"
+        "sizes = [len(o._SHAPES)]\n"
+        f"cli.main(['oracle', '--instance', {name!r}])\n"
+        "print(json.dumps(sizes + [len(o._SHAPES)]))\n",
+        tmp_path,
+    )
+    assert sizes == [0, 2]  # radii 0 and 1

@@ -1,5 +1,6 @@
 """Exhaustive solver: invariances, monotonicity, pruning, limits."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -20,11 +22,12 @@ from localbribery.core import (
     tally,
 )
 from localbribery import oracle
-from localbribery.metrics import METRICS, ball
+from localbribery.metrics import METRICS, BallTooLarge, ball
 from localbribery.oracle import (
     OracleBudget,
     ResourceExceeded,
     _Search,
+    _relabel,
     solve_exhaustive,
 )
 from localbribery.problem import BriberyInstance, check_witness
@@ -290,26 +293,50 @@ def test_time_limit_raises_while_setting_up(monkeypatch):
     assert info.value.which == "time"
 
 
+def _held(value):
+    # Every object inside a kept shape, containers opened.
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held(item)
+    else:
+        yield value
+
+
 @pytest.mark.parametrize("max_nodes", [10**6, 50], ids=["done", "stopped"])
 @pytest.mark.parametrize("tag", ["borda", "kapproval", "maximin", "copeland",
                                  "bucklin", "sbucklin"])
-def test_search_is_freed_without_the_cyclic_collector(tag, max_nodes):
+def test_search_is_freed_without_the_cyclic_collector(tag, max_nodes,
+                                                      monkeypatch):
     # The search keeps closures over plain values, never its own bound
-    # methods, so dropping the last reference frees it at once.
+    # methods, so dropping the last reference frees it at once: also the
+    # second search, which takes its ball shape from the process's table.
+    # The table keeps counts, lists and itemgetters, never a search, a
+    # closure or a tally.
+    monkeypatch.setattr(oracle, "_SHAPES", {})
+    first = None
     gc.disable()
     try:
-        search = _Search(_long_search(tag), OracleBudget(max_nodes=max_nodes))
-        freed = weakref.ref(search)
-        try:
-            search.run()
-            stopped = False
-        except ResourceExceeded:
-            stopped = True
-        assert stopped == (max_nodes == 50)
-        del search
-        assert freed() is None
+        for _ in range(2):
+            search = _Search(_long_search(tag),
+                             OracleBudget(max_nodes=max_nodes))
+            freed = weakref.ref(search)
+            try:
+                search.run()
+                stopped = False
+            except ResourceExceeded:
+                stopped = True
+            assert stopped == (max_nodes == 50)
+            del search
+            assert freed() is None
+            # Itemgetters compare by identity: the second search built no
+            # shape of its own.
+            shapes = list(oracle._SHAPES.values())
+            assert first is None or shapes == first
+            first = shapes
     finally:
         gc.enable()
+    held = {type(x) for x in _held(list(oracle._SHAPES.values()))}
+    assert held == {int, itemgetter}
 
 
 @pytest.mark.parametrize("rule", [VotingRule("borda"), VotingRule("maximin")],
@@ -354,6 +381,129 @@ def test_ball_limit_raises():
         solve_exhaustive(
             inst, OracleBudget(max_nodes=10**6, max_ball=10, time_limit_s=60)
         )
+
+
+def _limited_outcome(inst, limits):
+    # (decision, cost, witness orders, nodes), or the limit that stopped
+    # the search with its text.
+    try:
+        search = _Search(inst, limits)
+    except BallTooLarge as e:
+        return "BallTooLarge", str(e)
+    try:
+        out = search.run()
+    except ResourceExceeded as e:
+        return "ResourceExceeded", str(e), search.nodes
+    orders = (
+        tuple(p.order for p in out.witness.prefs) if out.decision else None
+    )
+    return out.decision, out.total_price, orders, search.nodes
+
+
+def _table_sweep():
+    # Every (metric, m, radius) in turn, with a positional rule and a rule
+    # of another score vector (or none) alternating within it, so that
+    # consecutive searches share a ball but not its score classes.  Every
+    # voter has the group's radius; some searches allow a smaller ball.
+    rng = random.Random(2929)
+    for metric in METRICS:
+        for m in range(2, 7):
+            kapproval = VotingRule("kapproval", k=max(1, m // 2))
+            for radius in range(4):
+                vector = _wide_vector(rng, m, 4)
+                rules = [
+                    VotingRule("plurality"), VotingRule("maximin"),
+                    VotingRule("borda"), VotingRule("copeland"),
+                    VotingRule("veto"), VotingRule("bucklin"),
+                    kapproval, VotingRule("sbucklin"),
+                    VotingRule("positional", alpha=vector),
+                    VotingRule("copeland", copeland_alpha=Fraction(1, 3)),
+                ]
+                for rule in rules * 2:
+                    n = rng.randint(1, 4)
+                    inst = BriberyInstance(
+                        make_profile([rng.sample(range(m), m)
+                                      for _ in range(n)]),
+                        rng.randrange(m), (radius,) * n,
+                        tuple(rng.choice((0, 1, 2)) for _ in range(n)),
+                        rng.randint(0, 3), rule, metric,
+                    )
+                    max_ball = rng.choice((10**5, 10**5, 6))
+                    yield inst, OracleBudget(max_nodes=3000,
+                                             max_ball=max_ball)
+
+
+def test_warm_shape_table_matches_cold_searches(monkeypatch):
+    # One process's sweep over a warm table gives every search's outcome,
+    # node count and limit text exactly as the same search on an empty
+    # table, while the balls are enumerated far fewer times.
+    searches = list(_table_sweep())
+    enumerated = []
+
+    def counting_ball(*args):
+        enumerated.append(args)
+        return ball(*args)
+
+    monkeypatch.setattr(oracle, "ball", counting_ball)
+    monkeypatch.setattr(oracle, "_SHAPES", {})
+    warm = [_limited_outcome(*s) for s in searches]
+    warm_balls = len(enumerated)
+    cold = []
+    for s in searches:
+        oracle._SHAPES.clear()
+        cold.append(_limited_outcome(*s))
+    assert warm == cold
+    kinds = collections.Counter(out[0] for out in warm)
+    assert len(searches) == 1200
+    assert kinds[True] > 300 and kinds[False] > 300
+    assert kinds["BallTooLarge"] > 50 and kinds["ResourceExceeded"] > 0
+    # Every search has one radius, so each cold search enumerates one ball.
+    assert len(enumerated) - warm_balls == len(searches) > 3 * warm_balls
+
+
+def test_limits_on_a_warm_table(monkeypatch):
+    # A kept shape larger than a later search's ball limit raises the text
+    # a cold search raises.  A shape above the table's bound is returned
+    # but not kept, and one that would overflow the table clears it, so
+    # the table never holds more members than its bound.
+    assert oracle._KEPT == OracleBudget.max_ball
+    monkeypatch.setattr(oracle, "_SHAPES", {})
+    profile = make_profile([(2, 0, 3, 1, 4), (4, 3, 2, 1, 0)])
+    inst = BriberyInstance(profile, 0, (2, 2), (1, 0), 1,
+                           VotingRule("borda"), "swap")
+    solve_exhaustive(inst)
+    ((count, _, _),) = oracle._SHAPES.values()
+    assert count == len(ball(Preference(tuple(range(5))), "swap", 2)) == 14
+    small = OracleBudget(max_ball=count - 1)
+    with pytest.raises(BallTooLarge) as warm:
+        solve_exhaustive(inst, small)
+    oracle._SHAPES.clear()
+    with pytest.raises(BallTooLarge) as cold:
+        solve_exhaustive(inst, small)
+    assert str(warm.value) == str(cold.value)
+    assert str(warm.value) == "ball(metric=swap, radius=2) exceeds cap 13"
+    assert not oracle._SHAPES
+
+    monkeypatch.setattr(oracle, "_KEPT", 30)
+    rng = random.Random(31)
+    sizes = []
+    for t in range(60):
+        metric, m, radius = (rng.choice(METRICS), rng.randint(2, 5),
+                             rng.randint(0, 3))
+        want = ball(Preference(tuple(range(m))), metric, radius)
+        before = dict(oracle._SHAPES)
+        free, _ = oracle._shape(metric, m, radius, 10**5)
+        assert _relabel(free, tuple(range(m))) == want
+        kept = sum(e[0] for e in oracle._SHAPES.values())
+        assert kept <= 30
+        key = (metric, m, radius, None)
+        if len(want) > 30:
+            assert key not in oracle._SHAPES and oracle._SHAPES == before
+        else:
+            assert oracle._SHAPES[key][0] == len(want)
+        sizes.append((len(want), len(oracle._SHAPES) < len(before)))
+    assert any(n > 30 for n, _ in sizes)
+    assert any(cleared for _, cleared in sizes)
 
 
 def test_budget_validation():
