@@ -8,16 +8,20 @@ lexicographic order, so after each winning leaf only cheaper branches are
 entered.
 
 - **Ball shapes.**  The three metrics only compare ranks, so the ball of an
-  order o is o applied to the ball of the identity order.  Each search
-  enumerates that shape once per distinct ball (footrule radii 2j and
-  2j + 1 give one ball), as bare order tuples from `metrics.ball`, and
-  relabels it through each voter's order.
+  order o is o applied to the ball of the identity order.  That shape is
+  enumerated once per process for each distinct ball (footrule radii 2j
+  and 2j + 1 give one ball) and score vector, as bare order tuples from
+  `metrics.ball`, and each search relabels it through its own voters'
+  orders.  The kept shapes hold at most 10^5 members in all: a larger one
+  is built for its search alone, and one that would overflow the table
+  clears it first.
 - **Score classes.**  For positional rules the members of a shape are
-  grouped once per shape by their score contribution, and each voter keeps
-  the lexicographically least relabeled member of each class, with the
-  voter's own order a class of its own when bribing costs.  Swapping a
-  member for that representative keeps every score and the price and never
-  raises the lexicographic order, so the optimum is unchanged.
+  grouped once per shape by the score they give each alternative under
+  the rule's vector, and each voter keeps the lexicographically least
+  relabeled member of each class, with the voter's own order a class of
+  its own when bribing costs.  Swapping a member for that representative
+  keeps every score and the price and never raises the lexicographic
+  order, so the optimum is unchanged.
 - **Carried leaf state.**  Each branch carries the partial sum of the
   rule's tally from `core.tally`, packed into one int: positional scores,
   top-(k+1) level counts (Bucklin, simplified Bucklin) or pairwise margins
@@ -219,10 +223,8 @@ class _Search:
 
 
 # Ball shapes kept for the rest of the process, by (metric, m, radius,
-# score vector): each entry is (member count, free classes, priced
-# classes), and holds only ints, lists and itemgetters.  The entries hold
-# at most `_KEPT` members in all; a larger shape is built for its search
-# and not kept, and a shape that would overflow the table clears it.
+# score vector): (member count, free classes, priced classes), so only
+# ints, lists and itemgetters, at most `_KEPT` members in all.
 _SHAPES: dict[tuple, tuple[int, list, list]] = {}
 _KEPT = OracleBudget.max_ball
 
@@ -237,7 +239,8 @@ def _shape(metric: str, m: int, radius: int, cap: int, alpha=None):
     Returns the classes for a free voter and for a priced one, in whose
     ball the identity (the voter's own order, at no price) is a class of
     its own.  The identity is the ball's least member, so the first class
-    holds it.  A shape is built once per process (see `_SHAPES`); one
+    holds it.  A shape is built once per process (see `_SHAPES`), and
+    later searches share its lists, so no caller may change them; one
     larger than `cap` raises `metrics.BallTooLarge`, kept or not."""
     key = (metric, m, radius, alpha)
     shape = _SHAPES.get(key)

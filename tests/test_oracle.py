@@ -487,7 +487,7 @@ def test_limits_on_a_warm_table(monkeypatch):
     monkeypatch.setattr(oracle, "_KEPT", 30)
     rng = random.Random(31)
     sizes = []
-    for t in range(60):
+    for _ in range(60):
         metric, m, radius = (rng.choice(METRICS), rng.randint(2, 5),
                              rng.randint(0, 3))
         want = ball(Preference(tuple(range(m))), metric, radius)
