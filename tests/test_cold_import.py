@@ -1,6 +1,6 @@
 """A fresh interpreter that imports the CLI loads none of the heavy standard
-modules the package does not need: every CLI call pays for its imports
-before it does any work."""
+modules the package does not need, and builds no oracle ball shape: every
+CLI call pays for its imports before it does any work."""
 
 import json
 import os
